@@ -77,25 +77,22 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _sharded_units(plan, graph_id: str = "bench"):
-    """(score units, shards) in canonical shard order, empty shards skipped."""
-    score_units, shards = [], []
-    for shard in plan.shards:
-        if not shard.owned_local:
-            continue
-        key = plan.payload_key(graph_id, shard)
-        score_units.append((key, shard.graph, list(shard.owned_local)))
-        shards.append(shard)
-    return score_units, shards
+def _sharded_units(compact, plan, graph_id: str = "bench"):
+    """Runtime units in canonical shard order, empty shards skipped.
 
-
-def _merge_to_parent(compact, score_units, shards, per_shard) -> Dict[int, float]:
-    merged: Dict[int, float] = {}
-    for shard, local_scores in zip(shards, per_shard):
-        labels = shard.graph.labels
-        for local, score in local_scores.items():
-            merged[compact.id_of(labels[local])] = score
-    return merged
+    Each unit carries its shard's local → parent id map, so the runtime
+    keys sharded results by the parent graph's dense ids.
+    """
+    return [
+        (
+            plan.payload_key(graph_id, shard),
+            shard.graph,
+            list(shard.owned_local),
+            [compact.id_of(label) for label in shard.graph.labels],
+        )
+        for shard in plan.shards
+        if shard.owned_local
+    ]
 
 
 def _cut_quality(scale: float, shards: int) -> Dict[str, Any]:
@@ -127,11 +124,7 @@ def _throughput(
 
     compact = load_dataset("dblp", scale=scale).to_compact()
     plan = partition_graph(compact, shards, "community")
-    score_units, plan_shards = _sharded_units(plan)
-    topk_units = [
-        (key, graph, owned, [compact.id_of(label) for label in graph.labels])
-        for key, graph, owned in score_units
-    ]
+    units = _sharded_units(compact, plan)
 
     with ExecutionRuntime(
         max_workers=workers, executor="process", kernel=kernel
@@ -146,18 +139,17 @@ def _throughput(
     with ExecutionRuntime(
         max_workers=workers, executor="process", kernel=kernel
     ) as runtime:
-        per_shard, _ = runtime.execute_sharded(score_units)
-        sharded_scores = _merge_to_parent(compact, score_units, plan_shards, per_shard)
-        sharded_top, _ = runtime.execute_top_k_sharded(topk_units, TOP_K)
+        sharded_scores, _ = runtime.execute(units)
+        sharded_top, _ = runtime.execute_top_k(units, TOP_K)
         if sharded_scores != single_scores:
             raise AssertionError("sharded sweep diverged from the single payload")
         if sharded_top != single_top:
             raise AssertionError("sharded top-k diverged from the single payload")
         sharded_sweep_s = _best_of(
-            lambda: runtime.execute_sharded(score_units), repeats
+            lambda: runtime.execute(units), repeats
         )
         sharded_topk_s = _best_of(
-            lambda: runtime.execute_top_k_sharded(topk_units, TOP_K), repeats
+            lambda: runtime.execute_top_k(units, TOP_K), repeats
         )
 
     return {
@@ -277,7 +269,7 @@ def run_sharding_benchmark(
     """Measure the sharding plane per section; verify before timing.
 
     Every sharded score compared here goes through the real runtime fan-out
-    (`execute_sharded` / `execute_top_k_sharded` / `EgoSession(shards=N)`)
+    (`execute(units)` / `execute_top_k(units, k)` / `EgoSession(shards=N)`)
     and is checked bit-identical to the unsharded answer before any number
     is reported.  Without importable numpy the throughput section times the
     python tier and ``numpy_available: false`` rides along (no speedup

@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topk.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         default="process",
         help="execution backend for --parallel (default: process)",
     )

@@ -21,11 +21,13 @@ Execution is owned by the persistent
 reusable worker pool whose workers receive the flat CSR arrays once per
 graph version through a zero-copy shared-memory transport and then execute
 vertex chunks by id range (statically partitioned, or dynamically chunked
-through the pool's shared task queue).  :mod:`repro.parallel.executor`
-keeps the one-shot ``run_chunks`` entry point (plus the legacy hash-oracle
-payload path), and :mod:`repro.parallel.load_balance` provides the
-deterministic speedup model used to reproduce the shape of Fig. 10
-independently of Python's process-start overhead.
+through the pool's shared task queue).  One batch core serves every
+payload shape: a sharded graph is a list of shard units, an unsharded one
+the single identity unit.  :mod:`repro.parallel.executor` keeps the
+one-shot ``run_chunks`` entry point (the hash oracle runs serially there),
+and :mod:`repro.parallel.load_balance` provides the deterministic speedup
+model used to reproduce the shape of Fig. 10 independently of Python's
+process-start overhead.
 """
 
 from repro.parallel.engines import (
@@ -33,7 +35,7 @@ from repro.parallel.engines import (
     edge_parallel_ego_betweenness,
     vertex_parallel_ego_betweenness,
 )
-from repro.parallel.executor import ParallelBackend, run_chunks, run_chunks_csr
+from repro.parallel.executor import ParallelBackend, run_chunks
 from repro.parallel.load_balance import LoadBalanceReport, simulate_schedule
 from repro.parallel.partition import (
     balanced_partition,
@@ -64,7 +66,6 @@ __all__ = [
     "RuntimeStats",
     "BatchStats",
     "run_chunks",
-    "run_chunks_csr",
     "block_partition",
     "balanced_partition",
     "vertex_work_estimates",

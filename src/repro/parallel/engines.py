@@ -29,12 +29,7 @@ from repro.errors import InvalidParameterError
 from repro.graph.csr import CompactGraph
 from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.graph import Graph, Vertex
-from repro.parallel.executor import (
-    ParallelBackend,
-    _run_process_pool,
-    _run_serial_hash,
-    compute_chunk_scores,
-)
+from repro.parallel.executor import ParallelBackend, _run_serial_hash
 from repro.parallel.load_balance import LoadBalanceReport, simulate_schedule
 from repro.parallel.partition import (
     balanced_partition,
@@ -115,7 +110,9 @@ def vertex_parallel_ego_betweenness(
     ``graph_backend`` selects the storage the kernels run on: ``"auto"``
     (default) and ``"compact"`` convert once to the CSR backend — workers
     then receive the two flat CSR arrays instead of rebuilt adjacency
-    dictionaries — while ``"hash"`` keeps the original hash-set path.
+    dictionaries — while ``"hash"`` keeps the original hash-set path, which
+    runs serially (``backend="process"`` raises
+    :class:`~repro.errors.BackendCapabilityError`).
     ``runtime`` (CSR path only) reuses a persistent
     :class:`ExecutionRuntime` across calls; ``schedule="dynamic"`` executes
     runtime-chunked weight-balanced id ranges through the shared task queue
@@ -220,13 +217,8 @@ def _run_engine(
         else:
             chunks = balanced_partition(tasks, weights, num_workers)
         exec_start = time.perf_counter()
-        if backend is ParallelBackend.SERIAL:
-            scores, chunk_seconds = _run_serial_hash(graph, chunks)
-        else:
-            scores, chunk_seconds, setup_seconds = _run_process_pool(
-                compute_chunk_scores, graph.to_adjacency(), chunks
-            )
-        compute_seconds = time.perf_counter() - exec_start - setup_seconds
+        scores, chunk_seconds = _run_serial_hash(graph, chunks, backend)
+        compute_seconds = time.perf_counter() - exec_start
     else:
         compact = graph if isinstance(graph, CompactGraph) else graph.to_compact()
         labels = compact.labels

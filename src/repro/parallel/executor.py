@@ -1,84 +1,38 @@
-"""Execution backends for the parallel engines — one unified chunk runner.
+"""The one-shot chunk runner for the parallel engines.
 
-:func:`run_chunks` is the single entry point: it executes per-chunk
-ego-betweenness computations and merges the results, dispatching on the
-*graph representation* it is handed.
+:func:`run_chunks` executes per-chunk ego-betweenness computations and
+merges the results, dispatching on the *graph representation* it is
+handed.
 
-* A :class:`~repro.graph.csr.CompactGraph` (or anything carrying a CSR
-  snapshot) routes through the persistent
-  :class:`~repro.parallel.runtime.ExecutionRuntime` — flat CSR arrays
-  shipped to workers via shared memory, once per graph version.  The old
-  per-call dict-of-sets adjacency payload is gone entirely on this path.
-* A hash-set :class:`~repro.graph.graph.Graph` keeps the legacy payload
-  (the adjacency mapping pickled per call) — it is the bit-identical
-  oracle the CSR path is validated against, not a production path.
+* A :class:`~repro.graph.csr.CompactGraph` routes through the
+  :class:`~repro.parallel.runtime.ExecutionRuntime` as the single identity
+  unit of one batch — flat CSR arrays shipped to workers via shared
+  memory, once per graph version.
+* A hash-set :class:`~repro.graph.graph.Graph` runs serially in the
+  current process: it is the bit-identical oracle the CSR path is
+  validated against, not a production path, so it has no worker pool.  A
+  hash graph with ``backend="process"`` raises
+  :class:`~repro.errors.BackendCapabilityError`.
 
-``backend`` selects *how* chunks execute: ``"serial"`` runs them in the
+``backend`` selects *how* CSR chunks execute: ``"serial"`` runs them in the
 current process (tests, deterministic models), ``"process"`` on a worker
 pool.  Callers that execute more than one batch should construct an
 :class:`~repro.parallel.runtime.ExecutionRuntime` and pass it via
 ``runtime=`` so the pool and the shipped payload are reused; without one,
-each call builds and tears down an ephemeral runtime (the historical
-behaviour).
-
-Migration notes
----------------
-``run_chunks_csr`` is now a thin alias of :func:`run_chunks` — existing
-callers keep working, new code should call :func:`run_chunks` (or better,
-hold an ``ExecutionRuntime``).  ``compute_chunk_scores_csr`` remains as the
-stateless one-shot worker function; persistent workers use
-:class:`~repro.core.csr_kernels.CSRChunkKernel` instead.
+each call builds and tears down an ephemeral runtime.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.errors import BackendCapabilityError
 from repro.graph.csr import CompactGraph
 from repro.graph.graph import Graph, Vertex
 from repro.parallel.runtime import ExecutionRuntime, ParallelBackend
 
-__all__ = [
-    "ParallelBackend",
-    "run_chunks",
-    "run_chunks_csr",
-    "compute_chunk_scores",
-    "compute_chunk_scores_csr",
-]
-
-
-def compute_chunk_scores(
-    adjacency: Dict[Vertex, Set[Vertex]], chunk: Sequence[Vertex]
-) -> Dict[Vertex, float]:
-    """Compute the exact ego-betweenness of every vertex in ``chunk``.
-
-    Module-level (hence picklable) worker function of the legacy hash
-    path.  The graph is reconstructed from the plain adjacency mapping so
-    that the payload shipped to worker processes contains no library
-    objects.
-    """
-    from repro.core.ego_betweenness import ego_betweenness
-
-    graph = Graph.from_adjacency(adjacency)
-    return {p: ego_betweenness(graph, p) for p in chunk}
-
-
-def compute_chunk_scores_csr(
-    payload: Tuple[Sequence[int], Sequence[int]], chunk: Sequence[int]
-) -> Dict[int, float]:
-    """Compute the exact ego-betweenness of every vertex id in ``chunk``.
-
-    Stateless one-shot CSR worker: ``payload`` is the ``(indptr, indices)``
-    pair from :meth:`CompactGraph.arrays`.  The persistent runtime does not
-    use this — its workers keep a
-    :class:`~repro.core.csr_kernels.CSRChunkKernel` per shipped graph
-    version instead of rebuilding the neighbour sets per call.
-    """
-    from repro.core.csr_kernels import ego_betweenness_from_arrays
-
-    indptr, indices = payload
-    return ego_betweenness_from_arrays(indptr, indices, chunk)
+__all__ = ["ParallelBackend", "run_chunks"]
 
 
 def run_chunks(
@@ -98,8 +52,8 @@ def run_chunks(
 
     ``source`` decides the code path: a :class:`CompactGraph` executes on
     the :class:`ExecutionRuntime` (chunks contain dense vertex ids, scores
-    are keyed by id); a hash :class:`Graph` uses the legacy adjacency
-    payload (chunks contain labels, scores are keyed by label).
+    are keyed by id); a hash :class:`Graph` runs the serial oracle (chunks
+    contain labels, scores are keyed by label).
     ``task_deadline`` / ``max_task_retries`` configure the supervision of
     an ephemeral runtime created by this call (``None`` keeps the runtime
     defaults; a caller-supplied ``runtime`` keeps its own knobs).
@@ -110,28 +64,7 @@ def run_chunks(
             source, chunks, backend, runtime, payload_key,
             task_deadline=task_deadline, max_task_retries=max_task_retries,
         )
-    if backend is ParallelBackend.SERIAL:
-        return _run_serial_hash(source, chunks)
-    merged, timings, _ = _run_process_pool(
-        compute_chunk_scores, source.to_adjacency(), chunks
-    )
-    return merged, timings
-
-
-def run_chunks_csr(
-    compact: CompactGraph,
-    chunks: Sequence[Sequence[int]],
-    backend: "ParallelBackend | str" = ParallelBackend.SERIAL,
-    runtime: Optional[ExecutionRuntime] = None,
-    payload_key=None,
-    task_deadline: Optional[float] = None,
-    max_task_retries: Optional[int] = None,
-) -> Tuple[Dict[int, float], List[float]]:
-    """Compatibility alias of :func:`run_chunks` for CSR snapshots."""
-    return run_chunks(
-        compact, chunks, backend=backend, runtime=runtime, payload_key=payload_key,
-        task_deadline=task_deadline, max_task_retries=max_task_retries,
-    )
+    return _run_serial_hash(source, chunks, backend)
 
 
 def _run_chunks_runtime(
@@ -162,9 +95,18 @@ def _run_chunks_runtime(
 
 
 def _run_serial_hash(
-    graph: Graph, chunks: Sequence[Sequence[Vertex]]
+    graph: Graph,
+    chunks: Sequence[Sequence[Vertex]],
+    backend: ParallelBackend = ParallelBackend.SERIAL,
 ) -> Tuple[Dict[Vertex, float], List[float]]:
+    """Run the chunks on the hash oracle, serially in this process."""
     from repro.core.ego_betweenness import ego_betweenness
+
+    if backend is not ParallelBackend.SERIAL:
+        raise BackendCapabilityError(
+            "the hash-set oracle runs serially only; convert the graph to "
+            "the 'compact' backend (CSR) to execute on worker processes"
+        )
 
     merged: Dict[Vertex, float] = {}
     timings: List[float] = []
@@ -174,43 +116,3 @@ def _run_serial_hash(
             merged[p] = ego_betweenness(graph, p)
         timings.append(time.perf_counter() - start)
     return merged, timings
-
-
-def _run_process_pool(
-    worker, payload, chunks: Sequence[Sequence]
-) -> Tuple[Dict, List[float], float]:
-    """Run ``worker(payload, chunk)`` over a throwaway process pool.
-
-    The legacy hash-oracle execution path: the payload is pickled to every
-    worker on every call.  Returns ``(scores, per_chunk_seconds,
-    setup_seconds)`` — the setup component (pool fork) is reported
-    separately so callers can keep it out of compute timings.
-    """
-    import multiprocessing
-
-    non_empty = [list(chunk) for chunk in chunks if chunk]
-    if not non_empty:
-        return {}, [0.0] * len(chunks), 0.0
-
-    merged: Dict = {}
-    timings: List[float] = []
-    # ``fork`` keeps the payload cheap on Linux; fall back to the default
-    # start method elsewhere.
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = multiprocessing.get_context()
-    setup_start = time.perf_counter()
-    with context.Pool(processes=len(non_empty)) as pool:
-        setup_seconds = time.perf_counter() - setup_start
-        start = time.perf_counter()
-        async_results = [
-            pool.apply_async(worker, (payload, chunk)) for chunk in non_empty
-        ]
-        for result in async_results:
-            merged.update(result.get())
-            timings.append(time.perf_counter() - start)
-    # Pad timings for empty chunks so the caller can zip them with the input.
-    while len(timings) < len(chunks):
-        timings.append(0.0)
-    return merged, timings, setup_seconds

@@ -30,15 +30,21 @@ standalone callers), or it can be constructed with ``pool=`` / ``store=``
 to join shared infrastructure (what the serving gateway does for its
 tenants).
 
-Execution offers two reductions:
+A batch executes over a list of units ``(payload key, snapshot, ids,
+local → parent id map)``: one per shard payload of a
+:class:`~repro.graph.partition.ShardPlan`, or a single identity unit for an
+unsharded graph (a bare snapshot is accepted as that unit).  Every unit is
+chunked from one ``workers × oversubscribe`` budget, all chunks run through
+one serial loop or one supervised submission loop, and the results are
+keyed by parent id.  Execution offers two reductions:
 
 * :meth:`ExecutionRuntime.execute` — score chunks, merge the full
-  ``{id: score}`` map in ascending id order (bit-identical to the serial
-  kernels for every executor/schedule/worker count).
+  ``{parent id: score}`` map in ascending id order (bit-identical to the
+  serial kernels for every executor/schedule/worker count/shard plan).
 * :meth:`ExecutionRuntime.execute_top_k` — worker-side result reduction:
   every chunk task returns its bounded top-k candidate set (``k`` entries
   plus any ties at the chunk threshold) instead of every score, and the
-  parent merges the per-chunk candidates in canonical (ascending id)
+  parent offers the candidates to one accumulator in ascending parent id
   order.  The retained entries are provably identical to offering every
   score to one accumulator in ascending id order — i.e. bit-identical to
   the serial naive ranking, threshold ties included — while the result
@@ -74,7 +80,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import faults as _faults
 from repro.errors import (
@@ -182,8 +188,8 @@ class BatchStats:
         ``"scores"`` (full merged map) or ``"top_k"`` (worker-side bounded
         reduction).
     shards:
-        Number of shard payloads this batch fanned out across (0 for the
-        single-payload path).
+        Number of shard units (``(graph_id, shard, version)`` keys) this
+        batch executed; 0 for a whole-graph batch.
     """
 
     num_tasks: int
@@ -213,7 +219,8 @@ class RuntimeStats:
         another tenant already shipped into a shared store is a hit, not a
         ship).
     payload_bytes:
-        Size of the runtime's currently attached payload in bytes.
+        Total size in bytes of the payloads this runtime currently holds
+        (one per graph version, or one per shard of a sharded graph).
     payload_bytes_shipped:
         Cumulative bytes this runtime shipped into the store (capacity
         planning: transport traffic caused by this runtime).
@@ -266,9 +273,8 @@ class RuntimeStats:
         a worker-side :class:`~repro.core.csr_kernels.CSRChunkKernel`
         that permanently dropped from ``numpy`` to ``python``.
     sharded_batches:
-        Batches executed through the sharded fan-out
-        (:meth:`ExecutionRuntime.execute_sharded` /
-        :meth:`~ExecutionRuntime.execute_top_k_sharded`).
+        Batches that executed at least one shard unit (``BatchStats.shards
+        > 0``); absent from :meth:`as_dict` while zero.
     shard_chunks:
         Cumulative chunks executed per shard index (string-keyed for the
         JSON payload) — the load-balance readout of the shard plan.
@@ -701,40 +707,30 @@ def _serve_chunk(kernel, method: str, *args) -> Tuple[Any, float, Tuple[str, int
     return payload, seconds, (served, kernel.kernel_fallbacks - before_falls)
 
 
-def _score_task(
-    meta: Tuple[str, int, int], index: int, spec, tier: str = "python", fault=None
-):
-    """Pool task: score one chunk against the worker's attached graph.
-
-    ``tier`` selects the negotiated kernel tier (resolved parent-side,
-    never ``"auto"``).  ``fault`` is the action drawn parent-side by the
-    fault-injection harness (``None`` outside chaos runs) and is
-    performed before the kernel touches the payload.
-    """
-    _faults.perform(fault)
-    kernel = _attached(meta).kernel_for(tier)
-    scores, seconds, kinfo = _serve_chunk(kernel, "score_chunk", _decode_ids(spec))
-    return index, scores, seconds, kinfo
-
-
-def _topk_task(
+def _chunk_task(
     meta: Tuple[str, int, int],
     index: int,
     spec,
-    k: int,
+    method: str,
+    args: Tuple,
     tier: str = "python",
     fault=None,
 ):
-    """Pool task: return the chunk's top-k candidates, not scores.
+    """Pool task: run one chunk against the worker's attached graph.
 
-    The worker-side reduction: ``k`` ``(id, score)`` entries plus any ties
-    at the chunk threshold leave the worker, in ascending id order,
-    instead of one score per chunk id.
+    ``method`` is the chunk kernel's ``score_chunk`` (every score) or
+    ``top_chunk`` (the worker-side top-k reduction: ``k`` candidates plus
+    any ties at the chunk threshold, in ascending id order); ``args`` are
+    its arguments after the ids.  ``tier`` selects the negotiated kernel
+    tier (resolved parent-side, never ``"auto"``).  ``fault`` is the
+    action drawn parent-side by the fault-injection harness (``None``
+    outside chaos runs) and is performed before the kernel touches the
+    payload.
     """
     _faults.perform(fault)
     kernel = _attached(meta).kernel_for(tier)
-    entries, seconds, kinfo = _serve_chunk(kernel, "top_chunk", _decode_ids(spec), k)
-    return index, entries, seconds, kinfo
+    payload, seconds, kinfo = _serve_chunk(kernel, method, _decode_ids(spec), *args)
+    return index, payload, seconds, kinfo
 
 
 # ----------------------------------------------------------------------
@@ -1299,23 +1295,56 @@ class PayloadStore:
 # ----------------------------------------------------------------------
 # The runtime
 # ----------------------------------------------------------------------
+#: One execution unit of a batch: ``(payload key, snapshot, ids,
+#: parent_ids)``.  ``ids`` are the snapshot's dense ids to execute;
+#: ``parent_ids`` maps each snapshot id to the id results are keyed by (a
+#: shard subgraph's local → parent-graph map), or is ``None`` for the
+#: identity — an unsharded graph is a one-unit plan.  A ``None`` key lets
+#: the store assign an anonymous, identity-scoped one.
+Unit = Tuple[
+    Optional[Union[PayloadKey, ShardPayloadKey]],
+    CompactGraph,
+    Sequence[int],
+    Optional[Sequence[int]],
+]
+
+def _slot(key: Tuple) -> Optional[int]:
+    """The shard slot of a store key (``None`` for a whole-graph key)."""
+    return key[1] if len(key) == 3 else None
+
+
+class _Held:
+    """One payload key a runtime holds a store reference on.
+
+    Carries the snapshot this runtime last executed under the key (the
+    ship short-circuit is runtime-local: a key-hit entry in a shared store
+    does not retain later holders' snapshots), plus the key's lazily built
+    work estimates and parent-side serial chunk kernel.
+    """
+
+    __slots__ = ("entry", "compact", "estimates", "kernel")
+
+    def __init__(self, entry: _StoreEntry, compact: CompactGraph) -> None:
+        self.entry = entry
+        self.compact = compact
+        self.estimates: Optional[List[float]] = None
+        self.kernel: Optional[Any] = None
+
+
 def _release_runtime_state(state: Dict[str, Any]) -> None:
     """Detach a runtime from its pool/store (close/GC/exit path)."""
     store: Optional[PayloadStore] = state.pop("store", None)
-    key = state.pop("entry_key", None)
-    if store is not None and key is not None and not store.closed:
-        store.release(key)
-    for shard_key in state.pop("shard_keys", None) or []:
-        if store is not None and not store.closed:
-            store.release(shard_key)
-    if store is not None and state.pop("owns_store", False) and not store.closed:
-        store.close()
+    held: Dict[Tuple, _Held] = state.pop("held", None) or {}
+    if store is not None and not store.closed:
+        for key in held:
+            store.release(key)
+        if state.pop("owns_store", False):
+            store.close()
+    held.clear()
     pool: Optional[WorkerPool] = state.pop("pool", None)
     if pool is not None and not pool.closed:
         pool.release()
-    state.update(
-        store=None, entry_key=None, shard_keys=[], pool=None, owns_store=False
-    )
+    state.update(store=None, held={}, pool=None, owns_store=False)
 
 
 class ExecutionRuntime:
@@ -1364,12 +1393,17 @@ class ExecutionRuntime:
 
     Notes
     -----
-    A runtime executes on one payload key *at a time*: executing a new
-    ``(graph_id, version)`` acquires that entry and releases the previous
-    one (which survives in a shared store while other tenants still hold
-    it).  Use as a context manager — or call :meth:`close` — for
-    deterministic teardown; ``weakref.finalize`` guards back every layer so
-    crashes cannot leak pools or shared-memory segments.
+    A batch executes over a list of :data:`Unit`\\ s — one per shard
+    payload, or the single identity unit of an unsharded graph — and the
+    runtime holds a store reference on every payload key it executed.  A
+    held key is released only when a later batch *supersedes* it (same
+    ``graph_id`` and shard slot, different version) or executes another
+    ``graph_id``; a released entry survives in a shared store while other
+    tenants still hold it.  So a graph version ships once, and every shard
+    of it ships once, however batches alternate between its shards.  Use
+    as a context manager — or call :meth:`close` — for deterministic
+    teardown; ``weakref.finalize`` guards back every layer so crashes
+    cannot leak pools or shared-memory segments.
     """
 
     def __init__(
@@ -1406,22 +1440,17 @@ class ExecutionRuntime:
         owns_store = store is None
         if owns_store:
             store = PayloadStore()
-        # Mutable holder shared with the GC finaliser: the finaliser must
-        # not keep ``self`` alive, yet must see the *current* attachments.
+        # The residency map: every payload key this runtime holds a store
+        # reference on.  The dict is shared with the GC finaliser's state
+        # holder, which must not keep ``self`` alive yet must see the
+        # *current* holdings.
+        self._held: Dict[Tuple, _Held] = {}
         self._state: Dict[str, Any] = {
             "pool": pool.acquire(),
             "store": store,
             "owns_store": owns_store,
-            "entry_key": None,
-            "shard_keys": [],
+            "held": self._held,
         }
-        self._entry: Optional[_StoreEntry] = None
-        # Sharded execution holds one store reference per resident shard
-        # key (unlike the singular ``_entry``, shard entries are *not*
-        # released when another shard executes — a sweep touches them all).
-        self._shard_entries: Dict[ShardPayloadKey, _StoreEntry] = {}
-        self._shard_estimates: Dict[ShardPayloadKey, List[float]] = {}
-        self._shard_kernels: Dict[ShardPayloadKey, Any] = {}
         # Poison-task quarantine: (payload key, encoded chunk spec) pairs
         # that exhausted their retry budget execute serially in the parent
         # for the life of this runtime.
@@ -1429,16 +1458,6 @@ class ExecutionRuntime:
         #: Poll granularity of the supervised result loop: how quickly a
         #: worker death / straggler is noticed while results are pending.
         self._poll_seconds = 0.02
-        # The snapshot THIS runtime last executed on — the ship/release
-        # short-circuit must be runtime-local, because a key-hit entry in a
-        # shared store does not retain later holders' snapshot objects.
-        self._owner: Optional[CompactGraph] = None
-        self._estimates: Optional[List[float]] = None
-        self._estimates_for: Optional[PayloadKey] = None
-        # Parent-side chunk kernel for serial execution, memoized per
-        # snapshot (the tier dispatch + counters live on the kernel).
-        self._parent_kernel: Optional[Any] = None
-        self._parent_kernel_for: Optional[CompactGraph] = None
         self._closed = False
         self._stats = RuntimeStats(
             executor=self.executor.value,
@@ -1470,23 +1489,14 @@ class ExecutionRuntime:
 
         A private pool terminates its processes and a private store unlinks
         its segments; shared infrastructure merely loses this runtime's
-        references (the entry this runtime held is evicted only if no other
-        tenant still holds it).
+        references (the entries this runtime held are evicted only if no
+        other tenant still holds them).
         """
         if self._closed:
             return
         self._closed = True
         self._finalizer.detach()
         _release_runtime_state(self._state)
-        self._entry = None
-        self._owner = None
-        self._estimates = None
-        self._estimates_for = None
-        self._parent_kernel = None
-        self._parent_kernel_for = None
-        self._shard_entries = {}
-        self._shard_estimates = {}
-        self._shard_kernels = {}
 
     def __enter__(self) -> "ExecutionRuntime":
         return self
@@ -1517,39 +1527,58 @@ class ExecutionRuntime:
         self._stats.payloads = snapshot["by_key"]
 
     # ------------------------------------------------------------------
-    # Transport and pool management
+    # Residency, transport and pool management
     # ------------------------------------------------------------------
-    def _ensure_shipped(
-        self, compact: CompactGraph, payload_key: Optional[PayloadKey]
-    ) -> bool:
-        """Attach ``compact``'s store entry, shipping it if not resident."""
-        if self._entry is not None and self._owner is compact:
-            return False
-        store: PayloadStore = self._state["store"]
-        entry, shipped = store.ship(
-            compact,
-            key=payload_key,
-            materialize=self.executor is ParallelBackend.PROCESS,
-        )
-        old = self._entry
-        self._entry = entry
-        self._owner = compact
-        self._state["entry_key"] = entry.key
-        if old is not None:
-            store.release(old.key)
-        if shipped:
-            self._stats.payload_ships += 1
-            self._stats.payload_bytes_shipped += entry.nbytes
-            if entry.payload is not None and _faults.draw_ship_corruption():
-                # Chaos hook: a "torn" ship — workers will detect the bad
-                # checksum on attach and the batch re-ships cleanly.
-                entry.payload.corrupt_header()
-                _faults.note_performed("corruptions")
-        self._stats.payload_bytes = entry.nbytes
-        if self._estimates_for != entry.key:
-            self._estimates = None
-            self._estimates_for = entry.key
-        return shipped
+    def _hold(self, key: Optional[Tuple], compact: CompactGraph) -> Tuple[_Held, bool]:
+        """Hold ``compact``'s store entry under ``key``, shipping it if needed."""
+        if key is None:
+            held = next((h for h in self._held.values() if h.compact is compact), None)
+        else:
+            held = self._held.get(key)
+        if held is None:
+            entry, shipped = self.store.ship(
+                compact,
+                key=key,
+                materialize=self.executor is ParallelBackend.PROCESS,
+            )
+            held = self._held.get(entry.key)
+            if held is None:
+                held = self._held[entry.key] = _Held(entry, compact)
+            else:  # an anonymous ship resolved to a key already held
+                self.store.release(entry.key)
+            if shipped:
+                self._stats.payload_ships += 1
+                self._stats.payload_bytes_shipped += entry.nbytes
+                if entry.payload is not None and _faults.draw_ship_corruption():
+                    # Chaos hook: a "torn" ship — workers will detect the
+                    # bad checksum on attach and the batch re-ships cleanly.
+                    entry.payload.corrupt_header()
+                    _faults.note_performed("corruptions")
+        else:
+            shipped = False
+        if held.compact is not compact:
+            held.compact, held.kernel = compact, None
+        return held, shipped
+
+    def _release_superseded(self, keys: Iterable[Tuple]) -> None:
+        """Drop held keys this batch supersedes or that belong to another graph.
+
+        A batch supersedes a held key of the same ``graph_id`` and shard
+        slot under a different version.  Keys of the batch's graph in other
+        slots stay held: a subset batch touching one shard must not evict
+        its siblings.
+        """
+        keys = set(keys)
+        graph_ids = {key[0] for key in keys}
+        slots = {(key[0], _slot(key)) for key in keys}
+        for key in [
+            key
+            for key in self._held
+            if key not in keys
+            and (key[0] not in graph_ids or (key[0], _slot(key)) in slots)
+        ]:
+            del self._held[key]
+            self.store.release(key)
 
     def _ensure_pool(self) -> bool:
         """Start the worker pool if the process executor needs one."""
@@ -1560,71 +1589,18 @@ class ExecutionRuntime:
             self._stats.pool_launches += 1
         return started
 
-    def _ensure_shard_entry(
-        self, compact: CompactGraph, key: ShardPayloadKey
-    ) -> Tuple[_StoreEntry, bool]:
-        """Attach one shard's store entry, shipping it if not yet held.
+    def _serial_kernel(self, held: _Held):
+        """The parent-side chunk kernel on a held snapshot's cached structures.
 
-        Unlike :meth:`_ensure_shipped`, acquiring a new shard key does not
-        release the others — a sharded sweep needs every shard resident at
-        once.  Stale keys (a shard rebuilt under a newer version) are
-        released by :meth:`_release_stale_shards` at batch setup.
+        Used by the serial executor; memoized per held snapshot so repeated
+        batches reuse one neighbour-set/dense build (and, on the numpy
+        tier, one attached scorer).
         """
-        entry = self._shard_entries.get(key)
-        if entry is not None:
-            return entry, False
-        store: PayloadStore = self._state["store"]
-        entry, shipped = store.ship(
-            compact,
-            key=key,
-            materialize=self.executor is ParallelBackend.PROCESS,
-        )
-        self._shard_entries[key] = entry
-        self._state["shard_keys"] = list(self._shard_entries)
-        if shipped:
-            self._stats.payload_ships += 1
-            self._stats.payload_bytes_shipped += entry.nbytes
-            if entry.payload is not None and _faults.draw_ship_corruption():
-                entry.payload.corrupt_header()
-                _faults.note_performed("corruptions")
-        return entry, shipped
-
-    def _release_stale_shards(self, wanted: set, graph_id: str) -> None:
-        """Drop held shard keys of ``graph_id`` that this batch replaced."""
-        store: PayloadStore = self._state["store"]
-        stale = [
-            key
-            for key in self._shard_entries
-            if key[0] == graph_id and key not in wanted
-        ]
-        for key in stale:
-            del self._shard_entries[key]
-            self._shard_estimates.pop(key, None)
-            self._shard_kernels.pop(key, None)
-            if not store.closed:
-                store.release(key)
-        if stale:
-            self._state["shard_keys"] = list(self._shard_entries)
-
-    def _shard_estimates_for(
-        self, key: ShardPayloadKey, compact: CompactGraph
-    ) -> List[float]:
-        """Per-id work estimates of one shard subgraph (cached per key)."""
-        estimates = self._shard_estimates.get(key)
-        if estimates is None:
-            from repro.parallel.partition import vertex_work_estimates_csr
-
-            estimates = vertex_work_estimates_csr(compact)
-            self._shard_estimates[key] = estimates
-        return estimates
-
-    def _shard_serial_kernel(self, key: ShardPayloadKey, compact: CompactGraph):
-        """The parent-side chunk kernel of one shard (cached per key)."""
-        kernel = self._shard_kernels.get(key)
-        if kernel is None:
+        if held.kernel is None:
             from repro.core.csr_kernels import CSRChunkKernel
 
-            kernel = CSRChunkKernel(
+            compact = held.compact
+            held.kernel = CSRChunkKernel(
                 compact.indptr,
                 compact.indices,
                 build_dense=False,
@@ -1632,8 +1608,7 @@ class ExecutionRuntime:
                 nbr_sets=compact.neighbor_sets(),
                 dense=compact.dense_adjacency(),
             )
-            self._shard_kernels[key] = kernel
-        return kernel
+        return held.kernel
 
     # ------------------------------------------------------------------
     # Supervised process execution
@@ -1658,36 +1633,13 @@ class ExecutionRuntime:
         chunks[served] = chunks.get(served, 0) + 1
         self._stats.kernel_fallbacks += fallbacks
 
-    def _serial_kernel(self, compact: CompactGraph):
-        """The parent-side chunk kernel on ``compact``'s cached structures.
-
-        Used by the serial executor; memoized per snapshot so repeated
-        batches reuse one neighbour-set/dense build (and, on the numpy
-        tier, one attached scorer).
-        """
-        if self._parent_kernel is None or self._parent_kernel_for is not compact:
-            from repro.core.csr_kernels import CSRChunkKernel
-
-            dense = compact.dense_adjacency()
-            self._parent_kernel = CSRChunkKernel(
-                compact.indptr,
-                compact.indices,
-                build_dense=False,
-                kernel=self.kernel,
-                nbr_sets=compact.neighbor_sets(),
-                dense=dense,
-            )
-            self._parent_kernel_for = compact
-        return self._parent_kernel
-
     def _run_supervised(
         self,
-        task_fn: Callable,
-        tasks: Sequence[Tuple[int, Sequence[int]]],
-        extra: Tuple,
+        method: str,
+        args: Tuple,
+        tasks: Sequence[Tuple[int, Sequence[int], _StoreEntry]],
         serial_chunk: Callable[[int, Sequence[int]], Any],
-        entry_of: Optional[Dict[int, _StoreEntry]] = None,
-    ) -> Dict[int, Tuple[Any, float]]:
+    ) -> Dict[int, Tuple[Any, float, Tuple[str, int]]]:
         """Submit chunk tasks and collect results under supervision.
 
         The happy path is the old submit-then-get loop; on top of it this
@@ -1698,10 +1650,9 @@ class ExecutionRuntime:
         retry budget (they run serially in the parent — the kernels are
         pure, so every recovery path stays bit-identical).
 
-        ``entry_of`` maps a task index to the store entry its chunk
-        executes against (sharded batches fan one submission loop out over
-        many shard payloads); ``None`` means every task runs on the
-        runtime's singular attached entry.  ``serial_chunk(index, chunk)``
+        Each task is ``(index, chunk, entry)``: the store entry is the
+        payload the chunk executes against, so one submission loop fans a
+        batch out over many shard payloads.  ``serial_chunk(index, chunk)``
         is the in-parent fallback for quarantined chunks.
 
         Returns ``{chunk index: (result payload, kernel seconds,
@@ -1711,17 +1662,15 @@ class ExecutionRuntime:
         """
         pool: WorkerPool = self.pool
         stats = self._stats
-        chunk_of: Dict[int, Sequence[int]] = dict(tasks)
-        specs = {index: _encode_ids(chunk) for index, chunk in tasks}
-        retries = {index: 0 for index, _ in tasks}
+        chunk_of = {index: chunk for index, chunk, _ in tasks}
+        entry_of = {index: entry for index, _, entry in tasks}
+        specs = {index: _encode_ids(chunk) for index, chunk in chunk_of.items()}
+        retries = {index: 0 for index in chunk_of}
         outputs: Dict[int, Tuple[Any, float, Tuple[str, int]]] = {}
         # index -> [async_result, submitted_at, meta-at-submit]
         pending: Dict[int, List[Any]] = {}
-        to_submit = [index for index, _ in tasks]
+        to_submit = list(chunk_of)
         respawn_budget = _MAX_RESPAWNS_PER_BATCH
-
-        def entry_for(index: int) -> _StoreEntry:
-            return self._entry if entry_of is None else entry_of[index]
 
         def run_quarantined(index: int) -> None:
             # Quarantined chunks run the parent's serial python oracle —
@@ -1735,7 +1684,7 @@ class ExecutionRuntime:
             retries[index] += 1
             if retries[index] > self.max_task_retries:
                 self._quarantine.add(
-                    (entry_for(index).key, self._spec_key(specs[index]))
+                    (entry_of[index].key, self._spec_key(specs[index]))
                 )
                 stats.quarantined_tasks += 1
                 run_quarantined(index)
@@ -1748,17 +1697,18 @@ class ExecutionRuntime:
             while to_submit:
                 index = to_submit[-1]
                 if (
-                    entry_for(index).key,
+                    entry_of[index].key,
                     self._spec_key(specs[index]),
                 ) in self._quarantine:
                     to_submit.pop()
                     run_quarantined(index)
                     continue
-                meta = entry_for(index).payload.meta
+                meta = entry_of[index].payload.meta
                 fault = _faults.draw_task_fault()
                 try:
                     result = pool.submit(
-                        task_fn, (meta, index, specs[index]) + extra + (fault,)
+                        _chunk_task,
+                        (meta, index, specs[index], method, args, self.kernel, fault),
                     )
                 except PoolStateError:
                     raise
@@ -1795,8 +1745,8 @@ class ExecutionRuntime:
                     # concurrent re-ship): re-ship once per corruption, then
                     # retry the task against the fresh segment.
                     stats.integrity_failures += 1
-                    if meta == entry_for(index).payload.meta:
-                        self._reship_entry(entry_for(index))
+                    if meta == entry_of[index].payload.meta:
+                        self._reship_entry(entry_of[index])
                     charge_retry(index)
                 except InjectedFaultError:
                     charge_retry(index)
@@ -1835,14 +1785,6 @@ class ExecutionRuntime:
         pool.reset_backoff()
         return outputs
 
-    def _work_estimates(self, compact: CompactGraph) -> List[float]:
-        """Per-id work estimates of the attached graph (cached per key)."""
-        if self._estimates is None:
-            from repro.parallel.partition import vertex_work_estimates_csr
-
-            self._estimates = vertex_work_estimates_csr(compact)
-        return self._estimates
-
     def dynamic_chunks(
         self,
         compact: CompactGraph,
@@ -1858,16 +1800,18 @@ class ExecutionRuntime:
         friendly, range-encodable) cut into ``num_workers × oversubscribe``
         chunks of approximately equal estimated work, executed via the
         pool's shared queue so idle workers steal the next chunk.
-        ``estimates``/``target_chunks`` override the attached-payload
-        estimate cache and the chunk-count target (the sharded fan-out
-        chunks each shard subgraph with its own estimates and splits the
-        oversubscription budget across shards).
+        ``estimates`` supplies cached per-id work estimates of ``compact``
+        (computed when omitted); ``target_chunks`` overrides the chunk-count
+        target (a many-unit batch splits the oversubscription budget across
+        its units).
         """
         ids = sorted(ids)
         if not ids:
             return []
         if estimates is None:
-            estimates = self._work_estimates(compact)
+            from repro.parallel.partition import vertex_work_estimates_csr
+
+            estimates = vertex_work_estimates_csr(compact)
         if target_chunks is None:
             target_chunks = num_workers * self.oversubscribe
         target_chunks = max(1, min(len(ids), target_chunks))
@@ -1892,7 +1836,7 @@ class ExecutionRuntime:
     # ------------------------------------------------------------------
     def execute(
         self,
-        compact: CompactGraph,
+        units: "CompactGraph | Sequence[Unit]",
         chunks: Optional[Sequence[Sequence[int]]] = None,
         *,
         ids: Optional[Iterable[int]] = None,
@@ -1900,481 +1844,266 @@ class ExecutionRuntime:
         schedule: str = "dynamic",
         payload_key: Optional[PayloadKey] = None,
     ) -> Tuple[Dict[int, float], BatchStats]:
-        """Score vertex chunks of ``compact``; return ``(scores, batch)``.
+        """Score every unit's ids; return ``(scores by parent id, batch)``.
 
         Parameters
         ----------
-        compact:
-            The snapshot to execute on.  A snapshot the store has not seen
-            ships the payload (once per ``(graph_id, version)``); a
-            resident one — shipped by this runtime or any other tenant of a
-            shared store — reuses the shipped arrays.
+        units:
+            The :data:`Unit`\\ s to execute — one per shard payload — or a
+            bare snapshot, which is the single identity unit
+            ``(payload_key, units, ids, None)``.  A snapshot the store has
+            not seen ships its payload (once per key); a resident one —
+            shipped by this runtime or any other tenant of a shared store —
+            reuses the shipped arrays.
         chunks:
-            An explicit static schedule (per-worker id chunks).  When
-            omitted, the runtime chunks ``ids`` itself according to
-            ``schedule``.
+            An explicit static schedule (per-worker id chunks) for a bare
+            snapshot.  When omitted, the runtime chunks the ids itself
+            according to ``schedule``.
         ids:
-            The dense vertex ids to score (default: every vertex).
-            Ignored when ``chunks`` is given.
+            The dense vertex ids of a bare snapshot to score (default:
+            every vertex).  Ignored when ``chunks`` is given.
         num_workers:
-            Parallelism used by the dynamic chunker (default
-            ``max_workers``).
+            Parallelism used by the chunker (default ``max_workers``).
         schedule:
             ``"dynamic"`` (weight-balanced oversubscribed ranges, shared
             task queue) or ``"static"`` (one chunk per worker in id-range
             blocks) — only consulted when ``chunks`` is omitted.
         payload_key:
-            The ``(graph_id, version)`` store key for this snapshot
-            (sessions pass theirs); ``None`` lets the store assign an
+            The store key of a bare snapshot (sessions pass their
+            ``(graph_id, version)``); ``None`` lets the store assign an
             anonymous identity-scoped key.
 
         Returns
         -------
-        The merged ``{id: score}`` map — materialised in ascending id order
-        for every executor/schedule/worker count, which is what keeps every
-        downstream consumer bit-identical to the serial path — plus the
-        batch's :class:`BatchStats`.
+        The merged ``{parent id: score}`` map — materialised in ascending
+        parent id order for every executor/schedule/worker count/shard
+        plan, which is what keeps every downstream consumer bit-identical
+        to the serial path — plus the batch's :class:`BatchStats`.
+        Because each shard contains every owned vertex's complete ego
+        network (the halo construction), sharded scores equal the
+        unsharded ones.
         """
-        prepared = self._prepare_batch(compact, schedule, payload_key)
-        shipped, pool_started, setup_seconds = prepared
-        workers = num_workers or self.max_workers
-        explicit_schedule = chunks is not None
-
-        if chunks is None:
-            if ids is None:
-                ids = range(compact.num_vertices)
-            if schedule == "dynamic":
-                chunks = self.dynamic_chunks(compact, list(ids), workers)
-            else:
-                from repro.parallel.partition import block_partition
-
-                chunks = block_partition(sorted(ids), workers)
-
-        compute_start = time.perf_counter()
-        merged: Dict[int, float] = {}
-        chunk_seconds = [0.0] * len(chunks)
-        tasks = [(i, chunk) for i, chunk in enumerate(chunks) if chunk]
-        if self.executor is ParallelBackend.SERIAL:
-            kernel = self._serial_kernel(compact)
-            for i, chunk in tasks:
-                scores, seconds, kinfo = _serve_chunk(kernel, "score_chunk", chunk)
-                merged.update(scores)
-                chunk_seconds[i] = seconds
-                self._tally_kernel(kinfo)
-        else:
-            from repro.core.csr_kernels import ego_betweenness_from_arrays
-
-            def serial_chunk(index, chunk):
-                return ego_betweenness_from_arrays(
-                    compact.indptr,
-                    compact.indices,
-                    chunk,
-                    compact.neighbor_sets(),
-                    compact.dense_adjacency(),
-                )
-
-            outputs = self._run_supervised(
-                _score_task, tasks, (self.kernel,), serial_chunk
-            )
-            for i, _ in tasks:
-                scores, seconds, kinfo = outputs[i]
-                merged.update(scores)
-                chunk_seconds[i] = seconds
-                self._tally_kernel(kinfo)
-        merged = {pid: merged[pid] for pid in sorted(merged)}
-        compute_seconds = time.perf_counter() - compute_start
-
-        batch = BatchStats(
-            num_tasks=len(tasks),
-            schedule="static" if explicit_schedule else schedule,
-            shipped=shipped,
-            pool_started=pool_started,
-            setup_seconds=setup_seconds,
-            compute_seconds=compute_seconds,
-            chunk_seconds=chunk_seconds,
-            kind="scores",
+        return self._batch(
+            "scores", self._as_units(units, ids, payload_key), num_workers,
+            schedule=schedule, chunks=chunks,
         )
-        self._account_batch(batch)
-        return merged, batch
 
     def execute_top_k(
         self,
-        compact: CompactGraph,
+        units: "CompactGraph | Sequence[Unit]",
         k: int,
         *,
         ids: Optional[Iterable[int]] = None,
         num_workers: Optional[int] = None,
         payload_key: Optional[PayloadKey] = None,
     ) -> Tuple[List[Tuple[int, float]], BatchStats]:
-        """Top-k ids of ``compact`` with worker-side result reduction.
+        """Top-k parent ids over every unit, with worker-side reduction.
 
-        Each chunk task scores its ascending-id range and returns only the
+        ``units`` / ``ids`` / ``payload_key`` as in :meth:`execute`.  Each
+        chunk task scores its ascending-id range and returns only the
         entries at or above the chunk's k-th largest score (``k``
         candidates plus any ties at that threshold — see
         :func:`~repro.core.csr_kernels.top_k_entries_from_arrays` for why
-        the tie cohort must ship whole); the parent offers the per-chunk
-        candidates to one :class:`~repro.core.topk.TopKAccumulator` in
-        canonical chunk order.  Because the chunks partition the ids in
-        ascending order, that replays the serial ascending-id sweep with
-        only strictly-below-threshold entries omitted — entries that can
-        never enter the final heap — so the merged retained set is
+        the tie cohort must ship whole).  The parent maps the candidates to
+        parent ids, sorts them stably by parent id and offers them to one
+        :class:`~repro.core.topk.TopKAccumulator`.  The chunks partition
+        the requested ids, so that replays the serial ascending-id sweep
+        with only strictly-below-threshold entries omitted — entries that
+        can never enter the final heap — and the retained set is
         **bit-identical to the serial naive ranking** (same entries, same
         tie-breaking) while only ``O(tasks × k + ties)`` entries cross the
         process boundary instead of every score.
 
-        Returns the ranked ``(id, score)`` entries (best first, ties broken
-        exactly as :meth:`TopKAccumulator.ranked_entries` does on ids) and
-        the batch's :class:`BatchStats`.
+        Returns the ranked ``(parent id, score)`` entries (best first, ties
+        broken exactly as :meth:`TopKAccumulator.ranked_entries` does on
+        ids) and the batch's :class:`BatchStats`.
         """
-        from repro.core.topk import TopKAccumulator
-
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
-        prepared = self._prepare_batch(compact, "dynamic", payload_key)
-        shipped, pool_started, setup_seconds = prepared
-        workers = num_workers or self.max_workers
-        id_list = sorted(ids) if ids is not None else list(range(compact.num_vertices))
-        chunks = self.dynamic_chunks(compact, id_list, workers)
-
-        compute_start = time.perf_counter()
-        chunk_seconds = [0.0] * len(chunks)
-        tasks = [(i, chunk) for i, chunk in enumerate(chunks) if chunk]
-        per_chunk: Dict[int, List[Tuple[int, float]]] = {}
-        cap = min(k, len(id_list)) if id_list else 0
-        if cap:
-            if self.executor is ParallelBackend.SERIAL:
-                kernel = self._serial_kernel(compact)
-                for i, chunk in tasks:
-                    entries, seconds, kinfo = _serve_chunk(
-                        kernel, "top_chunk", chunk, cap
-                    )
-                    per_chunk[i] = entries
-                    chunk_seconds[i] = seconds
-                    self._tally_kernel(kinfo)
-            else:
-                from repro.core.csr_kernels import top_k_entries_from_arrays
-
-                def serial_chunk(index, chunk):
-                    return top_k_entries_from_arrays(
-                        compact.indptr,
-                        compact.indices,
-                        chunk,
-                        cap,
-                        compact.neighbor_sets(),
-                        compact.dense_adjacency(),
-                    )
-
-                outputs = self._run_supervised(
-                    _topk_task, tasks, (cap, self.kernel), serial_chunk
-                )
-                for i, _ in tasks:
-                    entries, seconds, kinfo = outputs[i]
-                    per_chunk[i] = entries
-                    chunk_seconds[i] = seconds
-                    self._tally_kernel(kinfo)
-        merged_entries: List[Tuple[int, float]] = []
-        if cap:
-            accumulator = TopKAccumulator(cap)
-            # Canonical merge order: chunk index order × ascending id within
-            # each chunk == one ascending-id sweep with the dominated
-            # candidates already removed.
-            for i, _ in tasks:
-                for pid, score in per_chunk[i]:
-                    accumulator.offer(pid, score)
-            merged_entries = accumulator.ranked_entries()
-        compute_seconds = time.perf_counter() - compute_start
-
-        batch = BatchStats(
-            num_tasks=len(tasks),
-            schedule="dynamic",
-            shipped=shipped,
-            pool_started=pool_started,
-            setup_seconds=setup_seconds,
-            compute_seconds=compute_seconds,
-            chunk_seconds=chunk_seconds,
-            kind="top_k",
+        return self._batch(
+            "top_k", self._as_units(units, ids, payload_key), num_workers, k=k
         )
-        self._account_batch(batch)
-        return merged_entries, batch
 
-    # ------------------------------------------------------------------
-    # Sharded execution: one batch fanned out across shard payloads
-    # ------------------------------------------------------------------
-    def _prepare_sharded_batch(
-        self, units: Sequence[Tuple]
-    ) -> Tuple[List[_StoreEntry], int, bool, float]:
-        """Ship/attach every shard entry, drop stale ones, start the pool."""
-        if self._closed:
-            raise InvalidParameterError("this ExecutionRuntime has been closed")
-        if not units:
-            raise InvalidParameterError("sharded execution needs at least one unit")
-        setup_start = time.perf_counter()
-        entries: List[_StoreEntry] = []
-        shipped = 0
-        for unit in units:
-            key, compact = unit[0], unit[1]
-            entry, did_ship = self._ensure_shard_entry(compact, key)
-            entries.append(entry)
-            shipped += 1 if did_ship else 0
-        self._release_stale_shards({unit[0] for unit in units}, units[0][0][0])
-        pool_started = self._ensure_pool()
-        return entries, shipped, pool_started, time.perf_counter() - setup_start
+    @staticmethod
+    def _as_units(units, ids, payload_key) -> List[Unit]:
+        """Normalise a bare snapshot to its single identity unit."""
+        if isinstance(units, CompactGraph):
+            return [
+                (
+                    payload_key,
+                    units,
+                    range(units.num_vertices) if ids is None else list(ids),
+                    None,
+                )
+            ]
+        return list(units)
 
-    def _sharded_tasks(
+    def _batch(
         self,
-        units: Sequence[Tuple],
-        entries: List[_StoreEntry],
-        workers: int,
-    ) -> Tuple[List[Tuple[int, List[int]]], Dict[int, _StoreEntry], Dict[int, int]]:
-        """Chunk every shard's ids into one flat supervised task list.
-
-        The oversubscription budget (``workers × oversubscribe`` chunks) is
-        split across the shards, so the total task count — and hence the
-        self-scheduling granularity — matches the single-payload path; each
-        shard is chunked with its own work estimates.  Returns the flat
-        ``(index, chunk)`` tasks plus the per-index entry and unit maps.
-        """
-        budget = max(len(units), workers * self.oversubscribe)
-        per_shard = max(1, budget // len(units))
-        tasks: List[Tuple[int, List[int]]] = []
-        entry_of: Dict[int, _StoreEntry] = {}
-        unit_of: Dict[int, int] = {}
-        for u, unit in enumerate(units):
-            key, compact, ids = unit[0], unit[1], unit[2]
-            estimates = self._shard_estimates_for(key, compact)
-            for chunk in self.dynamic_chunks(
-                compact,
-                list(ids),
-                workers,
-                estimates=estimates,
-                target_chunks=per_shard,
-            ):
-                index = len(tasks)
-                tasks.append((index, chunk))
-                entry_of[index] = entries[u]
-                unit_of[index] = u
-        return tasks, entry_of, unit_of
-
-    def _tally_shard_chunks(
-        self, units: Sequence[Tuple], unit_of: Dict[int, int]
-    ) -> None:
-        """Fold this batch's per-shard chunk counts into the runtime stats."""
-        chunks = self._stats.shard_chunks
-        for u in unit_of.values():
-            shard_index = str(units[u][0][1])
-            chunks[shard_index] = chunks.get(shard_index, 0) + 1
-        self._stats.sharded_batches += 1
-
-    def execute_sharded(
-        self,
-        units: Sequence[Tuple[ShardPayloadKey, CompactGraph, Sequence[int]]],
+        kind: str,
+        units: List[Unit],
+        num_workers: Optional[int],
         *,
-        num_workers: Optional[int] = None,
-    ) -> Tuple[List[Dict[int, float]], BatchStats]:
-        """Score shard-local vertex chunks across many shard payloads.
-
-        ``units`` is one ``(payload key, shard subgraph, shard-local ids)``
-        triple per shard, in canonical (ascending shard index) order — the
-        session derives them from its
-        :class:`~repro.graph.partition.ShardPlan`.  Every shard entry is
-        shipped at most once and stays resident across batches (all held
-        shard references are dropped only when a newer shard version
-        replaces them, or at :meth:`close`), so a warm sweep ships nothing
-        and fans its chunk tasks over all shards through one supervised
-        submission loop — worker death, stragglers, torn shard payloads and
-        quarantine all recover exactly as on the single-payload path.
-
-        Returns one ``{local id: score}`` map per unit (ascending local id,
-        aligned with ``units``) plus the batch's :class:`BatchStats`.  The
-        scores are bit-identical to running the serial kernels on each
-        shard subgraph — and, because each shard contains every owned
-        vertex's complete ego network (the halo construction), to the
-        unsharded oracle on the parent graph.
-        """
-        entries, shipped, pool_started, setup_seconds = self._prepare_sharded_batch(
-            units
-        )
-        workers = num_workers or self.max_workers
-        tasks, entry_of, unit_of = self._sharded_tasks(units, entries, workers)
-
-        compute_start = time.perf_counter()
-        chunk_seconds = [0.0] * len(tasks)
-        results: List[Dict[int, float]] = [{} for _ in units]
-        if self.executor is ParallelBackend.SERIAL:
-            for index, chunk in tasks:
-                unit = units[unit_of[index]]
-                kernel = self._shard_serial_kernel(unit[0], unit[1])
-                scores, seconds, kinfo = _serve_chunk(kernel, "score_chunk", chunk)
-                results[unit_of[index]].update(scores)
-                chunk_seconds[index] = seconds
-                self._tally_kernel(kinfo)
-        elif tasks:
-            from repro.core.csr_kernels import ego_betweenness_from_arrays
-
-            def serial_chunk(index, chunk):
-                compact = units[unit_of[index]][1]
-                return ego_betweenness_from_arrays(
-                    compact.indptr,
-                    compact.indices,
-                    chunk,
-                    compact.neighbor_sets(),
-                    compact.dense_adjacency(),
-                )
-
-            outputs = self._run_supervised(
-                _score_task, tasks, (self.kernel,), serial_chunk, entry_of=entry_of
-            )
-            for index, _ in tasks:
-                scores, seconds, kinfo = outputs[index]
-                results[unit_of[index]].update(scores)
-                chunk_seconds[index] = seconds
-                self._tally_kernel(kinfo)
-        results = [
-            {local: merged[local] for local in sorted(merged)} for merged in results
-        ]
-        compute_seconds = time.perf_counter() - compute_start
-
-        self._tally_shard_chunks(units, unit_of)
-        batch = BatchStats(
-            num_tasks=len(tasks),
-            schedule="dynamic",
-            shipped=shipped > 0,
-            pool_started=pool_started,
-            setup_seconds=setup_seconds,
-            compute_seconds=compute_seconds,
-            chunk_seconds=chunk_seconds,
-            kind="scores",
-            shards=len(units),
-        )
-        self._account_batch(batch)
-        return results, batch
-
-    def execute_top_k_sharded(
-        self,
-        units: Sequence[
-            Tuple[ShardPayloadKey, CompactGraph, Sequence[int], Sequence[int]]
-        ],
-        k: int,
-        *,
-        num_workers: Optional[int] = None,
-    ) -> Tuple[List[Tuple[int, float]], BatchStats]:
-        """Top-k across shard payloads with merged threshold cuts.
-
-        ``units`` adds a fourth element per shard: ``global_rank``, mapping
-        each shard-local id to its *parent-graph* dense id.  Each chunk
-        task returns its bounded candidate set (``cap`` entries plus the
-        tie cohort at the chunk threshold, exactly as the single-payload
-        path); the parent maps every surviving candidate to its parent id
-        and offers them all to one
-        :class:`~repro.core.topk.TopKAccumulator` in **ascending parent-id
-        order**.  That replays the serial ascending-id sweep over the
-        parent graph with only strictly-below-threshold entries omitted —
-        the chunks partition the owned vertices across shards, so the
-        existing per-chunk merge proof covers the shard fan-out unchanged
-        and the retained entries (tie-breaking included) are bit-identical
-        to the unsharded serial ranking.
-
-        Returns the ranked ``(parent id, score)`` entries and the batch's
-        :class:`BatchStats`.
-        """
-        from repro.core.topk import TopKAccumulator
-
-        if k < 1:
-            raise InvalidParameterError("k must be a positive integer")
-        entries, shipped, pool_started, setup_seconds = self._prepare_sharded_batch(
-            units
-        )
-        workers = num_workers or self.max_workers
-        cap = min(k, sum(len(unit[2]) for unit in units))
-        tasks: List[Tuple[int, List[int]]] = []
-        entry_of: Dict[int, _StoreEntry] = {}
-        unit_of: Dict[int, int] = {}
-        if cap:
-            tasks, entry_of, unit_of = self._sharded_tasks(units, entries, workers)
-
-        compute_start = time.perf_counter()
-        chunk_seconds = [0.0] * len(tasks)
-        per_task: Dict[int, List[Tuple[int, float]]] = {}
-        if tasks:
-            if self.executor is ParallelBackend.SERIAL:
-                for index, chunk in tasks:
-                    unit = units[unit_of[index]]
-                    kernel = self._shard_serial_kernel(unit[0], unit[1])
-                    chunk_entries, seconds, kinfo = _serve_chunk(
-                        kernel, "top_chunk", chunk, cap
-                    )
-                    per_task[index] = chunk_entries
-                    chunk_seconds[index] = seconds
-                    self._tally_kernel(kinfo)
-            else:
-                from repro.core.csr_kernels import top_k_entries_from_arrays
-
-                def serial_chunk(index, chunk):
-                    compact = units[unit_of[index]][1]
-                    return top_k_entries_from_arrays(
-                        compact.indptr,
-                        compact.indices,
-                        chunk,
-                        cap,
-                        compact.neighbor_sets(),
-                        compact.dense_adjacency(),
-                    )
-
-                outputs = self._run_supervised(
-                    _topk_task, tasks, (cap, self.kernel), serial_chunk,
-                    entry_of=entry_of,
-                )
-                for index, _ in tasks:
-                    chunk_entries, seconds, kinfo = outputs[index]
-                    per_task[index] = chunk_entries
-                    chunk_seconds[index] = seconds
-                    self._tally_kernel(kinfo)
-        merged_entries: List[Tuple[int, float]] = []
-        if tasks:
-            candidates: List[Tuple[int, float]] = []
-            for index, _ in tasks:
-                global_rank = units[unit_of[index]][3]
-                for local, score in per_task[index]:
-                    candidates.append((global_rank[local], score))
-            candidates.sort(key=lambda entry: entry[0])
-            accumulator = TopKAccumulator(cap)
-            for parent_id, score in candidates:
-                accumulator.offer(parent_id, score)
-            merged_entries = accumulator.ranked_entries()
-        compute_seconds = time.perf_counter() - compute_start
-
-        self._tally_shard_chunks(units, unit_of)
-        batch = BatchStats(
-            num_tasks=len(tasks),
-            schedule="dynamic",
-            shipped=shipped > 0,
-            pool_started=pool_started,
-            setup_seconds=setup_seconds,
-            compute_seconds=compute_seconds,
-            chunk_seconds=chunk_seconds,
-            kind="top_k",
-            shards=len(units),
-        )
-        self._account_batch(batch)
-        return merged_entries, batch
-
-    def _prepare_batch(
-        self,
-        compact: CompactGraph,
-        schedule: str,
-        payload_key: Optional[PayloadKey],
-    ) -> Tuple[bool, bool, float]:
-        """Validate, ship and start the pool; return the setup accounting."""
+        schedule: str = "dynamic",
+        chunks: Optional[Sequence[Sequence[int]]] = None,
+        k: int = 0,
+    ) -> Tuple[Any, BatchStats]:
+        """The one batch core: hold, chunk, run, reduce, account."""
         if self._closed:
             raise InvalidParameterError("this ExecutionRuntime has been closed")
         if schedule not in ("dynamic", "static"):
             raise InvalidParameterError(
                 f"unknown schedule {schedule!r}; use 'dynamic' or 'static'"
             )
+        if chunks is not None and len(units) != 1:
+            raise InvalidParameterError("an explicit chunk schedule needs one unit")
+
         setup_start = time.perf_counter()
-        shipped = self._ensure_shipped(compact, payload_key)
+        holds = [self._hold(unit[0], unit[1]) for unit in units]
+        helds = [held for held, _ in holds]
+        keys = [held.entry.key for held in helds]
+        if keys:
+            self._release_superseded(keys)
+        self._stats.payload_bytes = sum(h.entry.nbytes for h in self._held.values())
         pool_started = self._ensure_pool()
-        return shipped, pool_started, time.perf_counter() - setup_start
+        setup_seconds = time.perf_counter() - setup_start
+
+        workers = num_workers or self.max_workers
+        cap = min(k, sum(len(unit[2]) for unit in units))
+        plan = (
+            self._chunk(units, helds, chunks, workers, schedule)
+            if kind == "scores" or cap
+            else []
+        )
+        if kind == "scores":
+            method, args = "score_chunk", ()
+        else:
+            method, args = "top_chunk", (cap,)
+
+        compute_start = time.perf_counter()
+        tasks = [(i, chunk) for i, (_, chunk) in enumerate(plan) if chunk]
+        if self.executor is ParallelBackend.SERIAL:
+            outputs = {
+                i: _serve_chunk(
+                    self._serial_kernel(helds[plan[i][0]]), method, chunk, *args
+                )
+                for i, chunk in tasks
+            }
+        else:
+            from repro.core.csr_kernels import (
+                ego_betweenness_from_arrays,
+                top_k_entries_from_arrays,
+            )
+
+            # Quarantined chunks run the in-parent python oracle.
+            oracle = (
+                ego_betweenness_from_arrays
+                if kind == "scores"
+                else top_k_entries_from_arrays
+            )
+
+            def serial_chunk(index, chunk):
+                compact = helds[plan[index][0]].compact
+                return oracle(
+                    compact.indptr,
+                    compact.indices,
+                    chunk,
+                    *args,
+                    compact.neighbor_sets(),
+                    compact.dense_adjacency(),
+                )
+
+            outputs = self._run_supervised(
+                method,
+                args,
+                [(i, chunk, helds[plan[i][0]].entry) for i, chunk in tasks],
+                serial_chunk,
+            )
+        chunk_seconds = [0.0] * len(plan)
+        pairs: List[Tuple[int, Any]] = []
+        for i, _ in tasks:
+            payload, chunk_seconds[i], kinfo = outputs[i]
+            self._tally_kernel(kinfo)
+            parent = units[plan[i][0]][3]
+            items = payload.items() if kind == "scores" else payload
+            pairs.extend(
+                items if parent is None else [(parent[j], v) for j, v in items]
+            )
+        pairs.sort(key=lambda pair: pair[0])
+        if kind == "scores":
+            result: Any = dict(pairs)
+        else:
+            result = []
+            if cap:
+                from repro.core.topk import TopKAccumulator
+
+                accumulator = TopKAccumulator(cap)
+                for pid, score in pairs:
+                    accumulator.offer(pid, score)
+                result = accumulator.ranked_entries()
+        compute_seconds = time.perf_counter() - compute_start
+
+        shard_slots = [_slot(key) for key in keys]
+        shards = sum(1 for slot in shard_slots if slot is not None)
+        if shards:
+            self._stats.sharded_batches += 1
+            counts = self._stats.shard_chunks
+            for i, _ in tasks:
+                name = str(shard_slots[plan[i][0]])
+                counts[name] = counts.get(name, 0) + 1
+        batch = BatchStats(
+            num_tasks=len(tasks),
+            schedule="static" if chunks is not None else schedule,
+            shipped=any(shipped for _, shipped in holds),
+            pool_started=pool_started,
+            setup_seconds=setup_seconds,
+            compute_seconds=compute_seconds,
+            chunk_seconds=chunk_seconds,
+            kind=kind,
+            shards=shards,
+        )
+        self._account_batch(batch)
+        return result, batch
+
+    def _chunk(
+        self,
+        units: List[Unit],
+        helds: List[_Held],
+        chunks: Optional[Sequence[Sequence[int]]],
+        workers: int,
+        schedule: str,
+    ) -> List[Tuple[int, List[int]]]:
+        """Cut every unit's ids into ``(unit index, chunk)`` pairs, in order.
+
+        The dynamic schedule splits the ``workers × oversubscribe`` chunk
+        budget across the units — for one unit that is the whole budget —
+        and chunks each unit with its own cached work estimates.
+        """
+        if chunks is not None:
+            return [(0, list(chunk)) for chunk in chunks]
+        if schedule == "static":
+            from repro.parallel.partition import block_partition
+
+            return [
+                (u, chunk)
+                for u, unit in enumerate(units)
+                for chunk in block_partition(sorted(unit[2]), workers)
+            ]
+        per_unit = max(1, workers * self.oversubscribe // max(len(units), 1))
+        plan: List[Tuple[int, List[int]]] = []
+        for u, (unit, held) in enumerate(zip(units, helds)):
+            if held.estimates is None:
+                from repro.parallel.partition import vertex_work_estimates_csr
+
+                held.estimates = vertex_work_estimates_csr(held.compact)
+            plan.extend(
+                (u, chunk)
+                for chunk in self.dynamic_chunks(
+                    unit[1], unit[2], workers,
+                    estimates=held.estimates, target_chunks=per_unit,
+                )
+            )
+        return plan
 
     def _account_batch(self, batch: BatchStats) -> None:
         stats = self._stats

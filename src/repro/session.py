@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 import itertools
 
@@ -775,78 +775,94 @@ class EgoSession:
         self._shard_plan_version = version
         return self._shard_plan
 
-    def _sharded_units(self, plan: ShardPlan) -> List[tuple]:
-        """Full-sweep execution units: every shard, all of its owned ids."""
-        return [
-            (plan.payload_key(self.graph_id, shard), shard.graph, shard.owned_local)
-            for shard in plan.shards
-            if shard.owned_local
-        ]
+    def _units(self, targets: Optional[List[Vertex]] = None) -> List[tuple]:
+        """The runtime units answering ``targets`` (``None``: every vertex).
 
-    @staticmethod
-    def _merge_shard_scores(units, per_shard) -> Dict[Vertex, float]:
-        """Map shard-local score maps back to parent labels and merge.
-
-        Each local id is reported by exactly one unit (shards own
-        disjoint vertex sets and units only request owned ids), so the
-        merge is a plain union.
+        Unsharded, that is the one identity unit of the current snapshot.
+        With ``shards`` set, it is one unit per shard owning a target, each
+        carrying its local → parent id map, so results come back keyed by
+        the parent's dense ids and only the touched shard payloads ship.
         """
-        merged: Dict[Vertex, float] = {}
-        for (_key, graph, _local_ids), scores in zip(units, per_shard):
-            labels = graph.labels
-            for local_id, score in scores.items():
-                merged[labels[local_id]] = score
-        return merged
-
-    def _sharded_values(
-        self, num_workers: int, executor: str
-    ) -> Optional[Dict[Vertex, float]]:
-        """The full values map computed shard-by-shard (``None`` to punt).
-
-        Fans the sweep out across every shard payload, then re-orders the
-        merged map into the canonical vertex order so the memo and every
-        ranking consumer stay bit-identical to the single-payload path.
-        """
+        compact = self._current_compact()
         plan = self._current_shard_plan()
         if plan is None:
-            return None
-        units = self._sharded_units(plan)
-        if not units:
-            return None
-        runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
-        try:
-            per_shard, _ = runtime.execute_sharded(units, num_workers=num_workers)
-        except WorkerFaultError as error:
-            return self._degraded(
-                error,
-                f"sharded full sweep ({num_workers} workers)",
-                self._all_scores,
-            )
-        merged = self._merge_shard_scores(units, per_shard)
-        result = {v: merged[v] for v in self._canonical_vertices()}
-        if self._state == "static":
-            self._values = dict(result)
-            self._values_version = self._current_version()
-        return result
-
-    def _sharded_subset(
-        self, plan: ShardPlan, targets: List[Vertex], runtime, num_workers: int
-    ) -> Dict[Vertex, float]:
-        """Route a subset request to each target's owning shard payload."""
-        by_shard: Dict[int, List[int]] = {}
-        for vertex in targets:
-            shard = plan.shards[plan.shard_of(vertex)]
-            by_shard.setdefault(shard.index, []).append(shard.graph.id_of(vertex))
-        units = [
+            if targets is None:
+                ids: Sequence[int] = range(compact.num_vertices)
+            else:
+                ids = [compact.id_of(vertex) for vertex in targets]
+            return [(self._payload_key(), compact, ids, None)]
+        owned: Dict[int, Iterable[int]] = {}
+        if targets is None:
+            owned = {shard.index: shard.owned_local for shard in plan.shards}
+        else:
+            for vertex in targets:
+                shard = plan.shards[plan.shard_of(vertex)]
+                owned.setdefault(shard.index, set()).add(shard.graph.id_of(vertex))
+        return [
             (
-                plan.payload_key(self.graph_id, plan.shards[index]),
-                plan.shards[index].graph,
-                sorted(set(by_shard[index])),
+                plan.payload_key(self.graph_id, shard),
+                shard.graph,
+                sorted(owned[shard.index]),
+                [compact.id_of(label) for label in shard.graph.labels],
             )
-            for index in sorted(by_shard)
+            for shard in plan.shards
+            if owned.get(shard.index)
         ]
-        per_shard, _ = runtime.execute_sharded(units, num_workers=num_workers)
-        return self._merge_shard_scores(units, per_shard)
+
+    def _execute(
+        self,
+        targets: Optional[List[Vertex]],
+        num_workers: int,
+        executor: str,
+        k: Optional[int] = None,
+    ):
+        """Answer ``targets`` with one runtime batch over :meth:`_units`.
+
+        Returns ``{label: score}`` in canonical vertex order — or, with
+        ``k``, the ranked top-k entries.  A worker fault degrades to the
+        serial kernels (see :meth:`_degraded`).
+        """
+        compact = self._current_compact()
+        runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
+        labels = compact.labels
+        try:
+            if k is None:
+                id_scores, _ = runtime.execute(
+                    self._units(targets), num_workers=num_workers
+                )
+                return {labels[i]: score for i, score in id_scores.items()}
+            id_entries, _ = runtime.execute_top_k(
+                self._units(targets), k, num_workers=num_workers
+            )
+        except WorkerFaultError as error:
+
+            def recompute():
+                if targets is None:
+                    scores = self._all_scores()
+                else:
+                    scores = all_ego_betweenness_csr(compact, targets)
+                return scores if k is None else self._ranked_top_k(k, scores).entries
+
+            query = "scores" if k is None else f"top_k(k={k})"
+            return self._degraded(
+                error, f"{query} on {num_workers} workers ({executor})", recompute
+            )
+        # Re-rank after mapping ids back to labels: retention happened on
+        # ids (== the canonical offer order), the final tie order follows
+        # the label sort key exactly as the serial accumulator's does.
+        return rank_entries([(labels[i], score) for i, score in id_entries])
+
+    def _require_parallel_backend(self, executor: str) -> None:
+        """Reject a process executor on the serial-only ``hash`` oracle."""
+        if (
+            self.backend == "hash"
+            and ParallelBackend(executor) is ParallelBackend.PROCESS
+        ):
+            raise BackendCapabilityError(
+                "the 'hash' oracle backend computes serially and has no CSR "
+                "arrays to ship to worker processes; use backend='compact' "
+                "(or 'dynamic') with executor='process'"
+            )
 
     # ------------------------------------------------------------------
     # Version listeners (external version-keyed caches)
@@ -1073,20 +1089,22 @@ class EgoSession:
         the memoised snapshot caches.
 
         ``parallel=N`` routes the query through the session's persistent
-        :class:`ExecutionRuntime` instead: the exact all-vertex values are
-        computed with ``N`` workers (``engine`` / ``executor`` as in
-        :meth:`scores`), memoised, and ranked — bit-identical to
-        ``algorithm="naive"`` for every worker count, executor and
-        schedule, and served straight from the memo when one is already
-        fresh.  ``algorithm`` is ignored in that case (the pruning
-        searches are inherently sequential).
+        :class:`ExecutionRuntime` instead: one batch with ``N`` workers
+        (``executor`` as in :meth:`scores`; ``engine`` is accepted for
+        symmetry and does not change the batch, whose dynamic schedule
+        serves both engines) ranks the exact all-vertex values —
+        bit-identical to ``algorithm="naive"`` for every worker count,
+        executor and shard plan, and served straight from the memo when one
+        is already fresh.  ``algorithm`` is ignored in that case (the
+        pruning searches are inherently sequential).
         """
         start = time.perf_counter()
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
         algorithm = algorithm.lower()
         if parallel is not None:
-            result = self._parallel_top_k(k, parallel, engine, executor)
+            self._require_parallel_backend(executor)
+            result = self._parallel_top_k(k, parallel, executor)
             self._record("top_k", start, k=k, algorithm="naive", parallel=parallel)
             return result
         if algorithm == "naive":
@@ -1114,9 +1132,7 @@ class EgoSession:
         self._record("top_k", start, k=k, algorithm=algorithm, theta=theta)
         return result
 
-    def _parallel_top_k(
-        self, k: int, num_workers: int, engine: str, executor: str
-    ) -> TopKResult:
+    def _parallel_top_k(self, k: int, num_workers: int, executor: str) -> TopKResult:
         """Batched top-k with worker-side result reduction.
 
         Priority order: a cached result for this exact ``(version, k)``; a
@@ -1151,51 +1167,13 @@ class EgoSession:
             and self._values_version == version
         ) or (self._state == "dynamic" and self._index is not None)
         if values_fresh or self._state == "dynamic" or self.backend == "hash":
-            result = self._ranked_top_k(k, self._batch_values(num_workers, engine, executor))
+            result = self._ranked_top_k(k, self._batch_values(num_workers, executor))
             self._topk_cache[k] = list(result.entries)
             return result
-        compact = self._current_compact()
-        runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
-        plan = self._current_shard_plan()
-        try:
-            if plan is not None and any(s.owned_local for s in plan.shards):
-                # Sharded threshold-cut merge: every unit carries the map
-                # from shard-local ids back to the parent's dense ids, so
-                # the merged candidates replay the canonical ascending-id
-                # offer order exactly.
-                units = [
-                    (
-                        plan.payload_key(self.graph_id, shard),
-                        shard.graph,
-                        shard.owned_local,
-                        [compact.id_of(label) for label in shard.graph.labels],
-                    )
-                    for shard in plan.shards
-                    if shard.owned_local
-                ]
-                id_entries, _ = runtime.execute_top_k_sharded(
-                    units, k, num_workers=num_workers
-                )
-            else:
-                id_entries, _ = runtime.execute_top_k(
-                    compact, k, num_workers=num_workers, payload_key=self._payload_key()
-                )
-        except WorkerFaultError as error:
-            result = self._degraded(
-                error,
-                f"top_k(k={k}, parallel={num_workers})",
-                lambda: self._ranked_top_k(k, self._all_scores(), start=start),
-            )
-            self._topk_cache[k] = list(result.entries)
-            return result
-        labels = compact.labels
-        # Re-rank after mapping ids back to labels: retention happened on
-        # ids (== the canonical offer order), the final tie order follows
-        # the label sort key exactly as the serial accumulator's does.
-        entries = rank_entries([(labels[i], score) for i, score in id_entries])
+        entries = self._execute(None, num_workers, executor, k=k)
         stats = SearchStats(
             algorithm="naive",
-            exact_computations=compact.num_vertices,
+            exact_computations=self.num_vertices,
             pruned_vertices=0,
             elapsed_seconds=time.perf_counter() - start,
         )
@@ -1267,7 +1245,9 @@ class EgoSession:
         ``parallel=N`` routes the all-vertex computation through one of the
         Section-V engines (``engine="edge"`` — EdgePEBW, the default — or
         ``"vertex"`` — VertexPEBW) with ``N`` workers; ``executor`` selects
-        the execution backend (``"serial"``, ``"thread"``, ``"process"``).
+        the execution backend (``"serial"`` or ``"process"``; the ``hash``
+        oracle backend runs serially and rejects ``"process"`` with
+        :class:`~repro.errors.BackendCapabilityError`).
         Scores are bit-identical however they are computed, and a full map
         is memoised on the session, so later :meth:`score` /
         :meth:`top_k` ``(algorithm="naive")`` calls reuse it.
@@ -1300,11 +1280,7 @@ class EgoSession:
         return full
 
     def _parallel_values(
-        self,
-        num_workers: int,
-        engine: str = "edge",
-        executor: str = "serial",
-        schedule: str = "static",
+        self, num_workers: int, engine: str = "edge", executor: str = "serial"
     ) -> Dict[Vertex, float]:
         """Compute the full values map through an engine run and memoise it.
 
@@ -1312,9 +1288,7 @@ class EgoSession:
         identical to the serial kernels' iteration order — so every
         consumer (memo, naive ranking) is bit-identical to the serial path.
         """
-        run = self._parallel_run(
-            num_workers, engine=engine, executor=executor, schedule=schedule
-        )
+        run = self._parallel_run(num_workers, engine=engine, executor=executor)
         result = {v: run.scores[v] for v in self._canonical_vertices()}
         if self._state == "static":
             # Engine scores are bit-identical to the serial kernel, so
@@ -1325,13 +1299,14 @@ class EgoSession:
         return result
 
     def _batch_values(
-        self, parallel: Optional[int], engine: str, executor: str
+        self, parallel: Optional[int], executor: str
     ) -> Dict[Vertex, float]:
         """The full values map for batched answering — memo first.
 
         Serves a fresh memo (static) or the maintained index (dynamic)
-        without touching the runtime; otherwise computes once — through the
-        runtime's dynamic schedule when ``parallel`` is set — and memoises.
+        without touching the runtime; otherwise computes once — through one
+        runtime batch over :meth:`_units` when ``parallel`` is set (the
+        ``hash`` oracle computes serially) — and memoises.
         """
         if (
             self._state == "static"
@@ -1341,15 +1316,13 @@ class EgoSession:
             return dict(self._values)
         if self._state == "dynamic" and self._index is not None:
             return self._ensure_index().scores()
-        if parallel is None:
+        if parallel is None or self.backend == "hash":
             return self._all_scores()
-        if self.shards:
-            sharded = self._sharded_values(parallel, executor)
-            if sharded is not None:
-                return sharded
-        return self._parallel_values(
-            parallel, engine=engine, executor=executor, schedule="dynamic"
-        )
+        result = self._execute(None, parallel, executor)
+        if self._state == "static":
+            self._values = dict(result)
+            self._values_version = self._current_version()
+        return result
 
     def scores_batch(
         self,
@@ -1372,11 +1345,15 @@ class EgoSession:
         ``parallel=N`` executes that pass on the session's persistent
         :class:`ExecutionRuntime` with ``N`` workers and the dynamic
         work-stealing schedule (``executor`` as in :meth:`scores`; the
-        ``hash`` oracle backend computes serially regardless).  Results are
-        bit-identical to per-query :meth:`scores` calls for every worker
-        count and executor.
+        ``hash`` oracle backend computes serially with
+        ``executor="serial"`` and raises
+        :class:`~repro.errors.BackendCapabilityError` for ``"process"``).
+        Results are bit-identical to per-query :meth:`scores` calls for
+        every worker count, executor and shard plan.
         """
         start = time.perf_counter()
+        if parallel is not None:
+            self._require_parallel_backend(executor)
         requests = [None if query is None else list(query) for query in queries]
         if not requests:
             self._record("scores_batch", start, parallel=parallel, batch=0)
@@ -1388,7 +1365,7 @@ class EgoSession:
             and self._values_version == self._current_version()
         ) or (self._state == "dynamic" and self._index is not None)
         if full_needed or memo_available:
-            source = self._batch_values(parallel, engine, executor)
+            source = self._batch_values(parallel, executor)
         else:
             # Subset-only batch with nothing memoised: compute the union
             # of the requested vertices exactly once.
@@ -1401,35 +1378,7 @@ class EgoSession:
                 graph = self._current_hash_graph()
                 source = {v: ego_betweenness(graph, v) for v in targets}
             elif parallel is not None:
-                compact = self._current_compact()
-                runtime = self.runtime(
-                    executor, max_workers=self._pool_size(parallel)
-                )
-                plan = self._current_shard_plan()
-                try:
-                    if plan is not None:
-                        # Each query id routes to its owning shard's chunk
-                        # tasks; only the touched shard payloads ship.
-                        source = self._sharded_subset(
-                            plan, targets, runtime, parallel
-                        )
-                    else:
-                        id_scores, _ = runtime.execute(
-                            compact,
-                            ids=[compact.id_of(v) for v in targets],
-                            num_workers=parallel,
-                            payload_key=self._payload_key(),
-                        )
-                        labels = compact.labels
-                        source = {
-                            labels[i]: score for i, score in id_scores.items()
-                        }
-                except WorkerFaultError as error:
-                    source = self._degraded(
-                        error,
-                        f"scores_batch(parallel={parallel})",
-                        lambda: all_ego_betweenness_csr(compact, targets),
-                    )
+                source = self._execute(targets, parallel, executor)
             else:
                 source = all_ego_betweenness_csr(self._current_compact(), targets)
         try:
@@ -1483,7 +1432,7 @@ class EgoSession:
         return run
 
     def _parallel_run(
-        self, num_workers: int, engine: str, executor: str, schedule: str = "static"
+        self, num_workers: int, engine: str, executor: str
     ) -> ParallelRunResult:
         engine = engine.lower()
         if engine not in ("edge", "vertex"):
@@ -1510,7 +1459,6 @@ class EgoSession:
                 # count) rather than forking cpu_count() workers for a 2-worker
                 # query; an existing runtime is reused as-is.
                 runtime=self.runtime(executor, max_workers=self._pool_size(num_workers)),
-                schedule=schedule,
                 payload_key=self._payload_key(),
             )
         except WorkerFaultError as error:
@@ -1527,7 +1475,6 @@ class EgoSession:
                     runtime=self.runtime(
                         "serial", max_workers=self._pool_size(num_workers)
                     ),
-                    schedule=schedule,
                     payload_key=self._payload_key(),
                 ),
             )

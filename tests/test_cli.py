@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -146,3 +148,38 @@ class TestCommands:
         exit_code = main(["topk", "--edge-list", edge_list_file, "-k", "0"])
         assert exit_code == 1
         assert "error" in capsys.readouterr().err
+
+
+def _executor_cases():
+    """``(verb, choice)`` for every verb whose parser offers ``--executor``."""
+    parser = build_parser()
+    verbs = next(
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return [
+        (verb, choice)
+        for verb, verb_parser in verbs.choices.items()
+        for action in verb_parser._actions
+        if "--executor" in action.option_strings
+        for choice in action.choices
+    ]
+
+
+#: Minimal tiny-graph arguments per verb; a verb that gains ``--executor``
+#: without an entry here fails the test below with a KeyError.
+_TINY_ARGS = {
+    "topk": lambda path: ["--edge-list", path, "-k", "3", "--parallel", "2"],
+    "bench-throughput": lambda path: [
+        "--edge-list", path, "--queries", "4", "--workers", "2"
+    ],
+    "serve": lambda path: ["--datasets", "dblp", "--scale", "0.05", "--clients", "4"],
+}
+
+
+@pytest.mark.parallel
+@pytest.mark.parametrize("verb,executor", _executor_cases())
+def test_every_executor_choice_runs(verb, executor, edge_list_file, capsys):
+    argv = [verb, *_TINY_ARGS[verb](edge_list_file), "--executor", executor]
+    assert main(argv) == 0

@@ -281,7 +281,7 @@ class TestTeardownSafety:
         runtime = ExecutionRuntime(executor="process", max_workers=2)
         with faults.inject(faults.FaultPlan(kill_every=2)):
             runtime.execute(compact, num_workers=2)
-        name = runtime._entry.payload.shm.name
+        name = next(iter(runtime._held.values())).entry.payload.shm.name
         runtime.close()
         # The batch lost a worker mid-flight, yet close() left no segment
         # behind — neither tracked nor reachable by name.

@@ -16,7 +16,7 @@ from repro.parallel.engines import (
     edge_parallel_ego_betweenness,
     vertex_parallel_ego_betweenness,
 )
-from repro.parallel.executor import ParallelBackend, compute_chunk_scores, run_chunks
+from repro.parallel.executor import ParallelBackend, run_chunks
 from repro.parallel.load_balance import simulate_schedule
 from repro.parallel.partition import balanced_partition, block_partition, vertex_work_estimates
 
@@ -119,15 +119,6 @@ class TestEngines:
 
 
 class TestExecutor:
-    def test_compute_chunk_scores_standalone(self):
-        g = barabasi_albert_graph(40, 2, seed=5)
-        adjacency = g.to_adjacency()
-        chunk = list(g.vertices())[:10]
-        scores = compute_chunk_scores(adjacency, chunk)
-        expected = all_ego_betweenness(g, chunk)
-        for v in chunk:
-            assert scores[v] == pytest.approx(expected[v])
-
     def test_run_chunks_serial_merges(self):
         g = barabasi_albert_graph(50, 2, seed=6)
         chunks = block_partition(g.vertices(), 4)
@@ -151,14 +142,6 @@ class TestExecutor:
         expected = all_ego_betweenness(g)
         assert {labels[i]: s for i, s in id_scores.items()} == expected
 
-    def test_run_chunks_csr_is_an_alias(self):
-        from repro.parallel.executor import run_chunks_csr
-
-        g = barabasi_albert_graph(30, 2, seed=8)
-        compact = g.to_compact()
-        chunks = block_partition(list(range(compact.num_vertices)), 2)
-        assert run_chunks_csr(compact, chunks)[0] == run_chunks(compact, chunks)[0]
-
     def test_run_chunks_reuses_a_passed_runtime(self):
         from repro.parallel.runtime import ExecutionRuntime
 
@@ -172,15 +155,22 @@ class TestExecutor:
             assert runtime.stats().payload_ships == 1
             assert not runtime.closed  # caller-owned runtimes stay open
 
-    @pytest.mark.slow
-    @pytest.mark.parallel
-    def test_process_backend_matches_serial(self):
+    def test_process_backend_rejects_hash_graph(self):
+        from repro.errors import BackendCapabilityError
+
         g = barabasi_albert_graph(60, 3, seed=7)
         chunks = block_partition(g.vertices(), 2)
-        serial_scores, _ = run_chunks(g, chunks, backend="serial")
-        process_scores, _ = run_chunks(g, chunks, backend="process")
-        for v, value in serial_scores.items():
-            assert process_scores[v] == pytest.approx(value)
+        with pytest.raises(BackendCapabilityError, match="compact"):
+            run_chunks(g, chunks, backend="process")
+        with pytest.raises(BackendCapabilityError, match="compact"):
+            edge_parallel_ego_betweenness(
+                g, 2, backend="process", graph_backend="hash"
+            )
+        from repro.session import EgoSession
+
+        with EgoSession(g, backend="hash") as session:
+            with pytest.raises(BackendCapabilityError, match="compact"):
+                session.scores_batch([None], parallel=2, executor="process")
 
     @pytest.mark.parallel
     def test_process_backend_matches_serial_csr(self):

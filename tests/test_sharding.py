@@ -288,6 +288,63 @@ class TestSessionSharding:
             session.close()
             oracle.close()
 
+    def test_alternating_shard_subsets_ship_each_shard_once(self):
+        """Subset batches alternating between shards re-ship nothing.
+
+        Each batch touches one shard; the other shard's payload stays
+        resident because nothing superseded it (both versions stay 0).
+        """
+        session = EgoSession.from_dataset("dblp", scale=0.3, shards=2)
+        reference = EgoSession.from_dataset("dblp", scale=0.3)
+        try:
+            plan = session._current_shard_plan()
+            picks = [shard.owned_labels[0] for shard in plan.shards]
+            for vertex in picks * 2:
+                answer = session.scores_batch([[vertex]], parallel=2)[0]
+                assert answer == {vertex: reference.score(vertex)}
+            assert [shard.version for shard in plan.shards] == [0, 0]
+            stats = session.runtime_stats()["serial"]
+            assert stats.payload_ships - len(plan.shards) == 0
+            assert stats.payload_evictions == 0
+        finally:
+            session.close()
+            reference.close()
+
+
+def _disjoint_stars() -> Graph:
+    """Stars of 2–4 leaves: masses of exact score ties at every threshold."""
+    edges, base = [], 0
+    for leaves in (3, 2, 3, 4, 2, 3, 4, 3, 2):
+        edges.extend((base, base + 1 + leaf) for leaf in range(leaves))
+        base += leaves + 1
+    return Graph(edges=edges)
+
+
+@pytest.mark.parametrize(
+    "executor", ["serial", pytest.param("process", marks=pytest.mark.parallel)]
+)
+@pytest.mark.parametrize("shards", [0, 2, 3])
+def test_one_execution_path_matches_the_oracle(executor, shards):
+    """Unsharded is a one-unit plan: every plan answers like the oracle."""
+    for graph in (_disjoint_stars(), barabasi_albert_graph(50, 3, seed=5)):
+        oracle = EgoSession(graph, backend="hash")
+        truth = oracle.scores()
+        for k in (1, 4, 7):
+            expected = oracle.top_k(k, algorithm="naive").entries
+            with EgoSession(graph, shards=shards) as session:
+                ranked = session.top_k(k, parallel=2, executor=executor)
+                assert ranked.entries == expected
+        with EgoSession(graph, shards=shards) as session:
+            subset = sorted(truth)[::3]
+            answers = session.scores_batch([subset], parallel=2, executor=executor)
+            assert answers[0] == {v: truth[v] for v in subset}
+            full = session.scores_batch([None], parallel=2, executor=executor)
+            assert full == [truth]
+            payload = session.runtime_stats()[executor].as_dict()
+            assert ("sharded_batches" in payload) == bool(shards)
+            assert ("shards" in payload["last_batch"]) == bool(shards)
+        oracle.close()
+
 
 @pytest.mark.parallel
 class TestProcessSharding:
