@@ -5,13 +5,16 @@ Section II of the paper defines, for vertices ``u`` and ``v``::
     u ≺ v   iff   d(u) > d(v)  or  (d(u) = d(v) and ID(u) > ID(v))
 
 i.e. vertices are ranked by non-increasing degree with ties broken by a larger
-vertex identifier.  The ordering is used to
+vertex identifier.  The ordering is used to orient the undirected graph into
+a DAG ``G+`` so that every triangle is enumerated exactly once from its
+highest-ranked vertex.
 
-* orient the undirected graph into a DAG ``G+`` so that every triangle is
-  enumerated exactly once from its highest-ranked vertex, and
-* drive the top-k searches, which process vertices in non-increasing order of
-  their (static) upper bound ``d(d-1)/2`` — equivalent to processing them in
-  the total order.
+:func:`sort_key` is the other order of this module: the vertex tie-breaker of
+the top-k order (score descending, then ``sort_key`` ascending — see
+:mod:`repro.core.topk`).  The top-k searches visit equal static bounds
+``d(d-1)/2`` in ascending ``sort_key`` order to match it.  Note that it is
+not the reverse of ``≺``'s identifier tie rule: it compares the ``repr``
+(``"10" < "9"``), where ``≺`` compares integers numerically.
 
 Vertex identifiers may be arbitrary hashable objects.  When identifiers are
 not mutually comparable (e.g. a mix of strings and integers) a deterministic
@@ -29,9 +32,9 @@ __all__ = ["sort_key", "degree_rank", "precedes", "order_vertices"]
 def sort_key(vertex: Hashable) -> tuple:
     """Return a deterministic, type-stable sort key for a vertex identifier.
 
-    Identifiers of the same type compare natively; mixed types fall back to
-    comparing ``(type name, repr)`` so that sorting never raises
-    ``TypeError``.
+    Every identifier compares as ``(type name, repr)`` — integers too, so
+    ``9`` sorts after ``10`` — which never raises ``TypeError`` on mixed
+    types.
     """
     return (type(vertex).__name__, repr(vertex))
 

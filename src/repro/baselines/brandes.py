@@ -22,7 +22,7 @@ import time
 from collections import deque
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.topk import SearchStats, TopKAccumulator, TopKResult
+from repro.core.topk import SearchStats, TopKResult, top_entries
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph, Vertex
 
@@ -105,15 +105,13 @@ def top_k_betweenness(
         pivots = num_pivots if num_pivots is not None else max(1, graph.num_vertices // 10)
         scores = approximate_betweenness_centrality(graph, pivots, seed=seed)
         algorithm = "TopBW-approx"
-    accumulator = TopKAccumulator(min(k, max(graph.num_vertices, 1)))
-    for vertex, score in scores.items():
-        accumulator.offer(vertex, score)
+    entries = top_entries(scores, k)
     stats = SearchStats(
         algorithm=algorithm,
         exact_computations=graph.num_vertices,
         elapsed_seconds=time.perf_counter() - start,
     )
-    return TopKResult(entries=accumulator.ranked_entries(), k=k, stats=stats)
+    return TopKResult(entries=entries, k=k, stats=stats)
 
 
 def _accumulate_from_source(

@@ -13,7 +13,7 @@ import time
 from typing import Dict
 
 from repro.core.ego_betweenness import ego_betweenness_reference
-from repro.core.topk import SearchStats, TopKAccumulator, TopKResult
+from repro.core.topk import SearchStats, TopKResult, top_entries
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph, Vertex
 
@@ -30,13 +30,10 @@ def naive_top_k(graph: Graph, k: int) -> TopKResult:
     if k < 1:
         raise InvalidParameterError("k must be a positive integer")
     start = time.perf_counter()
-    scores = naive_all_ego_betweenness(graph)
-    accumulator = TopKAccumulator(min(k, max(graph.num_vertices, 1)))
-    for vertex, score in scores.items():
-        accumulator.offer(vertex, score)
+    entries = top_entries(naive_all_ego_betweenness(graph), k)
     stats = SearchStats(
         algorithm="NaiveTopK",
         exact_computations=graph.num_vertices,
         elapsed_seconds=time.perf_counter() - start,
     )
-    return TopKResult(entries=accumulator.ranked_entries(), k=k, stats=stats)
+    return TopKResult(entries=entries, k=k, stats=stats)

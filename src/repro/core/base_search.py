@@ -1,11 +1,11 @@
 """BaseBSearch — Algorithm 1 of the paper.
 
 The basic top-k search processes vertices in non-increasing order of the
-static upper bound ``ub(p) = d(p)(d(p)-1)/2`` (Lemma 2).  It computes the
-exact ego-betweenness of each visited vertex and stops as soon as the result
-set holds ``k`` vertices whose smallest exact score is at least the upper
-bound of the next unvisited vertex — every remaining vertex then provably
-cannot enter the top-k (Theorem 1).
+static upper bound ``ub(p) = d(p)(d(p)-1)/2`` (Lemma 2), equal bounds by
+ascending vertex sort key.  It computes the exact ego-betweenness of each
+visited vertex and stops as soon as the next unvisited vertex's bound and
+key cannot enter the result set of ``k`` vertices — every remaining vertex
+then provably cannot enter the top-k (Theorem 1).
 
 Like the paper's Algorithm 1 (lines 11–13 and the ``UptSMap`` procedure),
 processing a vertex also maintains the shared shortest-path information of
@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro._ordering import order_vertices
+from repro._ordering import sort_key
 from repro.core.bounds import static_upper_bound
 from repro.core.ego_betweenness import ego_betweenness
 from repro.core.opt_search import ego_bw_cal
@@ -106,18 +106,18 @@ def _base_b_search_hash(
         return TopKResult(entries=[], k=k, stats=stats)
 
     degrees = graph.degrees()
-    # Processing vertices in the total order ≺ is identical to processing
-    # them in non-increasing static-bound order, because ub is monotone in
-    # the degree and ties share the same bound.
-    ordering = order_vertices(degrees)
+    # Algorithm 1 leaves the order among equal bounds free; visiting them
+    # by ascending sort key matches the top-k order's tie rule, so the
+    # stop test below can be exact at a tied threshold.
+    ordering = sorted(
+        degrees, key=lambda v: (-static_upper_bound(degrees[v]), sort_key(v))
+    )
 
     shared_info = IdentifiedInfo() if maintain_shared_maps else None
     computed: set = set()
     accumulator = TopKAccumulator(effective_k)
-    visited = 0
     for u in ordering:
-        upper = static_upper_bound(degrees[u])
-        if accumulator.is_full and accumulator.threshold >= upper:
+        if not accumulator.admits(static_upper_bound(degrees[u]), sort_key(u)):
             break
         if shared_info is not None:
             score = ego_bw_cal(
@@ -133,9 +133,8 @@ def _base_b_search_hash(
         else:
             score = ego_betweenness(graph, u)
         stats.exact_computations += 1
-        visited += 1
         accumulator.offer(u, score)
 
-    stats.pruned_vertices = n - visited
+    stats.pruned_vertices = n - stats.exact_computations
     stats.elapsed_seconds = time.perf_counter() - start
     return TopKResult(entries=accumulator.ranked_entries(), k=k, stats=stats)

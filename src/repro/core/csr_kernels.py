@@ -52,7 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.core.bounds import BoundDecomposition
 from repro.core.ego_betweenness import _sum_from_histogram, _sum_pair_contributions
 from repro.core.spath_map import IdentifiedInfoCSR
-from repro.core.topk import SearchStats, TopKAccumulator, TopKResult
+from repro.core.topk import SearchStats, TopKAccumulator, TopKResult, threshold_cut
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CompactGraph
 from repro.graph.dynamic_csr import DynamicCompactGraph
@@ -446,34 +446,19 @@ def top_k_entries_from_arrays(
     """Score ``ids``; return every candidate that can reach a global top-k.
 
     Returns the chunk's ``(id, score)`` entries whose score is **>= the
-    chunk's k-th largest score — all threshold ties included** — in
-    ascending id order (everything, when the chunk has at most ``k``
-    entries).
+    chunk's k-th largest score — all threshold ties included** (everything,
+    when the chunk has at most ``k`` entries); see :func:`threshold_cut`.
 
-    The tie cohort must ship whole: which tied-at-threshold entry a
-    :class:`TopKAccumulator` evicts depends on the *global* arrival order
-    (the heap evicts the earliest-offered tie, and ties from other chunks
-    interleave), so a chunk cannot decide tie survival locally.  Entries
-    strictly below the chunk threshold, however, are strictly below the
-    global threshold too (a subset's k-th best never exceeds the full
-    set's) and therefore never appear in the global accumulator's final
-    heap — omitting them cannot change the merged result, which is what
-    keeps the per-chunk reduction bit-identical to the serial sweep while
-    still shipping only ``k`` entries plus threshold ties instead of every
-    score.
+    The tie cohort ships whole because a worker holds bare ids, not labels:
+    ties are broken by the label sort key, so only the parent can decide
+    which tied entries survive.  Entries strictly below the chunk threshold
+    are strictly below the global threshold too (a subset's k-th best never
+    exceeds the full set's), so omitting them cannot change the top-k.
     """
     if k < 1:
         raise InvalidParameterError("k must be a positive integer")
-    if nbr_sets is None:
-        nbr_sets = _neighbor_sets_cached(indptr, indices)
-    entries = [
-        (pid, _ego_score_id(indptr, indices, pid, nbr_sets, dense))
-        for pid in sorted(ids)
-    ]
-    if len(entries) <= k:
-        return entries
-    threshold = heapq.nlargest(k, (score for _, score in entries))[-1]
-    return [(pid, score) for pid, score in entries if score >= threshold]
+    scores = ego_betweenness_from_arrays(indptr, indices, ids, nbr_sets, dense)
+    return threshold_cut(list(scores.items()), k)
 
 
 def build_dense_adjacency(
@@ -614,29 +599,11 @@ class CSRChunkKernel:
         The worker-side reduction of ``top_k(parallel=)``: ``k`` entries
         plus any ties at the chunk threshold leave the worker instead of
         one score per chunk id.  See :func:`top_k_entries_from_arrays` for
-        the retention contract that keeps the parent merge bit-identical
-        to the serial naive ranking.
+        why the tie cohort ships whole.
         """
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
-        if self.kernel == "numpy":
-            id_list = sorted(ids)
-            try:
-                scores = self._vectorized().score_ids(id_list)
-            except Exception:
-                ids = id_list
-                self._demote()
-            else:
-                self.chunks_by_tier["numpy"] += 1
-                entries = [(pid, scores[pid]) for pid in id_list]
-                if len(entries) <= k:
-                    return entries
-                threshold = heapq.nlargest(k, (score for _, score in entries))[-1]
-                return [(pid, score) for pid, score in entries if score >= threshold]
-        self.chunks_by_tier["python"] += 1
-        return top_k_entries_from_arrays(
-            self.indptr, self.indices, ids, k, self.nbr_sets, self.dense
-        )
+        return threshold_cut(list(self.score_chunk(ids).items()), k)
 
 
 def bound_decomposition_csr(source: GraphLike, vertex: Vertex) -> BoundDecomposition:
@@ -813,14 +780,13 @@ def base_b_search_csr(
     labels = compact.labels
     nbr_sets = compact.neighbor_sets()
     dense = compact.dense_adjacency()
+    ties = compact.tie_keys()
     info = IdentifiedInfoCSR(n) if maintain_shared_maps else None
     computed = bytearray(n)
     accumulator = TopKAccumulator(effective_k)
-    visited = 0
-    for pid in compact.degree_order():
+    for pid in compact.bound_order():
         dp = degrees[pid]
-        upper = dp * (dp - 1) / 2.0
-        if accumulator.is_full and accumulator.threshold >= upper:
+        if not accumulator.admits(dp * (dp - 1) / 2.0, ties[pid]):
             break
         if info is not None:
             score = ego_bw_cal_csr(compact, pid, info, computed, float("-inf"), nbr_sets)
@@ -829,10 +795,9 @@ def base_b_search_csr(
         else:
             score = _ego_score_id(indptr, indices, pid, nbr_sets, dense)
         stats.exact_computations += 1
-        visited += 1
         accumulator.offer(labels[pid], score)
 
-    stats.pruned_vertices = n - visited
+    stats.pruned_vertices = n - stats.exact_computations
     stats.elapsed_seconds = time.perf_counter() - start
     return TopKResult(entries=accumulator.ranked_entries(), k=k, stats=stats)
 
@@ -895,7 +860,7 @@ def opt_b_search_csr(source: GraphLike, k: int, theta: float = 1.05) -> TopKResu
                 entry = heappop(heap)
         else:
             entry = heappop(heap)
-        neg_bound, _, pid = entry
+        neg_bound, key, pid = entry
         stored_bound = -neg_bound
         if computed[pid] or pruned[pid]:
             continue
@@ -910,15 +875,15 @@ def opt_b_search_csr(source: GraphLike, k: int, theta: float = 1.05) -> TopKResu
         stats.bound_updates += 1
 
         if theta * tight_bound < stored_bound:
-            if not accumulator.is_full or tight_bound > accumulator.threshold:
+            if accumulator.admits(tight_bound, key):
                 repush_bound[pid] = tight_bound
-                heappush(heap, (-tight_bound, ties[pid], pid))
+                heappush(heap, (-tight_bound, key, pid))
                 stats.repushes += 1
             else:
                 pruned[pid] = 1
             continue
 
-        if accumulator.is_full and stored_bound <= accumulator.threshold:
+        if not accumulator.admits(stored_bound, key):
             break
 
         score = ego_bw_cal_csr(compact, pid, info, computed, accumulator.threshold, nbr_sets)

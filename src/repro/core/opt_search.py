@@ -15,7 +15,8 @@ vertices in a max-priority structure keyed by their current bound and
   controls what "substantially" means and therefore trades bound-refresh cost
   against exact-computation cost (Exp-2 of the paper), and
 * terminates as soon as the best remaining stored bound cannot beat the
-  current k-th best exact score.
+  current k-th entry of the top-k order (a bound equal to the k-th score
+  still can, when its vertex's sort key precedes the k-th entry's).
 
 Identified information is only recorded for vertices that can still matter:
 a vertex whose *static* bound is already at or below the current k-th best
@@ -122,7 +123,7 @@ def _opt_b_search_hash(graph: Graph, k: int, theta: float = 1.05) -> TopKResult:
     pruned: Set[Vertex] = set()
 
     while heap:
-        neg_bound, _, v_star = heapq.heappop(heap)
+        neg_bound, key, v_star = heapq.heappop(heap)
         stored_bound = -neg_bound
         if v_star in computed or v_star in pruned:
             continue
@@ -134,15 +135,17 @@ def _opt_b_search_hash(graph: Graph, k: int, theta: float = 1.05) -> TopKResult:
 
         if theta * tight_bound < stored_bound:
             # The bound dropped substantially: postpone or prune.
-            if not accumulator.is_full or tight_bound > accumulator.threshold:
+            if accumulator.admits(tight_bound, key):
                 current_bound[v_star] = tight_bound
-                heapq.heappush(heap, (-tight_bound, sort_key(v_star), v_star))
+                heapq.heappush(heap, (-tight_bound, key, v_star))
                 stats.repushes += 1
             else:
                 pruned.add(v_star)
             continue
 
-        if accumulator.is_full and stored_bound <= accumulator.threshold:
+        # Pops come in (bound desc, key asc) order, so once the popped
+        # vertex cannot enter, no vertex left in the heap can.
+        if not accumulator.admits(stored_bound, key):
             break
 
         score = ego_bw_cal(

@@ -1,18 +1,25 @@
-"""Result containers and the unified top-k dispatch API.
+"""Result containers, the top-k order and the unified top-k dispatch API.
 
 Every search algorithm returns a :class:`TopKResult`, which carries the
 ranked ``(vertex, score)`` entries plus a :class:`SearchStats` record with
 the counters the paper reports (most importantly the number of vertices whose
 ego-betweenness was computed exactly — Table II — and the number of bound
 re-pushes performed by OptBSearch).
+
+The paper leaves ties unbroken; this module breaks them once.  The top-k of
+a score map is its first ``k`` ``(vertex, score)`` pairs under score
+descending, then :func:`~repro._ordering.sort_key` of the vertex ascending —
+on every path, whatever order its results arrive in.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
+from repro._ordering import sort_key
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph, Vertex
 
@@ -21,22 +28,53 @@ __all__ = [
     "TopKResult",
     "TopKAccumulator",
     "rank_entries",
+    "threshold_cut",
+    "top_entries",
     "top_k_ego_betweenness",
 ]
 
 
 def rank_entries(entries: Sequence[Tuple[Vertex, float]]) -> List[Tuple[Vertex, float]]:
-    """Sort ``(vertex, score)`` pairs into the canonical ranked order.
+    """Sort ``(vertex, score)`` pairs into the top-k order.
 
-    Non-increasing score, ties broken by the deterministic vertex sort key
-    — the single definition shared by :meth:`TopKAccumulator.ranked_entries`
-    and the distributed top-k merge (which accumulates on dense ids and
-    must re-rank after mapping ids back to labels).
+    ``rank_entries(scores.items())[:k]`` is the top-k of a score map.
     """
-    return sorted(
-        entries,
-        key=lambda item: (-item[1], (type(item[0]).__name__, repr(item[0]))),
-    )
+    return sorted(entries, key=lambda item: (-item[1], sort_key(item[0])))
+
+
+def threshold_cut(entries: Sequence[Tuple[Any, float]], k: int) -> List[Tuple[Any, float]]:
+    """Every ``(item, score)`` entry whose score reaches the k-th largest.
+
+    The top-k by score plus every tie at the k-th score, in input order.
+    It needs no vertex keys, so holders of bare ids (parallel workers, the
+    runtime's merge) can cut without deciding which ties survive.
+    """
+    if len(entries) <= k:
+        return list(entries)
+    threshold = heapq.nlargest(k, map(itemgetter(1), entries))[-1]
+    return [entry for entry in entries if entry[1] >= threshold]
+
+
+def top_entries(
+    scores: Mapping[Vertex, float],
+    k: int,
+    key: Callable[[Vertex], tuple] = sort_key,
+) -> List[Tuple[Vertex, float]]:
+    """The top-k of a full score map: ``rank_entries(scores.items())[:k]``.
+
+    Selects by score first (``nlargest`` over the floats) and sorts only
+    the entries above the k-th score and the ties at it, the ties by
+    ``key`` alone.  ``key`` must agree with
+    :func:`~repro._ordering.sort_key`; callers holding precomputed keys (a
+    snapshot's ``label_keys()``) pass their lookup.
+    """
+    if not scores:
+        return []
+    threshold = heapq.nlargest(k, scores.values())[-1]
+    above = rank_entries([item for item in scores.items() if item[1] > threshold])
+    tied = [v for v, score in scores.items() if score == threshold]
+    tied.sort(key=key)
+    return above + [(v, scores[v]) for v in tied[: k - len(above)]]
 
 
 @dataclass
@@ -76,8 +114,8 @@ class TopKResult:
     Attributes
     ----------
     entries:
-        ``(vertex, score)`` pairs sorted by non-increasing score; ties are
-        broken deterministically by the vertex sort key.
+        The first ``k`` ``(vertex, score)`` pairs under the top-k order
+        (score descending, then vertex sort key ascending).
     k:
         The requested ``k``.
     stats:
@@ -115,31 +153,53 @@ class TopKResult:
         return any(v == vertex for v, _ in self.entries)
 
 
-class TopKAccumulator:
-    """Size-bounded min-heap of ``(score, vertex)`` used by the searches.
+class _Descending:
+    """Wraps a sort key so that a min-heap pops its *largest* key first."""
 
-    Keeps the ``k`` best (score, vertex) pairs seen so far; exposes the
-    current threshold (the k-th best score) which drives the early
-    termination tests of both search algorithms.
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.key < self.key
+
+
+class TopKAccumulator:
+    """The ``k`` best ``(vertex, score)`` pairs offered so far.
+
+    "Best" is the top-k order, so the retained set does not depend on the
+    order of the offers.  The min-heap keeps the k-th entry (lowest score,
+    largest key among those) on top: what a new offer must beat.
     """
 
-    __slots__ = ("_k", "_heap", "_counter")
+    __slots__ = ("_k", "_heap")
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
         self._k = k
-        self._heap: List[Tuple[float, int, Vertex]] = []
-        self._counter = 0
+        self._heap: List[Tuple[float, _Descending, Vertex]] = []
 
     def offer(self, vertex: Vertex, score: float) -> None:
         """Consider ``vertex`` with ``score`` for inclusion in the top-k."""
-        self._counter += 1
-        entry = (score, self._counter, vertex)
+        entry = (score, _Descending(sort_key(vertex)), vertex)
         if len(self._heap) < self._k:
             heapq.heappush(self._heap, entry)
-        elif score > self._heap[0][0]:
+        elif self._heap[0] < entry:
             heapq.heapreplace(self._heap, entry)
+
+    def admits(self, bound: float, key: tuple) -> bool:
+        """Can a vertex with score at most ``bound`` and sort key ``key`` enter?
+
+        True while not full, when ``bound`` beats the k-th score, or when it
+        ties it and ``key`` precedes the k-th entry's.  Once false it stays
+        false: the k-th entry only moves up the order.
+        """
+        if len(self._heap) < self._k:
+            return True
+        score, worst, _ = self._heap[0]
+        return bound > score or (bound == score and key < worst.key)
 
     @property
     def is_full(self) -> bool:
@@ -158,7 +218,7 @@ class TopKAccumulator:
         return [(vertex, score) for score, _, vertex in self._heap]
 
     def ranked_entries(self) -> List[Tuple[Vertex, float]]:
-        """Return the accumulated entries sorted best-first."""
+        """Return the accumulated entries in the top-k order."""
         return rank_entries(self.entries())
 
     def __len__(self) -> int:

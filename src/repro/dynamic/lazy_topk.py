@@ -67,7 +67,7 @@ from repro.core.csr_kernels import (
     normalize_backend,
 )
 from repro.core.ego_betweenness import all_ego_betweenness, ego_betweenness
-from repro.core.topk import SearchStats, TopKResult
+from repro.core.topk import SearchStats, TopKResult, rank_entries
 from repro.errors import EdgeExistsError, EdgeNotFoundError, InvalidParameterError, SelfLoopError
 from repro.graph.graph import Graph, Vertex
 
@@ -173,10 +173,7 @@ class LazyTopKMaintainer:
 
     def top_k(self) -> TopKResult:
         """Return the current top-k result (scores are always exact)."""
-        entries = sorted(
-            ((v, self._values[v]) for v in self._result),
-            key=lambda item: (-item[1], (type(item[0]).__name__, repr(item[0]))),
-        )
+        entries = rank_entries([(v, self._values[v]) for v in self._result])
         stats = SearchStats(
             algorithm="LazyTopKMaintainer",
             exact_computations=self.exact_recomputations,
@@ -361,10 +358,7 @@ class LazyTopKMaintainer:
     # Primitive operations
     # ------------------------------------------------------------------
     def _initialise_result(self) -> None:
-        ordered = sorted(
-            self._values.items(),
-            key=lambda item: (-item[1], (type(item[0]).__name__, repr(item[0]))),
-        )
+        ordered = rank_entries(self._values.items())
         for vertex, _ in ordered[: self._k]:
             self._result.add(vertex)
         for vertex, value in ordered[self._k :]:
@@ -374,7 +368,7 @@ class LazyTopKMaintainer:
         """Return the result member with the smallest (exact) score."""
         return min(
             self._result,
-            key=lambda p: (self._values[p], (type(p).__name__, repr(p))),
+            key=lambda p: (self._values[p], sort_key(p)),
         )
 
     def _recompute(self, vertex: Vertex) -> float:

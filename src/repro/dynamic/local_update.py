@@ -58,6 +58,7 @@ from repro.core.ego_betweenness import (
     all_ego_betweenness,
     ego_betweenness,
 )
+from repro.core.topk import top_entries
 from repro.errors import EdgeExistsError, EdgeNotFoundError, SelfLoopError
 from repro.graph.graph import Graph, Vertex
 
@@ -236,11 +237,7 @@ class EgoBetweennessIndex:
 
     def top_k(self, k: int) -> List[Tuple[Vertex, float]]:
         """Return the ``k`` best (vertex, score) pairs, best first."""
-        ordered = sorted(
-            self._scores.items(),
-            key=lambda item: (-item[1], (type(item[0]).__name__, repr(item[0]))),
-        )
-        return ordered[: max(k, 0)]
+        return top_entries(self._scores, k) if k > 0 else []
 
     # ------------------------------------------------------------------
     # Updates (LocalInsert / LocalDelete)

@@ -7,12 +7,12 @@ id ↔ label mapping) and the adjacency is stored as two flat arrays::
 
     indices[indptr[v] : indptr[v + 1]]   # sorted neighbour ids of v
 
-plus a degree array and a cached degree-descending processing order that
-matches the paper's total order ``≺`` exactly.  Everything the hot kernels
-need — adjacency membership, sorted-merge / galloping intersection, ego
-slicing — becomes integer arithmetic over contiguous ``array`` storage
-instead of hashing arbitrary Python objects, which is what makes the
-CSR top-k search several times faster than the hash-set oracle.
+plus a degree array and a cached static-bound processing order for the
+top-k searches.  Everything the hot kernels need — adjacency membership,
+sorted-merge / galloping intersection, ego slicing — becomes integer
+arithmetic over contiguous ``array`` storage instead of hashing arbitrary
+Python objects, which is what makes the CSR top-k search several times
+faster than the hash-set oracle.
 
 The class is deliberately immutable: the dynamic-maintenance algorithms of
 Section IV keep operating on :class:`Graph`, and callers convert once up
@@ -26,7 +26,7 @@ from array import array
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro._ordering import order_vertices, sort_key
+from repro._ordering import sort_key
 from repro.errors import VertexNotFoundError
 from repro.graph.graph import Edge, Graph, Vertex
 
@@ -147,9 +147,9 @@ class CompactGraph:
         "indptr",
         "indices",
         "degrees",
-        "_degree_order",
         "_bound_order",
         "_tie_keys",
+        "_label_keys",
         "_nbr_sets",
         "_dense_adj",
         "_dense_adj_built",
@@ -170,9 +170,9 @@ class CompactGraph:
         self.degrees: List[int] = [
             self.indptr[i + 1] - self.indptr[i] for i in range(len(self._labels))
         ]
-        self._degree_order: Optional[List[int]] = None
         self._bound_order: Optional[List[int]] = None
         self._tie_keys: Optional[List[tuple]] = None
+        self._label_keys: Optional[Dict[Vertex, tuple]] = None
         self._nbr_sets: Optional[List[set]] = None
         self._dense_adj: Optional[bytearray] = None
         self._dense_adj_built = False
@@ -323,30 +323,16 @@ class CompactGraph:
     # ------------------------------------------------------------------
     # Orderings and worker payloads
     # ------------------------------------------------------------------
-    def degree_order(self) -> List[int]:
-        """Return vertex ids in the paper's total order ``≺`` (cached).
-
-        The order is non-increasing degree with ties broken by the original
-        labels, exactly as :func:`repro._ordering.order_vertices` produces for
-        the hash backend — both backends therefore process vertices in the
-        identical sequence, which is what makes their search statistics
-        comparable entry for entry.
-        """
-        if self._degree_order is None:
-            degrees = self.degrees_by_label()
-            ids = self._ids
-            self._degree_order = [ids[label] for label in order_vertices(degrees)]
-        return self._degree_order
-
     def bound_order(self) -> List[int]:
         """Return vertex ids sorted by non-increasing static bound (cached).
 
         Ties are broken by ascending label sort key — the exact pop order of
-        OptBSearch's max-heap over the initial static bounds.  (Sorting by
-        the bound, not the degree: degrees 0 and 1 share the bound 0.0, so
-        they tie with each other in the heap.)  Having this precomputed lets
-        the CSR search stream static candidates lazily and only heap-manage
-        the few re-pushed vertices.
+        OptBSearch's max-heap over the initial static bounds, and the visit
+        order of BaseBSearch.  (Sorting by the bound, not the degree:
+        degrees 0 and 1 share the bound 0.0, so they tie with each other in
+        the heap.)  Having this precomputed lets the CSR search stream
+        static candidates lazily and only heap-manage the few re-pushed
+        vertices.
         """
         if self._bound_order is None:
             degrees = self.degrees
@@ -403,11 +389,19 @@ class CompactGraph:
     def tie_keys(self) -> List[tuple]:
         """Return the per-id deterministic sort keys of the labels (cached).
 
-        These are the heap tie-breakers of OptBSearch; they match
-        :func:`repro._ordering.sort_key` on the original labels so the CSR
-        search pops bound-tied vertices in the same order as the hash
-        search.
+        They equal :func:`repro._ordering.sort_key` on the original labels:
+        the tie-breakers of the top-k order, precomputed once per snapshot
+        for the searches and the full-map ranking.
         """
         if self._tie_keys is None:
             self._tie_keys = [sort_key(label) for label in self._labels]
         return self._tie_keys
+
+    def label_keys(self) -> Dict[Vertex, tuple]:
+        """Return :meth:`tie_keys` keyed by label (cached).
+
+        Ranking a label-keyed score map looks its tied vertices up here.
+        """
+        if self._label_keys is None:
+            self._label_keys = dict(zip(self._labels, self.tie_keys()))
+        return self._label_keys

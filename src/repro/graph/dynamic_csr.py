@@ -94,7 +94,7 @@ class DynamicCompactGraph:
         "_base_n",
         "_labels",
         "_ids",
-        "_sort_keys",
+        "_label_keys",
         "_degrees",
         "_nbr_sets",
         "_added",
@@ -124,7 +124,7 @@ class DynamicCompactGraph:
         self._base_n = base.num_vertices
         self._labels: List[Vertex] = list(base.labels)
         self._ids: Dict[Vertex, int] = {label: i for i, label in enumerate(self._labels)}
-        self._sort_keys: List[tuple] = list(base.tie_keys())
+        self._label_keys: Dict[Vertex, tuple] = dict(base.label_keys())
         self._degrees: List[int] = list(base.degrees)
         indptr, indices = base.indptr, base.indices
         # Fresh mutable copies — never alias the snapshot's cached sets.
@@ -275,9 +275,9 @@ class DynamicCompactGraph:
         """Return ``True`` when the label ``vertex`` is present."""
         return vertex in self._ids
 
-    def sort_keys(self) -> List[tuple]:
-        """Per-id deterministic label sort keys (canonical tie-breaking)."""
-        return self._sort_keys
+    def label_keys(self) -> Dict[Vertex, tuple]:
+        """Every label's :func:`~repro._ordering.sort_key` (top-k tie-breaking)."""
+        return self._label_keys
 
     # ------------------------------------------------------------------
     # Adjacency queries (id based)
@@ -345,7 +345,7 @@ class DynamicCompactGraph:
         vid = len(self._labels)
         self._labels.append(label)
         self._ids[label] = vid
-        self._sort_keys.append(sort_key(label))
+        self._label_keys[label] = sort_key(label)
         self._degrees.append(0)
         self._nbr_sets.append(set())
         self._version += 1

@@ -39,15 +39,14 @@ one serial loop or one supervised submission loop, and the results are
 keyed by parent id.  Execution offers two reductions:
 
 * :meth:`ExecutionRuntime.execute` — score chunks, merge the full
-  ``{parent id: score}`` map in ascending id order (bit-identical to the
-  serial kernels for every executor/schedule/worker count/shard plan).
+  ``{parent id: score}`` map (scores bit-identical to the serial kernels
+  for every executor/schedule/worker count/shard plan).
 * :meth:`ExecutionRuntime.execute_top_k` — worker-side result reduction:
-  every chunk task returns its bounded top-k candidate set (``k`` entries
-  plus any ties at the chunk threshold) instead of every score, and the
-  parent offers the candidates to one accumulator in ascending parent id
-  order.  The retained entries are provably identical to offering every
-  score to one accumulator in ascending id order — i.e. bit-identical to
-  the serial naive ranking, threshold ties included — while the result
+  every chunk task returns only its entries at or above its k-th score
+  instead of every score, and the parent keeps the union's entries that
+  reach the global k-th score, best score first.  Ties at that score are
+  left whole: ids carry no labels, and the top-k order breaks ties by the
+  label sort key, so the caller picks the final ``k``.  The result
   traffic shrinks from ``O(n)`` scores to ``O(tasks × k + ties)``
   candidates.
 
@@ -80,6 +79,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import faults as _faults
@@ -720,8 +720,8 @@ def _chunk_task(
 
     ``method`` is the chunk kernel's ``score_chunk`` (every score) or
     ``top_chunk`` (the worker-side top-k reduction: ``k`` candidates plus
-    any ties at the chunk threshold, in ascending id order); ``args`` are
-    its arguments after the ids.  ``tier`` selects the negotiated kernel
+    any ties at the chunk threshold); ``args`` are its arguments after the
+    ids.  ``tier`` selects the negotiated kernel
     tier (resolved parent-side, never ``"auto"``).  ``fault`` is the
     action drawn parent-side by the fault-injection harness (``None``
     outside chaos runs) and is performed before the kernel touches the
@@ -1875,13 +1875,10 @@ class ExecutionRuntime:
 
         Returns
         -------
-        The merged ``{parent id: score}`` map — materialised in ascending
-        parent id order for every executor/schedule/worker count/shard
-        plan, which is what keeps every downstream consumer bit-identical
-        to the serial path — plus the batch's :class:`BatchStats`.
-        Because each shard contains every owned vertex's complete ego
-        network (the halo construction), sharded scores equal the
-        unsharded ones.
+        The merged ``{parent id: score}`` map (in no particular order) plus
+        the batch's :class:`BatchStats`.  Because each shard contains every
+        owned vertex's complete ego network (the halo construction),
+        sharded scores equal the unsharded ones.
         """
         return self._batch(
             "scores", self._as_units(units, ids, payload_key), num_workers,
@@ -1897,26 +1894,21 @@ class ExecutionRuntime:
         num_workers: Optional[int] = None,
         payload_key: Optional[PayloadKey] = None,
     ) -> Tuple[List[Tuple[int, float]], BatchStats]:
-        """Top-k parent ids over every unit, with worker-side reduction.
+        """Top-k candidates over every unit, with worker-side reduction.
 
         ``units`` / ``ids`` / ``payload_key`` as in :meth:`execute`.  Each
-        chunk task scores its ascending-id range and returns only the
-        entries at or above the chunk's k-th largest score (``k``
-        candidates plus any ties at that threshold — see
-        :func:`~repro.core.csr_kernels.top_k_entries_from_arrays` for why
-        the tie cohort must ship whole).  The parent maps the candidates to
-        parent ids, sorts them stably by parent id and offers them to one
-        :class:`~repro.core.topk.TopKAccumulator`.  The chunks partition
-        the requested ids, so that replays the serial ascending-id sweep
-        with only strictly-below-threshold entries omitted — entries that
-        can never enter the final heap — and the retained set is
-        **bit-identical to the serial naive ranking** (same entries, same
-        tie-breaking) while only ``O(tasks × k + ties)`` entries cross the
-        process boundary instead of every score.
+        chunk task returns only the entries at or above the chunk's k-th
+        largest score (see
+        :func:`~repro.core.csr_kernels.top_k_entries_from_arrays`), so only
+        ``O(tasks × k + ties)`` entries cross the process boundary instead
+        of every score.
 
-        Returns the ranked ``(parent id, score)`` entries (best first, ties
-        broken exactly as :meth:`TopKAccumulator.ranked_entries` does on
-        ids) and the batch's :class:`BatchStats`.
+        Returns every ``(parent id, score)`` of the requested ids whose
+        score reaches the global k-th score — the top ``k`` by score plus
+        all ties at the k-th — best score first, and the batch's
+        :class:`BatchStats`.  Which tied entries make the top-k is the
+        caller's call: the top-k order breaks ties by the vertex label's
+        sort key, which ids do not carry.
         """
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
@@ -2029,18 +2021,13 @@ class ExecutionRuntime:
             pairs.extend(
                 items if parent is None else [(parent[j], v) for j, v in items]
             )
-        pairs.sort(key=lambda pair: pair[0])
         if kind == "scores":
             result: Any = dict(pairs)
         else:
-            result = []
-            if cap:
-                from repro.core.topk import TopKAccumulator
+            from repro.core.topk import threshold_cut
 
-                accumulator = TopKAccumulator(cap)
-                for pid, score in pairs:
-                    accumulator.offer(pid, score)
-                result = accumulator.ranked_entries()
+            result = threshold_cut(pairs, cap)
+            result.sort(key=itemgetter(1), reverse=True)
         compute_seconds = time.perf_counter() - compute_start
 
         shard_slots = [_slot(key) for key in keys]

@@ -74,10 +74,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import itertools
 
+from repro._ordering import sort_key
 from repro.core.base_search import _base_b_search_hash
 from repro.core.csr_kernels import (
     all_ego_betweenness_csr,
@@ -89,7 +90,7 @@ from repro.core.csr_kernels import (
 )
 from repro.core.ego_betweenness import all_ego_betweenness, ego_betweenness
 from repro.core.opt_search import _opt_b_search_hash
-from repro.core.topk import SearchStats, TopKAccumulator, TopKResult, rank_entries
+from repro.core.topk import SearchStats, TopKResult, top_entries
 from repro.dynamic.lazy_topk import LazyTopKMaintainer
 from repro.dynamic.local_update import EgoBetweennessIndex
 from repro.dynamic.stream import UpdateEvent
@@ -730,17 +731,18 @@ class EgoSession:
         self._graph_view_cache = (version, view)
         return view
 
-    def _canonical_vertices(self) -> List[Vertex]:
-        """The session's canonical vertex order (dense-id / insertion order).
+    def _sort_key(self) -> Callable[[Vertex], tuple]:
+        """Vertex → :func:`~repro._ordering.sort_key`, precomputed if held.
 
-        Every parallel result map is materialised in this order, which is
-        also the iteration order of the serial all-vertex kernels — what
-        keeps parallel and serial consumers (naive top-k tie-breaking
-        included) bit-identical.
+        CSR states keep every label's key (``label_keys()`` of the snapshot
+        or the overlay), so ranking a score map looks keys up instead of
+        re-deriving them.
         """
-        if self.backend == "hash":
-            return self._current_hash_graph().vertices()
-        return list(self._current_compact().labels)
+        if self._state == "dynamic" and self._dyn is not None:
+            return self._dyn.label_keys().__getitem__
+        if self._state == "static" and self.backend != "hash":
+            return self._compact.label_keys().__getitem__
+        return sort_key
 
     # ------------------------------------------------------------------
     # Execution runtime management
@@ -818,9 +820,8 @@ class EgoSession:
     ):
         """Answer ``targets`` with one runtime batch over :meth:`_units`.
 
-        Returns ``{label: score}`` in canonical vertex order — or, with
-        ``k``, the ranked top-k entries.  A worker fault degrades to the
-        serial kernels (see :meth:`_degraded`).
+        Returns ``{label: score}`` — or, with ``k``, the top-k entries.  A
+        worker fault degrades to the serial kernels (see :meth:`_degraded`).
         """
         compact = self._current_compact()
         runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
@@ -847,10 +848,9 @@ class EgoSession:
             return self._degraded(
                 error, f"{query} on {num_workers} workers ({executor})", recompute
             )
-        # Re-rank after mapping ids back to labels: retention happened on
-        # ids (== the canonical offer order), the final tie order follows
-        # the label sort key exactly as the serial accumulator's does.
-        return rank_entries([(labels[i], score) for i, score in id_entries])
+        # The runtime returns every id reaching the k-th score; ties at it
+        # are broken here, on labels.
+        return top_entries({labels[i]: score for i, score in id_entries}, k)
 
     def _require_parallel_backend(self, executor: str) -> None:
         """Reject a process executor on the serial-only ``hash`` oracle."""
@@ -1136,16 +1136,16 @@ class EgoSession:
         """Batched top-k with worker-side result reduction.
 
         Priority order: a cached result for this exact ``(version, k)``; a
-        fresh values memo / maintained index (ranked directly, exactly as
-        before — dynamic sessions always serve the Section-IV index); and
-        only then a distributed pass.  The distributed pass is the
-        result-traffic optimisation: each chunk task returns a *bounded*
-        top-k accumulator instead of every score, merged in canonical
-        (ascending id) order at the parent — bit-identical to the serial
-        naive ranking, with ``O(tasks × k)`` instead of ``O(n)`` result
-        traffic.  Because only the candidates come back, no full values map
-        is memoised; the ranked entries are cached per ``(version, k)`` so
-        repeated identical queries cost a dict lookup.
+        fresh values memo / maintained index (ranked directly — dynamic
+        sessions always serve the Section-IV index); and only then a
+        distributed pass.  The distributed pass is the result-traffic
+        optimisation: each chunk task returns only its entries at or above
+        its k-th score, the runtime keeps those reaching the global k-th
+        score, and :meth:`_execute` picks the top-k among them — the same
+        entries as the naive ranking, with ``O(tasks × k + ties)`` instead
+        of ``O(n)`` result traffic.  Because only the candidates come back,
+        no full values map is memoised; the entries are cached per
+        ``(version, k)`` so repeated identical queries cost a dict lookup.
         """
         start = time.perf_counter()
         version = self._current_version()
@@ -1187,25 +1187,17 @@ class EgoSession:
     def _ranked_top_k(
         self, k: int, scores: Dict[Vertex, float], start: Optional[float] = None
     ) -> TopKResult:
-        """Rank a full values map exactly as the serial naive path does.
-
-        The accumulator is offered the scores in the map's iteration order,
-        so callers must hand over canonically-ordered maps (the serial
-        kernels and :meth:`_batch_values` both do) for bit-identical
-        tie-breaking.
-        """
+        """The top-k of a full values map (its iteration order is irrelevant)."""
         if start is None:
             start = time.perf_counter()
-        accumulator = TopKAccumulator(min(k, max(len(scores), 1)))
-        for vertex, score in scores.items():
-            accumulator.offer(vertex, score)
+        entries = top_entries(scores, k, self._sort_key())
         stats = SearchStats(
             algorithm="naive",
             exact_computations=len(scores),
             pruned_vertices=0,
             elapsed_seconds=time.perf_counter() - start,
         )
-        return TopKResult(entries=accumulator.ranked_entries(), k=k, stats=stats)
+        return TopKResult(entries=entries, k=k, stats=stats)
 
     # ------------------------------------------------------------------
     # Scoring
@@ -1254,7 +1246,13 @@ class EgoSession:
         """
         start = time.perf_counter()
         if parallel is not None:
-            result = self._parallel_values(parallel, engine=engine, executor=executor)
+            result = self._parallel_run(parallel, engine=engine, executor=executor).scores
+            if self._state == "static":
+                # Engine scores are bit-identical to the serial kernel, so
+                # the full map seeds the session memo for later score() /
+                # naive-top-k calls (dynamic sessions: the index owns it).
+                self._values = dict(result)
+                self._values_version = self._current_version()
             if vertices is not None:
                 result = {v: result[v] for v in vertices}
             self._record("scores", start, parallel=parallel)
@@ -1278,25 +1276,6 @@ class EgoSession:
             full = {v: full[v] for v in vertices}
         self._record("scores", start)
         return full
-
-    def _parallel_values(
-        self, num_workers: int, engine: str = "edge", executor: str = "serial"
-    ) -> Dict[Vertex, float]:
-        """Compute the full values map through an engine run and memoise it.
-
-        The map is materialised in the session's canonical vertex order —
-        identical to the serial kernels' iteration order — so every
-        consumer (memo, naive ranking) is bit-identical to the serial path.
-        """
-        run = self._parallel_run(num_workers, engine=engine, executor=executor)
-        result = {v: run.scores[v] for v in self._canonical_vertices()}
-        if self._state == "static":
-            # Engine scores are bit-identical to the serial kernel, so
-            # the full map seeds the session memo for later score() /
-            # naive-top-k calls (dynamic sessions: the index owns it).
-            self._values = dict(result)
-            self._values_version = self._current_version()
-        return result
 
     def _batch_values(
         self, parallel: Optional[int], executor: str
@@ -1723,17 +1702,10 @@ class EgoSession:
     def _restore_values(self, values: Dict[Vertex, float]) -> None:
         """Adopt checkpointed memoised values (recovery, empty-tail only).
 
-        The map is re-ordered into the session's canonical vertex order so
-        every consumer (naive ranking included) behaves exactly as if the
-        session had computed the memo itself.  A map that does not cover
-        every vertex is ignored — recomputation is always correct.
+        A checkpoint's values are the memo or index of exactly the state it
+        snapshots, so they cover every vertex of the recovered session.
         """
-        order = self._canonical_vertices()
-        try:
-            restored = {v: values[v] for v in order}
-        except KeyError:
-            return
-        self._values = restored
+        self._values = values
         self._values_version = self._current_version()
 
     def checkpoint(self):

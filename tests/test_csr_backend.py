@@ -142,13 +142,6 @@ class TestCompactGraphStructure:
         small = [3, 4, 1000, 1999]
         assert gallop_intersect_size(small, big) == intersect_size_sorted(small, big)
 
-    def test_degree_order_matches_paper_order(self, social_graph):
-        from repro._ordering import order_vertices
-
-        compact = social_graph.to_compact()
-        expected = order_vertices(social_graph.degrees())
-        assert [compact.label_of(i) for i in compact.degree_order()] == expected
-
     def test_dense_adjacency_bitmap(self, triangle_graph):
         compact = triangle_graph.to_compact()
         dense = compact.dense_adjacency()

@@ -14,6 +14,7 @@ from repro.core.ego_betweenness import (
     ego_betweenness_reference,
 )
 from repro.core.opt_search import opt_b_search
+from repro.core.topk import rank_entries, top_k_ego_betweenness
 from repro.dynamic.lazy_topk import LazyTopKMaintainer
 from repro.dynamic.local_update import EgoBetweennessIndex
 from repro.graph.graph import Graph
@@ -101,21 +102,20 @@ class TestSearchInvariants:
     @COMMON_SETTINGS
     @given(random_graphs(), st.integers(min_value=1, max_value=6))
     def test_searches_agree_with_naive(self, graph, k):
-        truth = sorted(all_ego_betweenness(graph).values(), reverse=True)[: min(k, len(graph))]
-        base = [s for _, s in base_b_search(graph, k).entries]
-        opt = [s for _, s in opt_b_search(graph, k).entries]
-        assert base == pytest.approx(truth, abs=1e-9)
-        assert opt == pytest.approx(truth, abs=1e-9)
+        # One top-k order: every search returns exactly the first k entries
+        # of the ranked score map, tied vertices included.
+        truth = rank_entries(all_ego_betweenness(graph).items())[:k]
+        for backend in ("hash", "compact"):
+            for method in ("base", "opt", "naive"):
+                result = top_k_ego_betweenness(graph, k, method=method, backend=backend)
+                assert result.entries == truth, (method, backend)
 
     @COMMON_SETTINGS
     @given(random_graphs(), st.integers(min_value=1, max_value=6))
     def test_searches_only_compute_viable_candidates(self, graph, k):
         # Lemma 3 guarantees the dynamic bound never undercuts the true
         # score, so both searches can only compute vertices whose *static*
-        # bound still reaches the final top-k threshold.  (A strict
-        # opt <= base comparison of exact computations does not hold: the
-        # two algorithms break static-bound ties in opposite directions,
-        # so either may visit a tied vertex the other one skips.)
+        # bound still reaches the final top-k threshold.
         base = base_b_search(graph, k)
         opt = opt_b_search(graph, k)
         threshold = min(base.threshold, opt.threshold)

@@ -286,6 +286,21 @@ class TestMaintainedTopK:
             [s for _, s in index.entries], abs=1e-9
         )
 
+    @pytest.mark.parametrize("backend", ["compact", "dynamic", "hash"])
+    def test_naive_ranking_equals_the_index_after_every_batch(self, backend):
+        # One top-k order: ranking the index's values and the index's own
+        # top_k pick the same tied vertices, whatever order the values
+        # map is in after the updates.
+        graph = erdos_renyi_graph(40, 0.08, seed=3)  # sparse: many tied scores
+        stream = self._stream(graph, count=60)
+        session = EgoSession(graph, backend=backend)
+        for start in range(0, len(stream), 6):
+            session.apply(stream[start : start + 6])
+            for k in (1, 5, 12):
+                assert session.top_k(k, algorithm="naive").entries == (
+                    session.maintained_top_k(k, mode="index").entries
+                )
+
     def test_maintenance_seconds_split_per_component(self):
         graph = barabasi_albert_graph(50, 2, seed=17)
         session = EgoSession(graph)

@@ -27,6 +27,7 @@ from repro.core.csr_kernels import (
     set_neighbor_sets_cache_limit,
 )
 from repro.core.ego_betweenness import all_ego_betweenness
+from repro.core.topk import rank_entries
 from repro.errors import InvalidParameterError, VertexNotFoundError
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.graph import Graph
@@ -330,10 +331,12 @@ def test_one_execution_path_matches_the_oracle(executor, shards):
         oracle = EgoSession(graph, backend="hash")
         truth = oracle.scores()
         for k in (1, 4, 7):
-            expected = oracle.top_k(k, algorithm="naive").entries
+            expected = rank_entries(truth.items())[:k]
             with EgoSession(graph, shards=shards) as session:
                 ranked = session.top_k(k, parallel=2, executor=executor)
                 assert ranked.entries == expected
+                for algorithm in ("opt", "base"):
+                    assert session.top_k(k, algorithm=algorithm).entries == expected
         with EgoSession(graph, shards=shards) as session:
             subset = sorted(truth)[::3]
             answers = session.scores_batch([subset], parallel=2, executor=executor)

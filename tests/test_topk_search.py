@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from repro._ordering import sort_key
 from repro.core.base_search import base_b_search
 from repro.core.bounds import static_upper_bound
 from repro.core.ego_betweenness import all_ego_betweenness
@@ -50,6 +53,24 @@ class TestAccumulator:
         for v in ["b", "a", "c"]:
             acc.offer(v, 1.0)
         assert [v for v, _ in acc.ranked_entries()] == ["a", "b", "c"]
+
+    def test_offer_order_does_not_change_the_result(self):
+        offers = [("d", 2.0), ("a", 1.0), ("c", 2.0), ("b", 2.0), ("e", 3.0), ("f", 1.0)]
+        for permutation in itertools.permutations(offers):
+            acc = TopKAccumulator(3)
+            for vertex, score in permutation:
+                acc.offer(vertex, score)
+            assert acc.ranked_entries() == [("e", 3.0), ("b", 2.0), ("c", 2.0)]
+
+    def test_admits_breaks_threshold_ties_by_sort_key(self):
+        acc = TopKAccumulator(2)
+        assert acc.admits(0.0, sort_key("z"))  # not full yet
+        acc.offer("a", 3.0)
+        acc.offer("c", 1.0)
+        assert acc.admits(1.0, sort_key("b"))  # ties the k-th score, precedes "c"
+        assert not acc.admits(1.0, sort_key("d"))
+        assert acc.admits(1.5, sort_key("z"))
+        assert not acc.admits(0.5, sort_key("a"))
 
 
 class TestCorrectness:
