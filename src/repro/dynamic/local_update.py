@@ -231,6 +231,11 @@ class EgoBetweennessIndex:
         """Return the maintained ego-betweenness of ``vertex``."""
         return self._scores[vertex]
 
+    @property
+    def values(self) -> Dict[Vertex, float]:
+        """The live ego-betweenness map (read-only; :meth:`scores` copies)."""
+        return self._scores
+
     def scores(self) -> Dict[Vertex, float]:
         """Return a copy of the full ego-betweenness map."""
         return dict(self._scores)

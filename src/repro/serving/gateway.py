@@ -255,12 +255,13 @@ class ServingGateway:
     max_pending:
         Back-pressure bound: a tenant whose unanswered backlog reaches
         this sheds further requests with :class:`GatewayOverloadedError`.
-    parallel / engine / executor:
-        How tenant batches execute — forwarded to
-        :meth:`EgoSession.scores_batch` / :meth:`EgoSession.top_k`.
-        ``parallel=None`` (default) answers on the session's serial
-        kernels; ``parallel=N`` routes passes through each tenant's
-        runtime on the gateway's shared pool.
+    parallel / executor:
+        Forwarded to :meth:`EgoSession.scores_batch` and to the naive
+        :meth:`EgoSession.top_k`, so they only decide how a tenant computes
+        values it does not hold yet: ``parallel=None`` (default) on the
+        session's serial kernels, ``parallel=N`` as one batch on the
+        tenant's runtime over the gateway's shared pool.  A held memo or
+        index answers either way.
     max_workers:
         Size of a privately created shared :class:`WorkerPool` (ignored
         when ``pool`` is given).
@@ -312,7 +313,6 @@ class ServingGateway:
         max_batch: int = 64,
         max_pending: int = 1024,
         parallel: Optional[int] = None,
-        engine: str = "edge",
         executor: str = "serial",
         max_workers: Optional[int] = None,
         pool: Optional[WorkerPool] = None,
@@ -344,7 +344,6 @@ class ServingGateway:
         self.max_batch = max_batch
         self.max_pending = max_pending
         self.parallel = parallel
-        self.engine = engine
         self.executor = executor
         self.request_deadline = request_deadline
         self.circuit_threshold = circuit_threshold
@@ -627,16 +626,13 @@ class ServingGateway:
     async def _run_top_k(self, tenant: _Tenant, k: int) -> TopKResult:
         loop = asyncio.get_running_loop()
         async with tenant.lock:
-            if self.parallel is not None:
-                call = partial(
-                    tenant.session.top_k,
-                    k,
-                    parallel=self.parallel,
-                    engine=self.engine,
-                    executor=self.executor,
-                )
-            else:
-                call = partial(tenant.session.top_k, k, algorithm="naive")
+            call = partial(
+                tenant.session.top_k,
+                k,
+                algorithm="naive",
+                parallel=self.parallel,
+                executor=self.executor,
+            )
             result = await loop.run_in_executor(None, call)
             # Version read under the tenant lock: no batch/apply can have
             # interleaved, so the answer belongs to exactly this version.
@@ -843,13 +839,12 @@ class ServingGateway:
             return
         loop = asyncio.get_running_loop()
         async with tenant.lock:
-            call = partial(
+            read = partial(
                 tenant.session.scores_batch,
-                [request.payload for request in live],
                 parallel=self.parallel,
-                engine=self.engine,
                 executor=self.executor,
             )
+            call = partial(read, [request.payload for request in live])
             try:
                 answers = await self._execute_batch(loop, call, tenant, len(live))
             except Exception:  # noqa: BLE001 - isolated per request below
@@ -860,15 +855,9 @@ class ServingGateway:
                 # session, so the re-slicing passes are cheap.
                 answers = []
                 for request in live:
-                    single = partial(
-                        tenant.session.scores_batch,
-                        [request.payload],
-                        parallel=self.parallel,
-                        engine=self.engine,
-                        executor=self.executor,
-                    )
                     try:
-                        answers.append((await loop.run_in_executor(None, single))[0])
+                        single = await loop.run_in_executor(None, read, [request.payload])
+                        answers.append(single[0])
                     except Exception as error:  # noqa: BLE001 - that caller's
                         answers.append(error)
             batch_version = tenant.session.version
@@ -936,7 +925,6 @@ class ServingGateway:
                 "max_batch": self.max_batch,
                 "max_pending": self.max_pending,
                 "parallel": self.parallel,
-                "engine": self.engine,
                 "executor": self.executor,
                 "request_deadline": self.request_deadline,
                 "circuit_threshold": self.circuit_threshold,

@@ -28,11 +28,12 @@ the session already holds a memoised values map at promotion (a
 :class:`~repro.dynamic.local_update.EgoBetweennessIndex` (LocalInsert /
 LocalDelete) is built immediately, **reusing the already-computed values
 map** instead of recomputing every vertex, and each update patches it
-incrementally.  If full values were never demanded — e.g. a session that
+incrementally.  If values were never demanded — e.g. a session that
 only feeds lazy top-k maintainers — no index exists and updates cost only
 the topology bookkeeping plus the attached maintainers; the index is
-created later, the first time ``scores()`` / ``score()`` /
-``maintained_top_k(mode="index")`` asks for it.  The promotion happens
+built by the first read of any kind (``score``, ``scores``,
+``scores_batch``, a naive or parallel ``top_k``, or
+``maintained_top_k(mode="index")``).  The promotion happens
 exactly once; a session constructed with ``auto_promote=False`` instead
 raises :class:`~repro.errors.BackendCapabilityError` so frozen read-only
 services cannot be mutated by accident.
@@ -838,11 +839,8 @@ class EgoSession:
         except WorkerFaultError as error:
 
             def recompute():
-                if targets is None:
-                    scores = self._all_scores()
-                else:
-                    scores = all_ego_betweenness_csr(compact, targets)
-                return scores if k is None else self._ranked_top_k(k, scores).entries
+                scores = self._compute(targets, None, "serial")
+                return scores if k is None else top_entries(scores, k, self._sort_key())
 
             query = "scores" if k is None else f"top_k(k={k})"
             return self._degraded(
@@ -1017,9 +1015,7 @@ class EgoSession:
                 "auto_promote=True (the default) or backend='dynamic' to "
                 "accept maintenance"
             )
-        values = None
-        if self._values is not None and self._values_version == self._current_version():
-            values = self._values
+        values = self._fresh_values()
         if self.backend == "hash":
             self._hash = self._hash.copy()  # take ownership; source stays intact
         else:
@@ -1044,17 +1040,6 @@ class EgoSession:
                 self._dyn, backend="compact", values=values, copy=False
             )
 
-    def _ensure_index(self) -> EgoBetweennessIndex:
-        """The exact all-vertex index, built on first demand.
-
-        When built mid-stream (full values were never demanded before), the
-        initial all-vertex computation runs against the *current* topology;
-        from then on every update patches it incrementally.
-        """
-        if self._index is None:
-            self._build_index(None)
-        return self._index
-
     def promote(self) -> None:
         """Promote the session static → dynamic without applying an update.
 
@@ -1066,6 +1051,95 @@ class EgoSession:
         self._promote(operation="promote()")
 
     # ------------------------------------------------------------------
+    # Read planning
+    # ------------------------------------------------------------------
+    def _fresh_values(self) -> Optional[Dict[Vertex, float]]:
+        """The held exact values map of the current state, or ``None``.
+
+        That is the dynamic index's live map, or the static memo when it
+        was computed at the current version.  The one freshness test of
+        the session; callers must not mutate the returned map.
+        """
+        if self._index is not None:
+            return self._index.values
+        if self._values is not None and self._values_version == self._current_version():
+            return self._values
+        return None
+
+    def _compute(
+        self, targets: Optional[List[Vertex]], parallel: Optional[int], executor: str
+    ) -> Dict[Vertex, float]:
+        """Compute exact values of ``targets`` (``None``: every vertex).
+
+        The one place a kernel is picked.  The ``hash`` oracle computes
+        serially; ``parallel=N`` makes one runtime batch over
+        :meth:`_units`; otherwise the serial CSR kernel runs — the session's
+        tier chunk kernel for a full sweep, the memoised ego summary for a
+        single vertex, ``all_ego_betweenness_csr`` for other subsets.
+        """
+        if self.backend == "hash":
+            graph = self._current_hash_graph()
+            if targets is None:
+                return all_ego_betweenness(graph)
+            return {v: ego_betweenness(graph, v) for v in targets}
+        if parallel is not None:
+            return self._execute(targets, parallel, executor)
+        compact = self._current_compact()
+        if targets is not None:
+            if len(targets) == 1:
+                return {targets[0]: ego_betweenness_csr_cached(compact, targets[0])}
+            return all_ego_betweenness_csr(compact, targets)
+        if self.kernel == "python":
+            return all_ego_betweenness_csr(compact)
+        # The chunk kernel demotes (counted) on any vectorized failure, so
+        # this is bit-identical to all_ego_betweenness_csr.
+        id_scores = self._serial_chunk_kernel(compact).score_chunk(
+            range(compact.num_vertices)
+        )
+        labels = compact.labels
+        return {labels[i]: score for i, score in id_scores.items()}
+
+    def _read(
+        self, targets: Optional[List[Vertex]], parallel: Optional[int], executor: str
+    ) -> Dict[Vertex, float]:
+        """Exact values of ``targets`` (``None``: every vertex) — the planner.
+
+        Rules, in order:
+
+        1. a held map (:meth:`_fresh_values`) answers — ``parallel`` never
+           forces a recomputation;
+        2. a dynamic session with no index builds one, seeded from
+           :meth:`_compute` when ``parallel`` is set (else it computes
+           itself);
+        3. a cold static full read computes and memoises;
+        4. a cold static subset computes only the targets, memoising
+           nothing.
+
+        Unknown vertices raise :class:`VertexNotFoundError` on every route,
+        and ``executor="process"`` on the ``hash`` backend raises
+        :class:`BackendCapabilityError` on every route.  A full read returns the held map itself: callers must not mutate it.
+        """
+        if parallel is not None:
+            self._require_parallel_backend(executor)
+        held = self._fresh_values()
+        if held is None:
+            if self._state == "dynamic":
+                seed = None if parallel is None else self._compute(None, parallel, executor)
+                self._build_index(seed)
+                held = self._index.values
+            elif targets is None:
+                held = self._values = self._compute(None, parallel, executor)
+                self._values_version = self._current_version()
+            else:
+                return self._compute(targets, parallel, executor)
+        if targets is None:
+            return held
+        try:
+            return {v: held[v] for v in targets}
+        except KeyError as error:
+            raise VertexNotFoundError(error.args[0]) from None
+
+    # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
     def top_k(
@@ -1075,41 +1149,32 @@ class EgoSession:
         theta: float = 1.05,
         maintain_shared_maps: bool = True,
         parallel: Optional[int] = None,
-        engine: str = "edge",
         executor: str = "serial",
     ) -> TopKResult:
         """Run a top-k ego-betweenness search on the current graph state.
 
         ``algorithm`` is ``"opt"`` (OptBSearch, the default), ``"base"``
-        (BaseBSearch) or ``"naive"`` (compute every vertex, then select).
+        (BaseBSearch) or ``"naive"`` (rank the exact values map).
         ``theta`` is OptBSearch's gradient ratio; ``maintain_shared_maps``
-        is BaseBSearch's Algorithm-1 fidelity switch.  Entries, scores and
-        work counters are bit-identical to the legacy free functions on the
-        same graph state; repeated queries at the same state are served from
-        the memoised snapshot caches.
+        is BaseBSearch's Algorithm-1 fidelity switch.  ``opt`` and ``base``
+        always run their search, so their work counters describe it, and
+        match the legacy free functions bit for bit.
 
-        ``parallel=N`` routes the query through the session's persistent
-        :class:`ExecutionRuntime` instead: one batch with ``N`` workers
-        (``executor`` as in :meth:`scores`; ``engine`` is accepted for
-        symmetry and does not change the batch, whose dynamic schedule
-        serves both engines) ranks the exact all-vertex values —
-        bit-identical to ``algorithm="naive"`` for every worker count,
-        executor and shard plan, and served straight from the memo when one
-        is already fresh.  ``algorithm`` is ignored in that case (the
-        pruning searches are inherently sequential).
+        ``naive`` and ``parallel=N`` (which ignores ``algorithm``) rank the
+        values map, read as :meth:`scores` reads it — except on a cold
+        static CSR session with ``parallel=N``, where the worker-side
+        reduction answers (see :meth:`_map_top_k`).  Every route returns
+        the same entries.
         """
         start = time.perf_counter()
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
         algorithm = algorithm.lower()
-        if parallel is not None:
-            self._require_parallel_backend(executor)
-            result = self._parallel_top_k(k, parallel, executor)
+        if parallel is not None or algorithm == "naive":
+            result = self._map_top_k(k, parallel, executor)
             self._record("top_k", start, k=k, algorithm="naive", parallel=parallel)
             return result
-        if algorithm == "naive":
-            result = self._naive_top_k(k)
-        elif algorithm not in ("opt", "base"):
+        if algorithm not in ("opt", "base"):
             raise InvalidParameterError(
                 f"unknown method {algorithm!r}; use 'opt', 'base' or 'naive'"
             )
@@ -1132,68 +1197,40 @@ class EgoSession:
         self._record("top_k", start, k=k, algorithm=algorithm, theta=theta)
         return result
 
-    def _parallel_top_k(self, k: int, num_workers: int, executor: str) -> TopKResult:
-        """Batched top-k with worker-side result reduction.
+    def _map_top_k(self, k: int, parallel: Optional[int], executor: str) -> TopKResult:
+        """The top k of the values map, or of the worker-side reduction.
 
-        Priority order: a cached result for this exact ``(version, k)``; a
-        fresh values memo / maintained index (ranked directly — dynamic
-        sessions always serve the Section-IV index); and only then a
-        distributed pass.  The distributed pass is the result-traffic
-        optimisation: each chunk task returns only its entries at or above
-        its k-th score, the runtime keeps those reaching the global k-th
-        score, and :meth:`_execute` picks the top-k among them — the same
-        entries as the naive ranking, with ``O(tasks × k + ties)`` instead
-        of ``O(n)`` result traffic.  Because only the candidates come back,
-        no full values map is memoised; the entries are cached per
-        ``(version, k)`` so repeated identical queries cost a dict lookup.
+        The reduction serves a cold static CSR session with ``parallel``
+        set: each chunk task returns only its entries at or above its k-th
+        score, and :meth:`_execute` picks the top k among them —
+        ``O(tasks × k + ties)`` result traffic instead of ``O(n)``.  As no
+        values map comes back, the entries are cached per ``(version, k)``.
         """
         start = time.perf_counter()
-        version = self._current_version()
-        if self._topk_cache_version != version:
-            self._topk_cache.clear()
-            self._topk_cache_version = version
-        cached = self._topk_cache.get(k)
-        if cached is not None:
-            stats = SearchStats(
-                algorithm="naive",
-                exact_computations=0,
-                pruned_vertices=0,
-                elapsed_seconds=time.perf_counter() - start,
-            )
-            return TopKResult(entries=list(cached), k=k, stats=stats)
-        values_fresh = (
-            self._state == "static"
-            and self._values is not None
-            and self._values_version == version
-        ) or (self._state == "dynamic" and self._index is not None)
-        if values_fresh or self._state == "dynamic" or self.backend == "hash":
-            result = self._ranked_top_k(k, self._batch_values(num_workers, executor))
-            self._topk_cache[k] = list(result.entries)
-            return result
-        entries = self._execute(None, num_workers, executor, k=k)
+        if (
+            parallel is None
+            or self._state == "dynamic"
+            or self.backend == "hash"
+            or self._fresh_values() is not None
+        ):
+            values = self._read(None, parallel, executor)
+            entries = top_entries(values, k, self._sort_key())
+            computed = len(values)
+        else:
+            version = self._current_version()
+            if self._topk_cache_version != version:
+                self._topk_cache.clear()
+                self._topk_cache_version = version
+            cached = self._topk_cache.get(k)
+            if cached is None:
+                entries = self._execute(None, parallel, executor, k=k)
+                self._topk_cache[k] = list(entries)
+                computed = self.num_vertices
+            else:
+                entries, computed = list(cached), 0
         stats = SearchStats(
             algorithm="naive",
-            exact_computations=self.num_vertices,
-            pruned_vertices=0,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-        self._topk_cache[k] = list(entries)
-        return TopKResult(entries=entries, k=k, stats=stats)
-
-    def _naive_top_k(self, k: int) -> TopKResult:
-        start = time.perf_counter()
-        return self._ranked_top_k(k, self._all_scores(), start=start)
-
-    def _ranked_top_k(
-        self, k: int, scores: Dict[Vertex, float], start: Optional[float] = None
-    ) -> TopKResult:
-        """The top-k of a full values map (its iteration order is irrelevant)."""
-        if start is None:
-            start = time.perf_counter()
-        entries = top_entries(scores, k, self._sort_key())
-        stats = SearchStats(
-            algorithm="naive",
-            exact_computations=len(scores),
+            exact_computations=computed,
             pruned_vertices=0,
             elapsed_seconds=time.perf_counter() - start,
         )
@@ -1205,23 +1242,11 @@ class EgoSession:
     def score(self, vertex: Vertex) -> float:
         """Exact ego-betweenness of one vertex on the current graph state.
 
-        Raises :class:`VertexNotFoundError` for an unknown vertex, whichever
-        internal path (memo, index, or kernel) serves the probe.
+        Read like ``scores([vertex])``; raises :class:`VertexNotFoundError`
+        for an unknown vertex.
         """
         start = time.perf_counter()
-        try:
-            if self._state == "dynamic":
-                value = self._ensure_index().score(vertex)
-            elif self._values is not None and self._values_version == self._current_version():
-                value = self._values[vertex]
-            elif self.backend == "hash":
-                value = ego_betweenness(self._hash, vertex)
-            else:
-                value = ego_betweenness_csr_cached(self._compact, vertex)
-        except VertexNotFoundError:
-            raise
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
+        value = self._read([vertex], None, "serial")[vertex]
         self._record("score", start)
         return value
 
@@ -1229,181 +1254,71 @@ class EgoSession:
         self,
         vertices: Optional[Iterable[Vertex]] = None,
         parallel: Optional[int] = None,
-        engine: str = "edge",
         executor: str = "serial",
     ) -> Dict[Vertex, float]:
-        """Exact ego-betweenness of every vertex (or a subset).
+        """Exact ego-betweenness of every vertex (or of ``vertices``).
 
-        ``parallel=N`` routes the all-vertex computation through one of the
-        Section-V engines (``engine="edge"`` — EdgePEBW, the default — or
-        ``"vertex"`` — VertexPEBW) with ``N`` workers; ``executor`` selects
-        the execution backend (``"serial"`` or ``"process"``; the ``hash``
-        oracle backend runs serially and rejects ``"process"`` with
-        :class:`~repro.errors.BackendCapabilityError`).
-        Scores are bit-identical however they are computed, and a full map
-        is memoised on the session, so later :meth:`score` /
-        :meth:`top_k` ``(algorithm="naive")`` calls reuse it.
+        Planned by :meth:`_read`: a held memo or index answers; otherwise a
+        dynamic session builds its index, a static full read computes and
+        memoises the map, and a static subset read computes only the
+        subset.  ``parallel=N`` runs that computation as one batch with
+        ``N`` workers on the session's persistent :class:`ExecutionRuntime`
+        for ``executor`` (``"serial"`` or ``"process"``; the ``hash``
+        backend computes serially and rejects ``"process"``).  It never
+        forces a recomputation — :meth:`parallel_scores` does.
         """
         start = time.perf_counter()
-        if parallel is not None:
-            result = self._parallel_run(parallel, engine=engine, executor=executor).scores
-            if self._state == "static":
-                # Engine scores are bit-identical to the serial kernel, so
-                # the full map seeds the session memo for later score() /
-                # naive-top-k calls (dynamic sessions: the index owns it).
-                self._values = dict(result)
-                self._values_version = self._current_version()
-            if vertices is not None:
-                result = {v: result[v] for v in vertices}
-            self._record("scores", start, parallel=parallel)
-            return result
-        if (
-            vertices is not None
-            and self._state == "static"
-            and not (self._values is not None and self._values_version == self._current_version())
-        ):
-            # Subset request with no memo available: compute only the subset.
-            targets = list(vertices)
-            if self.backend == "hash":
-                graph = self._current_hash_graph()
-                result = {v: ego_betweenness(graph, v) for v in targets}
-            else:
-                result = all_ego_betweenness_csr(self._current_compact(), targets)
-            self._record("scores", start)
-            return result
-        full = self._all_scores()
-        if vertices is not None:
-            full = {v: full[v] for v in vertices}
-        self._record("scores", start)
-        return full
-
-    def _batch_values(
-        self, parallel: Optional[int], executor: str
-    ) -> Dict[Vertex, float]:
-        """The full values map for batched answering — memo first.
-
-        Serves a fresh memo (static) or the maintained index (dynamic)
-        without touching the runtime; otherwise computes once — through one
-        runtime batch over :meth:`_units` when ``parallel`` is set (the
-        ``hash`` oracle computes serially) — and memoises.
-        """
-        if (
-            self._state == "static"
-            and self._values is not None
-            and self._values_version == self._current_version()
-        ):
-            return dict(self._values)
-        if self._state == "dynamic" and self._index is not None:
-            return self._ensure_index().scores()
-        if parallel is None or self.backend == "hash":
-            return self._all_scores()
-        result = self._execute(None, parallel, executor)
-        if self._state == "static":
-            self._values = dict(result)
-            self._values_version = self._current_version()
-        return result
+        targets = None if vertices is None else list(vertices)
+        result = self._read(targets, parallel, executor)
+        self._record("scores", start, parallel=parallel)
+        return dict(result) if targets is None else result
 
     def scores_batch(
         self,
         queries: Iterable[Optional[Iterable[Vertex]]],
         parallel: Optional[int] = None,
-        engine: str = "edge",
         executor: str = "serial",
     ) -> List[Dict[Vertex, float]]:
-        """Answer many scores queries from one shared execution batch.
+        """Answer many scores queries from one read.
 
         ``queries`` is an iterable of requests: ``None`` asks for every
-        vertex, anything else is an iterable of vertices.  The batch is
-        answered from a single computation pass — the fresh memo or
-        maintained index when one exists; otherwise one kernel/runtime
-        execution over the union of the requested vertices (the full graph
-        when any request is ``None``) — so 32 concurrent requests cost one
-        pool, one payload ship and one sweep over the needed vertices
-        instead of 32 cold calls.
-
-        ``parallel=N`` executes that pass on the session's persistent
-        :class:`ExecutionRuntime` with ``N`` workers and the dynamic
-        work-stealing schedule (``executor`` as in :meth:`scores`; the
-        ``hash`` oracle backend computes serially with
-        ``executor="serial"`` and raises
-        :class:`~repro.errors.BackendCapabilityError` for ``"process"``).
-        Results are bit-identical to per-query :meth:`scores` calls for
-        every worker count, executor and shard plan.
+        vertex, anything else is an iterable of vertices.  The batch makes
+        one :meth:`scores` read of the full map when any request is
+        ``None`` and of the union of the requested vertices otherwise, so
+        32 concurrent requests cost at most one pool, one payload ship and
+        one sweep instead of 32 cold calls.  ``parallel`` and ``executor``
+        are those of :meth:`scores`.  Results are bit-identical to
+        per-query :meth:`scores` calls for every worker count, executor and
+        shard plan.
         """
         start = time.perf_counter()
-        if parallel is not None:
-            self._require_parallel_backend(executor)
         requests = [None if query is None else list(query) for query in queries]
         if not requests:
             self._record("scores_batch", start, parallel=parallel, batch=0)
             return []
-        full_needed = any(request is None for request in requests)
-        memo_available = (
-            self._state == "static"
-            and self._values is not None
-            and self._values_version == self._current_version()
-        ) or (self._state == "dynamic" and self._index is not None)
-        if full_needed or memo_available:
-            source = self._batch_values(parallel, executor)
+        if any(request is None for request in requests):
+            targets = None
         else:
-            # Subset-only batch with nothing memoised: compute the union
-            # of the requested vertices exactly once.
-            union: Dict[Vertex, None] = {}
-            for request in requests:
-                for vertex in request:
-                    union[vertex] = None
-            targets = list(union)
-            if self.backend == "hash":
-                graph = self._current_hash_graph()
-                source = {v: ego_betweenness(graph, v) for v in targets}
-            elif parallel is not None:
-                source = self._execute(targets, parallel, executor)
-            else:
-                source = all_ego_betweenness_csr(self._current_compact(), targets)
-        try:
-            answers = [
-                dict(source)
-                if request is None
-                else {v: source[v] for v in request}
-                for request in requests
-            ]
-        except KeyError as error:
-            raise VertexNotFoundError(error.args[0]) from None
+            targets = list(dict.fromkeys(v for request in requests for v in request))
+        source = self._read(targets, parallel, executor)
+        answers = [
+            dict(source) if request is None else {v: source[v] for v in request}
+            for request in requests
+        ]
         self._record("scores_batch", start, parallel=parallel, batch=len(requests))
         return answers
-
-    def _all_scores(self) -> Dict[Vertex, float]:
-        """The memoised all-vertex values map (always returned as a copy)."""
-        if self._state == "dynamic":
-            return self._ensure_index().scores()
-        version = self._current_version()
-        if self._values is None or self._values_version != version:
-            if self.backend == "hash":
-                self._values = all_ego_betweenness(self._hash)
-            elif self.kernel != "python":
-                # Serve the full sweep through the negotiated tier; the
-                # chunk kernel demotes (counted) on any vectorized failure,
-                # so this is bit-identical to all_ego_betweenness_csr.
-                compact = self._compact
-                kernel = self._serial_chunk_kernel(compact)
-                id_scores = kernel.score_chunk(range(compact.num_vertices))
-                labels = compact.labels
-                self._values = {
-                    labels[i]: score for i, score in id_scores.items()
-                }
-            else:
-                self._values = all_ego_betweenness_csr(self._compact)
-            self._values_version = version
-        return dict(self._values)
 
     def parallel_scores(
         self, num_workers: int, engine: str = "edge", executor: str = "serial"
     ) -> ParallelRunResult:
         """Run a Section-V parallel engine over the current graph state.
 
-        Returns the full :class:`ParallelRunResult` (scores, schedule and
-        load report); :meth:`scores` with ``parallel=N`` is the dict-shaped
-        convenience wrapper over this.
+        The one read that always executes: ``engine="edge"`` (EdgePEBW, the
+        default) or ``"vertex"`` (VertexPEBW) runs with ``num_workers``
+        workers on the session's persistent runtime for ``executor``,
+        whatever the session holds, and returns the full
+        :class:`ParallelRunResult` (scores, schedule and load report).
+        Nothing is memoised.
         """
         start = time.perf_counter()
         run = self._parallel_run(num_workers, engine=engine, executor=executor)
@@ -1594,7 +1509,7 @@ class EgoSession:
             )
         self._promote(operation="maintained_top_k()")
         if mode == "index":
-            entries = self._ensure_index().top_k(k)
+            entries = top_entries(self._read(None, None, "serial"), k, self._sort_key())
             result = TopKResult(
                 entries=entries,
                 k=k,
@@ -1607,12 +1522,9 @@ class EgoSession:
             # Seed from the index when it exists (free); otherwise compute
             # the values fresh — exactly what a standalone maintainer's
             # initialisation would do — without building the index.
-            if self._index is not None:
-                values = self._index.scores()
-            elif self.backend == "hash":
-                values = all_ego_betweenness(self._hash)
-            else:
-                values = all_ego_betweenness_csr(self._current_compact())
+            values = self._fresh_values()
+            if values is None:
+                values = self._compute(None, None, "serial")
             if self.backend == "hash":
                 maintainer = LazyTopKMaintainer(
                     self._current_hash_graph(), k, backend="hash", values=values
@@ -1728,12 +1640,6 @@ class EgoSession:
                 "with EgoSession.recover(<directory>)"
             )
         snapshot = self.snapshot()
-        values: Optional[Dict[Vertex, float]] = None
-        if self._state == "dynamic":
-            if self._index is not None:
-                values = self._index.scores()
-        elif self._values is not None and self._values_version == self._current_version():
-            values = dict(self._values)
         payload = {
             "graph_id": self.graph_id,
             "backend": self.backend,
@@ -1745,7 +1651,7 @@ class EgoSession:
             "indices": list(snapshot.indices),
             "num_vertices": snapshot.num_vertices,
             "num_edges": snapshot.num_edges,
-            "values": values,
+            "values": self._fresh_values(),
         }
         path = self._durability.write_checkpoint(payload)
         self._record("checkpoint", start)
@@ -1805,12 +1711,6 @@ class EgoSession:
 
     def stats(self) -> SessionStats:
         """A :class:`SessionStats` snapshot of the session's life so far."""
-        if self._state == "dynamic":
-            values_cached = self._index is not None
-        else:
-            values_cached = (
-                self._values is not None and self._values_version == self._current_version()
-            )
         runtimes = {
             name: replace(stats) for name, stats in self.runtime_stats().items()
         }
@@ -1848,7 +1748,7 @@ class EgoSession:
             queries=dict(self._query_counts),
             update_events=self._update_events,
             promotions=self._promotions,
-            values_cached=values_cached,
+            values_cached=self._fresh_values() is not None,
             values_reused_on_promotion=self._values_reused_on_promotion,
             lazy_maintainer_ks=sorted(self._lazy),
             overlay_rebuilds=self._dyn.rebuilds if self._dyn is not None else 0,

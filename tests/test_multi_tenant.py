@@ -76,10 +76,10 @@ class TestSharedPayloadStore:
             session.scores_batch([None], parallel=1)
         alpha = sessions["alpha"]
         alpha.apply(("insert", 0, 89))
-        # Batches on a dynamic session serve the maintained index; the
-        # engine path re-executes on the runtime, shipping the new version
+        # Reads on a dynamic session serve the maintained index; the
+        # engine always executes on the runtime, shipping the new version
         # under ("alpha", 1) and releasing ("alpha", 0).
-        alpha.scores(parallel=1)
+        alpha.parallel_scores(1)
         assert store.ships == 3
         assert store.evictions == 1
         keys = sorted(store.keys())

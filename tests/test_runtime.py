@@ -218,11 +218,11 @@ class TestRuntimeReuseAcrossMutation:
     def test_reuse_after_apply_and_rebuild(self, workers):
         graph = barabasi_albert_graph(80, 3, seed=11)
         with EgoSession(graph) as session:
-            before = session.scores(parallel=workers)
+            before = session.parallel_scores(workers).scores
             assert before == all_ego_betweenness(graph)
             session.apply([("insert", 0, 79), ("delete", 0, 1)])
             session.rebuild()
-            after = session.scores(parallel=workers)
+            after = session.parallel_scores(workers).scores
             oracle = all_ego_betweenness(session.to_graph())
             assert after == oracle
             # one ship per graph version: the pre-mutation snapshot and the
@@ -401,10 +401,10 @@ class TestProcessRuntime:
     def test_process_reuse_after_mutation(self):
         graph = barabasi_albert_graph(60, 2, seed=5)
         with EgoSession(graph) as session:
-            session.scores(parallel=2, executor="process")
+            session.parallel_scores(2, executor="process")
             session.apply(("insert", 0, 59))
             session.rebuild()
-            after = session.scores(parallel=2, executor="process")
+            after = session.parallel_scores(2, executor="process").scores
             assert after == all_ego_betweenness(session.to_graph())
             stats = session.runtime_stats()["process"]
             assert stats.payload_ships == 2  # re-shipped once per version

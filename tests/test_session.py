@@ -21,12 +21,16 @@ from repro.core.base_search import base_b_search
 from repro.core.csr_kernels import normalize_backend
 from repro.core.ego_betweenness import all_ego_betweenness, ego_betweenness
 from repro.core.opt_search import opt_b_search
-from repro.core.topk import top_k_ego_betweenness
+from repro.core.topk import rank_entries, top_k_ego_betweenness
 from repro.datasets.registry import load_dataset
 from repro.dynamic.lazy_topk import LazyTopKMaintainer
 from repro.dynamic.local_update import EgoBetweennessIndex
 from repro.dynamic.stream import apply_stream, generate_update_stream
-from repro.errors import BackendCapabilityError, InvalidParameterError
+from repro.errors import (
+    BackendCapabilityError,
+    InvalidParameterError,
+    VertexNotFoundError,
+)
 from repro.graph.csr import CompactGraph
 from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
@@ -151,7 +155,7 @@ class TestScoringParity:
         session = EgoSession(graph)
         truth = session.scores()
         for engine in ("edge", "vertex"):
-            assert session.scores(parallel=3, engine=engine) == truth
+            assert session.parallel_scores(3, engine=engine).scores == truth
         run = session.parallel_scores(4)
         assert run.scores == truth
         assert run.num_workers == 4
@@ -172,6 +176,63 @@ class TestScoringParity:
         session = EgoSession(Graph(edges=[(0, 1)]))
         with pytest.raises(InvalidParameterError):
             session.parallel_scores(2, engine="gpu")
+
+
+READ_CALLS = {
+    "score": lambda session, vertex, parallel: session.score(vertex),
+    "scores": lambda session, vertex, parallel: session.scores(
+        [vertex], parallel=parallel
+    ),
+    "scores_batch": lambda session, vertex, parallel: session.scores_batch(
+        [[vertex]], parallel=parallel
+    ),
+}
+
+
+class TestReadPlanner:
+    """Every read goes through one planner: one source per state."""
+
+    @pytest.mark.parametrize("parallel", (None, 2))
+    @pytest.mark.parametrize("call", sorted(READ_CALLS))
+    @pytest.mark.parametrize("state", ("cold", "memo", "applied"))
+    @pytest.mark.parametrize("backend", ("compact", "hash", "dynamic"))
+    def test_unknown_vertex_raises_on_every_route(self, backend, state, call, parallel):
+        graph = barabasi_albert_graph(30, 2, seed=3)
+        with EgoSession(graph, backend=backend) as session:
+            if state == "memo":
+                session.scores(parallel=parallel)
+            elif state == "applied":
+                u = graph.vertices()[0]
+                v = next(x for x in graph.vertices() if x != u and not graph.has_edge(u, x))
+                session.apply(("insert", u, v))
+            with pytest.raises(VertexNotFoundError):
+                READ_CALLS[call](session, "missing", parallel)
+
+    def test_static_reads_share_one_batch(self):
+        graph = barabasi_albert_graph(60, 3, seed=2)
+        oracle = all_ego_betweenness(graph)
+        with EgoSession(graph) as session:
+            assert session.scores(parallel=2) == oracle
+            assert session.scores(parallel=2) == oracle
+            assert session.scores_batch([None], parallel=2) == [oracle]
+            top = session.top_k(5, parallel=2)
+            assert top.entries == rank_entries(oracle.items())[:5]
+            assert session.runtime_stats()["serial"].batches == 1
+
+    def test_dynamic_reads_seed_the_index_from_one_batch(self):
+        graph = barabasi_albert_graph(60, 3, seed=2)
+        with EgoSession(graph) as session:
+            session.apply(("delete", *next(iter(graph.edges()))))
+            top = session.top_k(5, parallel=2)
+            full = session.scores_batch([None], parallel=2)[0]
+            vertex = graph.vertices()[0]
+            probe = session.scores([vertex])
+            assert session.runtime_stats()["serial"].batches == 1
+            assert session.stats().values_cached is True
+            oracle = all_ego_betweenness(session.to_graph())
+            assert full == oracle
+            assert probe == {vertex: oracle[vertex]}
+            assert top.entries == rank_entries(oracle.items())[:5]
 
 
 class TestPromotion:

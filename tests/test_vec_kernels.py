@@ -366,7 +366,7 @@ def test_session_stats_report_python_tier(social_graph):
     assert stats.kernel == "python"
     assert stats.kernel_chunks == {"python": 0, "numpy": 0}
     # The chunked runtime path does account python-tier chunks.
-    session.scores(parallel=2, executor="serial")
+    session.parallel_scores(2, executor="serial")
     stats = session.stats()
     assert stats.kernel_chunks["python"] >= 1
     assert stats.kernel_chunks["numpy"] == 0
