@@ -3,16 +3,16 @@
 The ISSUE-8 criteria, measured on a real loopback socket:
 
 * the warm wire path (``EgoClient`` -> ``EgoServer`` -> gateway) retains
-  >= 50% of the in-process gateway's closed-loop throughput;
-* the SLO harness reports honest open-loop numbers — p50/p95/p99 latency
-  measured from *scheduled* arrivals, goodput inside the deadline budget,
-  and the shed rate;
+  >= 50% of the in-process gateway's closed-loop throughput (16 workers;
+  the wire side runs the front door's result and encoded-response caches,
+  the in-process side runs no cache — not a like-for-like ratio);
 * the hot-key result LRU serves repeated identical queries with **zero
   kernel executions** after the first (witnessed by the tenant session's
   per-kind query counters staying flat while the gateway's cache-hit
   counter climbs);
 * every network answer is bit-identical to the serial CSR kernel oracle.
 
+Open-loop wire latency is measured by ``perfbench/run.py`` (``wire-read``).
 Plain pytest — no pytest-asyncio fixtures — so the dedicated CI net job
 can run it with only ``pytest`` installed::
 
@@ -26,10 +26,11 @@ import asyncio
 import pytest
 
 from benchmarks.conftest import save_report
+from benchmarks.drivers import measure_net_retention
+from benchmarks.metrics import bench_json
 from repro.core.csr_kernels import all_ego_betweenness_csr
-from repro.net import EgoClient, EgoServer, run_slo_benchmark
+from repro.net import EgoClient, EgoServer
 from repro.serving import ServingGateway
-from repro.serving.metrics import bench_json
 
 #: Identical repeat queries after the first answer (the hot-key gate).
 HOT_REPEATS = 8
@@ -37,36 +38,18 @@ HOT_REPEATS = 8
 
 @pytest.mark.serving
 @pytest.mark.net
-def test_net_slo_acceptance(livejournal_graph, dblp_graph, results_dir):
-    """Open-loop SLO + closed-loop retention through a real socket."""
-    payload = run_slo_benchmark(
+def test_net_retention_acceptance(livejournal_graph, dblp_graph, results_dir):
+    """Closed-loop throughput retention through a real socket."""
+    payload = measure_net_retention(
         {"livejournal": livejournal_graph, "dblp": dblp_graph},
-        rate=200.0,
         duration_seconds=1.0,
-        deadline_ms=250.0,
         concurrency=16,
     )
-    save_report(results_dir, "net_slo", bench_json(payload))
+    save_report(results_dir, "net_retention", bench_json(payload))
 
-    # Every open- and closed-loop answer, on both transports, was checked
-    # against the serial kernel oracle inside the harness.
+    # Every closed-loop answer, on both transports, was checked against
+    # the serial kernel oracle inside the driver.
     assert payload["bit_identical"]
-
-    # The SLO report shape: honest open-loop percentiles + goodput + shed
-    # rate, for the in-process baseline and the wire path alike.
-    for transport in ("gateway", "net"):
-        open_loop = payload["backends"][transport]["open_loop"]
-        for key in (
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "goodput_qps",
-            "shed_rate",
-            "deadline_miss_rate",
-            "achieved_qps",
-        ):
-            assert key in open_loop, (transport, key, sorted(open_loop))
-        assert open_loop["issued"] == payload["total_open_loop_requests"]
 
     # The cache layers actually absorbed the hot keys.  The server's
     # serialised-response cache sits in front of the gateway LRU, so it

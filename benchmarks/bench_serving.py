@@ -4,9 +4,9 @@ The ISSUE-5 criterion: 64 concurrent async clients over 2 tenant graphs on
 one shared worker pool — the warm gateway must beat the serial per-query
 baseline (one fresh session per request, the pre-gateway serving model) by
 >= 3x in qps, ship exactly one payload per distinct ``(graph_id, version)``
-pair, and return answers bit-identical to the serial kernels (the load
-generator verifies every single answer against the oracle before reporting
-a number).
+pair, and return answers bit-identical to the serial kernels (the driver,
+``benchmarks/drivers.py``, verifies every single answer against the oracle
+before reporting a number).
 
 Plain pytest — no pytest-benchmark/pytest-asyncio fixtures — so the
 dedicated CI serving job can run it with only ``pytest`` installed::
@@ -19,8 +19,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import save_report
-from repro.serving import run_serving_benchmark
-from repro.serving.metrics import bench_json
+from benchmarks.drivers import measure_serving
+from benchmarks.metrics import bench_json
 
 CLIENTS = 64
 
@@ -29,7 +29,7 @@ CLIENTS = 64
 @pytest.mark.serving
 def test_serving_gateway_acceptance(livejournal_graph, dblp_graph, results_dir):
     """64 async clients, 2 tenants, 1 shared pool: >= 3x the serial baseline."""
-    payload = run_serving_benchmark(
+    payload = measure_serving(
         {"livejournal": livejournal_graph, "dblp": dblp_graph},
         clients=CLIENTS,
         parallel=1,
@@ -38,7 +38,7 @@ def test_serving_gateway_acceptance(livejournal_graph, dblp_graph, results_dir):
     save_report(results_dir, "serving", bench_json(payload))
 
     # Every cold and warm answer was checked against the serial kernel
-    # oracle inside the load generator.
+    # oracle inside the driver.
     assert payload["bit_identical"]
     # One payload ship per distinct (graph_id, version) pair, one fork for
     # the whole tenant fleet.
@@ -75,9 +75,9 @@ def test_serving_gateway_chaos_acceptance(livejournal_graph, dblp_graph, results
         executor="process",
         task_deadline=5.0,
     )
-    baseline = run_serving_benchmark(graphs, **workload)
+    baseline = measure_serving(graphs, **workload)
     plan = faults.FaultPlan(kill_every=8, corrupt_ships=1)
-    chaotic = run_serving_benchmark(graphs, **workload, fault_plan=plan)
+    chaotic = measure_serving(graphs, **workload, fault_plan=plan)
     save_report(
         results_dir,
         "serving_chaos",
@@ -101,7 +101,7 @@ def test_serving_gateway_chaos_acceptance(livejournal_graph, dblp_graph, results
 @pytest.mark.serving
 def test_serving_gateway_serial_executor_smoke(dblp_graph):
     """The serial executor follows the same accounting (no pool fork)."""
-    payload = run_serving_benchmark(
+    payload = measure_serving(
         {"dblp": dblp_graph},
         clients=8,
         parallel=1,

@@ -22,9 +22,8 @@ run it with only ``pytest`` (plus numpy) installed::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_sharding.py -q
 
-``run_sharding_benchmark`` is import-light on purpose: ``benchmarks/smoke.py``
-calls it as a script sibling to emit ``BENCH_sharding.json`` without the
-``benchmarks`` package on ``sys.path``.
+``benchmarks/smoke.py`` calls ``run_sharding_benchmark`` to emit
+``BENCH_sharding.json``.
 """
 
 from __future__ import annotations

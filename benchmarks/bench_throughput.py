@@ -20,7 +20,7 @@ import json
 import pytest
 
 from benchmarks.conftest import save_report
-from repro.cli import run_throughput_benchmark
+from benchmarks.drivers import measure_throughput
 from repro.session import EgoSession
 
 QUERIES = 32
@@ -30,7 +30,7 @@ WORKERS = 2
 @pytest.mark.parallel
 def test_throughput_warm_batch_vs_cold_calls(livejournal_graph, results_dir):
     """The ISSUE-4 acceptance criterion, asserted via RuntimeStats."""
-    payload = run_throughput_benchmark(
+    payload = measure_throughput(
         livejournal_graph, queries=QUERIES, workers=WORKERS, executor="process"
     )
     save_report(results_dir, "throughput", json.dumps(payload, indent=2, sort_keys=True))
@@ -68,7 +68,7 @@ def test_throughput_topk_batch_reuses_one_computation(livejournal_graph):
 
 def test_throughput_serial_executor_smoke(livejournal_graph):
     """The serial executor follows the same accounting (no pool, one ship)."""
-    payload = run_throughput_benchmark(
+    payload = measure_throughput(
         livejournal_graph, queries=8, workers=2, executor="serial"
     )
     assert payload["warm"]["payload_ships"] == 1

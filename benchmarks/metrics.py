@@ -1,12 +1,9 @@
 """Shared latency/percentile math and the canonical bench-JSON shape.
 
-Before this module, three copies of the same helpers had grown side by
-side: ``serving/loadgen.py`` computed p50/p95 with a hard-coded
-``statistics.quantiles`` call, ``benchmarks/smoke.py`` had its own
-mean/median summariser and artifact-writing loop, and
-``benchmarks/bench_serving.py`` hand-rolled its JSON dump.  They are all
-here now, with one generalisation the SLO harness needs: arbitrary
-quantile points (p99 included).
+The load drivers (:mod:`benchmarks.drivers`), the gate files and
+``benchmarks/smoke.py`` share these helpers: percentiles at arbitrary
+quantile points, the canonical benchmark-JSON serializer and the
+artifact writer.
 
 Canonical bench-JSON shape
 --------------------------
@@ -49,7 +46,7 @@ __all__ = [
     "bench_summary_line",
 ]
 
-#: The default latency points every serving/SLO report carries.
+#: The default latency points every serving report carries.
 DEFAULT_POINTS: Tuple[float, ...] = (50.0, 95.0, 99.0)
 
 

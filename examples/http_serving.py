@@ -17,9 +17,9 @@ it runs anywhere instantly.  For a long-lived server use the CLI::
 
     python -m repro serve --http 127.0.0.1:8750 --datasets dblp --scale 0.2
 
-and aim the SLO load harness at the same machinery with::
+and measure open-loop wire latency on the same machinery with::
 
-    python -m repro bench-slo --datasets dblp --scale 0.2 --rate 400
+    python3 perfbench/run.py --workload wire-read --seed 1 --seconds 10
 
 Run with::
 

@@ -78,7 +78,7 @@ from repro.parallel import (
     shared_worker_pool,
     vertex_parallel_ego_betweenness,
 )
-from repro.net import EgoClient, EgoServer, ServerStats, run_slo_benchmark
+from repro.net import EgoClient, EgoServer, ServerStats
 from repro.serving import GatewayStats, ServingGateway
 from repro.session import EgoSession, Query, SessionStats
 
@@ -115,7 +115,6 @@ __all__ = [
     "EgoServer",
     "ServerStats",
     "EgoClient",
-    "run_slo_benchmark",
     "WriteAheadLog",
     "CheckpointStore",
     "DurabilityManager",

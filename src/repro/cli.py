@@ -17,24 +17,12 @@ Subcommands
     Replay a mixed edge-update stream against the dynamic maintainers
     (LocalInsert/Delete and LazyInsert/Delete) and report per-update
     latency and laziness counters — the streaming-workload scenario.
-``bench-throughput``
-    Measure batched query throughput on the persistent execution runtime:
-    a cold run (fresh worker pool + graph shipping per query) against a
-    warm run (one runtime shared by the whole batch) — the serving-layer
-    scenario.
 ``serve``
-    Drive the async micro-batching gateway with a fleet of concurrent
-    clients over several tenant graphs sharing one worker pool, and report
-    qps / latency percentiles against the pre-gateway one-session-per-query
-    baseline (the multi-tenant serving scenario).  With ``--http HOST:PORT``
-    it serves the tenants over the network instead — native frames, HTTP
-    (``/healthz``, ``/metrics``, ``POST /v1/query``) and WebSocket on one
-    port, until SIGTERM/SIGINT drains it cleanly.
-``bench-slo``
-    Open-loop SLO load harness: Poisson arrivals at a target rate through
-    the wire protocol vs the in-process gateway, reporting p50/p95/p99
-    latency, goodput inside the deadline, shed rate, and the wire path's
-    throughput retention.
+    Serve registry datasets over the network, one gateway tenant each:
+    native frames, HTTP (``/healthz``, ``/metrics``, ``POST /v1/query``)
+    and WebSocket on the one ``--http HOST:PORT``, until SIGTERM/SIGINT
+    drains it cleanly.  Load against it is measured by
+    ``perfbench/run.py`` and the gate files under ``benchmarks/``.
 ``recover``
     Rebuild a session from a durability directory (checkpoint + WAL tail
     replay) and report what was recovered; ``--verify-only`` runs the
@@ -178,31 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_argument(maintain)
     _add_json_argument(maintain)
 
-    bench = subparsers.add_parser(
-        "bench-throughput",
-        help="measure batched query throughput on the execution runtime",
-    )
-    _add_graph_source_arguments(bench)
-    bench.add_argument(
-        "--queries", type=int, default=32, help="queries in the batch (default 32)"
-    )
-    bench.add_argument(
-        "--workers", type=int, default=2, help="parallel workers per query (default 2)"
-    )
-    bench.add_argument(
-        "--executor",
-        choices=("serial", "process"),
-        default="process",
-        help="execution backend for the runtime (default: process)",
-    )
-    bench.add_argument("--seed", type=int, default=7, help="query-sampling RNG seed")
-    _add_kernel_argument(bench)
-    _add_sharding_arguments(bench)
-    _add_json_argument(bench)
-
     serve = subparsers.add_parser(
         "serve",
-        help="drive the async multi-tenant serving gateway and report qps/latency",
+        help="serve registry datasets over the network until a signal drains it",
     )
     serve.add_argument(
         "--datasets",
@@ -214,12 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--scale", type=float, default=0.1, help="scale factor for the tenant datasets"
-    )
-    serve.add_argument(
-        "--clients", type=int, default=64, help="concurrent async clients (default 64)"
-    )
-    serve.add_argument(
-        "--requests", type=int, default=1, help="scores requests per client (default 1)"
     )
     serve.add_argument(
         "--window-ms",
@@ -241,46 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "process"),
         default="process",
         help="execution backend for the tenants' shared runtime (default: process)",
-    )
-    serve.add_argument("--seed", type=int, default=7, help="subset-sampling RNG seed")
-    serve.add_argument(
-        "--chaos",
-        action="store_true",
-        help=(
-            "inject deterministic faults (worker kills, stragglers, payload "
-            "corruption) into the warm phase; answers stay bit-identical — "
-            "the run reports the throughput of the recovered gateway"
-        ),
-    )
-    serve.add_argument(
-        "--chaos-kill-every",
-        type=int,
-        default=100,
-        help="kill the worker on every Nth task (default 100; 0 disables)",
-    )
-    serve.add_argument(
-        "--chaos-delay-every",
-        type=int,
-        default=0,
-        help="delay every Nth task by --chaos-delay-ms (default 0 = off)",
-    )
-    serve.add_argument(
-        "--chaos-delay-ms",
-        type=float,
-        default=50.0,
-        help="straggler delay in milliseconds (default 50)",
-    )
-    serve.add_argument(
-        "--chaos-raise-every",
-        type=int,
-        default=0,
-        help="raise inside the kernel on every Nth task (default 0 = off)",
-    )
-    serve.add_argument(
-        "--chaos-corrupt-ships",
-        type=int,
-        default=1,
-        help="corrupt the header of the first N payload ships (default 1)",
     )
     serve.add_argument(
         "--task-deadline",
@@ -307,10 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--http",
-        default=None,
+        required=True,
         metavar="HOST:PORT",
         help=(
-            "serve the tenants over the network instead of benchmarking: "
             "bind an EgoServer (native frames + HTTP /healthz, /metrics, "
             "POST /v1/query + WebSocket /ws on one port) and run until "
             "SIGTERM/SIGINT drains it (PORT 0 picks a free port)"
@@ -320,24 +239,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-connections",
         type=int,
         default=256,
-        help="network mode: admission cap on open connections (default 256)",
+        help="admission cap on open connections (default 256)",
     )
     serve.add_argument(
         "--max-inflight",
         type=int,
         default=256,
-        help=(
-            "network mode: admission cap on in-flight requests per tenant "
-            "(default 256)"
-        ),
+        help="admission cap on in-flight requests per tenant (default 256)",
     )
     serve.add_argument(
         "--result-cache",
         type=int,
         default=64,
         help=(
-            "network mode: per-tenant hot-key result LRU entries in the "
-            "gateway (0 disables; default 64)"
+            "per-tenant hot-key result LRU entries in the gateway "
+            "(0 disables; default 64)"
         ),
     )
     serve.add_argument(
@@ -345,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=128,
         help=(
-            "network mode: serialised-response cache entries in the server "
+            "serialised-response cache entries in the server "
             "(0 disables; default 128)"
         ),
     )
@@ -353,78 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-seconds",
         type=float,
         default=5.0,
-        help="network mode: bound on the SIGTERM/SIGINT drain (default 5)",
+        help="bound on the SIGTERM/SIGINT drain (default 5)",
     )
     _add_kernel_argument(serve)
     _add_sharding_arguments(serve)
     _add_json_argument(serve)
-
-    bench_slo = subparsers.add_parser(
-        "bench-slo",
-        help=(
-            "open-loop SLO load harness: Poisson arrivals through the wire "
-            "vs in-process, p50/p95/p99 + goodput + shed rate"
-        ),
-    )
-    bench_slo.add_argument(
-        "--datasets",
-        default="dblp,livejournal",
-        help="comma-separated registry datasets, one tenant each",
-    )
-    bench_slo.add_argument(
-        "--scale", type=float, default=0.1, help="scale factor for the tenant datasets"
-    )
-    bench_slo.add_argument(
-        "--rate",
-        type=float,
-        default=400.0,
-        help="open-loop target arrival rate, requests/second (default 400)",
-    )
-    bench_slo.add_argument(
-        "--duration",
-        type=float,
-        default=1.0,
-        help="seconds per phase (open-loop and closed-loop; default 1)",
-    )
-    bench_slo.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=100.0,
-        help="the SLO budget per request in milliseconds (default 100)",
-    )
-    bench_slo.add_argument(
-        "--concurrency",
-        type=int,
-        default=16,
-        help="closed-loop saturation workers (default 16)",
-    )
-    bench_slo.add_argument(
-        "--hot-fraction",
-        type=float,
-        default=0.75,
-        help="fraction of requests hitting a tenant's hot full-map key",
-    )
-    bench_slo.add_argument(
-        "--transports",
-        default="gateway,net",
-        help="comma-separated transports to measure: gateway, net",
-    )
-    bench_slo.add_argument(
-        "--result-cache",
-        type=int,
-        default=64,
-        help="net transport: gateway hot-key result LRU entries (0 disables)",
-    )
-    bench_slo.add_argument(
-        "--encoded-cache",
-        type=int,
-        default=128,
-        help="net transport: server serialised-response cache entries",
-    )
-    bench_slo.add_argument("--seed", type=int, default=7, help="workload RNG seed")
-    _add_kernel_argument(bench_slo)
-    _add_sharding_arguments(bench_slo)
-    _add_json_argument(bench_slo)
 
     partition = subparsers.add_parser(
         "partition",
@@ -693,144 +542,6 @@ def _run_maintain(args: argparse.Namespace) -> None:
         print(format_table(rounded, title=f"Maintained top-{args.k} after the stream"))
 
 
-def run_throughput_benchmark(
-    graph: Graph,
-    queries: int = 32,
-    workers: int = 2,
-    executor: str = "process",
-    seed: int = 7,
-    kernel: str = "auto",
-    shards: int = 0,
-    partitioner: str = "auto",
-) -> Dict[str, Any]:
-    """Cold vs warm batched-query throughput on the execution runtime.
-
-    Samples ``queries`` disjoint-ish vertex subsets, answers them twice and
-    returns the JSON payload shape shared by the CLI, ``benchmarks/smoke.py``
-    and ``benchmarks/bench_throughput.py``:
-
-    * **cold** — one fresh :class:`~repro.parallel.runtime.ExecutionRuntime`
-      per query, paying worker-pool start-up and graph shipping every time
-      (the pre-runtime behaviour of the parallel engines);
-    * **warm** — a single session-owned runtime answering the whole batch
-      through :meth:`~repro.session.EgoSession.scores_batch`: one pool, one
-      payload ship per graph version.
-
-    Both runs return bit-identical answers (asserted here).
-    """
-    import random
-    import time
-
-    from repro.errors import InvalidParameterError
-
-    if queries < 1:
-        raise InvalidParameterError("queries must be a positive integer")
-    compact = graph.to_compact()
-    vertices = graph.vertices()
-    rng = random.Random(seed)
-    per_query = max(1, len(vertices) // queries)
-    subsets = [
-        rng.sample(vertices, min(per_query, len(vertices))) for _ in range(queries)
-    ]
-
-    sharding = {"shards": shards, "partitioner": partitioner}
-    cold_start = time.perf_counter()
-    cold_answers = []
-    cold_ships = cold_pool_launches = 0
-    for subset in subsets:
-        with EgoSession(compact, kernel=kernel, **sharding) as session:
-            session.runtime(executor, max_workers=workers)
-            cold_answers.append(
-                session.scores_batch([subset], parallel=workers, executor=executor)[0]
-            )
-            stats = session.runtime_stats()[executor]
-            cold_ships += stats.payload_ships
-            cold_pool_launches += stats.pool_launches
-    cold_seconds = time.perf_counter() - cold_start
-
-    with EgoSession(compact, kernel=kernel, **sharding) as session:
-        session.runtime(executor, max_workers=workers)
-        warm_start = time.perf_counter()
-        warm_answers = session.scores_batch(
-            subsets, parallel=workers, executor=executor
-        )
-        warm_seconds = time.perf_counter() - warm_start
-        runtime_stats = session.runtime_stats()[executor].as_dict()
-        session_stats = session.stats().as_dict()
-
-    if warm_answers != cold_answers:
-        raise AssertionError(
-            "warm batched answers diverged from cold per-query answers"
-        )
-    return {
-        "bench": "throughput",
-        "unit": "queries per second",
-        "queries": queries,
-        "vertices_per_query": per_query,
-        "workers": workers,
-        "executor": executor,
-        "kernel": session_stats["kernel"],
-        "shards": shards,
-        "partitioner": partitioner,
-        "cold": {
-            "seconds": cold_seconds,
-            "qps": queries / cold_seconds if cold_seconds else float("inf"),
-            "payload_ships": cold_ships,
-            "pool_launches": cold_pool_launches,
-        },
-        "warm": {
-            "seconds": warm_seconds,
-            "qps": queries / warm_seconds if warm_seconds else float("inf"),
-            "payload_ships": runtime_stats["payload_ships"],
-            "pool_launches": runtime_stats["pool_launches"],
-        },
-        "speedup_warm_vs_cold": cold_seconds / warm_seconds if warm_seconds else float("inf"),
-        "runtime": runtime_stats,
-        "session": session_stats,
-    }
-
-
-def _run_bench_throughput(args: argparse.Namespace) -> None:
-    payload = run_throughput_benchmark(
-        _load_graph(args),
-        queries=args.queries,
-        workers=args.workers,
-        executor=args.executor,
-        seed=args.seed,
-        kernel=args.kernel,
-        shards=args.shards,
-        partitioner=args.partitioner,
-    )
-    payload["command"] = "bench-throughput"
-    if args.json:
-        _emit_json(payload)
-        return
-    rows = [
-        {
-            "run": name,
-            "seconds": round(payload[name]["seconds"], 4),
-            "queries_per_s": round(payload[name]["qps"], 1),
-            "payload_ships": payload[name]["payload_ships"],
-            "pool_launches": payload[name]["pool_launches"],
-        }
-        for name in ("cold", "warm")
-    ]
-    print(
-        format_table(
-            rows,
-            title=(
-                f"Batched throughput: {payload['queries']} queries x "
-                f"{payload['vertices_per_query']} vertices "
-                f"({payload['executor']} executor, {payload['workers']} workers)"
-            ),
-        )
-    )
-    print(
-        f"warm runtime speedup: {payload['speedup_warm_vs_cold']:.2f}x "
-        f"(one pool + one payload ship for the whole batch)"
-    )
-
-
 def _load_tenant_graphs(args: argparse.Namespace) -> Dict[str, Any]:
     names = [name.strip() for name in args.datasets.split(",") if name.strip()]
     known = set(dataset_names())
@@ -843,8 +554,8 @@ def _load_tenant_graphs(args: argparse.Namespace) -> Dict[str, Any]:
     return {name: load_dataset(name, scale=args.scale) for name in names}
 
 
-def _run_serve_http(args: argparse.Namespace) -> None:
-    """Network mode: bind an EgoServer and run until a signal drains it."""
+def _run_serve(args: argparse.Namespace) -> None:
+    """Bind an EgoServer on the tenants and run until a signal drains it."""
     import asyncio
 
     from repro.net import EgoServer
@@ -906,205 +617,6 @@ def _run_serve_http(args: argparse.Namespace) -> None:
         f"{summary['shed']} shed, {summary['cancelled']} cancelled) over "
         f"{summary['connections']} connections; no segments leaked"
     )
-
-
-def _run_bench_slo(args: argparse.Namespace) -> None:
-    """Open-loop SLO harness: wire transport vs in-process gateway."""
-    from repro.net.slo import run_slo_benchmark
-
-    graphs = _load_tenant_graphs(args)
-    transports = tuple(
-        name.strip() for name in args.transports.split(",") if name.strip()
-    )
-    payload = run_slo_benchmark(
-        graphs,
-        rate=args.rate,
-        duration_seconds=args.duration,
-        deadline_ms=args.deadline_ms,
-        concurrency=args.concurrency,
-        hot_fraction=args.hot_fraction,
-        transports=transports,
-        result_cache_size=args.result_cache,
-        encoded_cache_size=args.encoded_cache,
-        seed=args.seed,
-        kernel=args.kernel,
-        shards=args.shards,
-        partitioner=args.partitioner,
-    )
-    payload["command"] = "bench-slo"
-    if args.json:
-        _emit_json(payload)
-        return
-    rows = []
-    for name, backend in payload["backends"].items():
-        open_loop = backend["open_loop"]
-        rows.append(
-            {
-                "transport": name,
-                "closed_qps": round(backend["qps"], 1),
-                "p50_ms": round(open_loop["p50_ms"], 3),
-                "p95_ms": round(open_loop["p95_ms"], 3),
-                "p99_ms": round(open_loop["p99_ms"], 3),
-                "goodput_qps": round(open_loop["goodput_qps"], 1),
-                "shed_rate": round(open_loop["shed_rate"], 4),
-            }
-        )
-    print(
-        format_table(
-            rows,
-            title=(
-                f"Open-loop SLO @ {payload['rate']:g}/s for "
-                f"{payload['duration_seconds']:g}s, deadline "
-                f"{payload['deadline_ms']:g}ms over "
-                f"{len(payload['tenants'])} tenants"
-            ),
-        )
-    )
-    retention = payload.get("retention_net_vs_gateway")
-    if retention is not None:
-        print(
-            f"wire throughput retention: {retention:.2f}x of the in-process "
-            "gateway (answers bit-identical to the serial kernels)"
-        )
-
-
-def _run_serve(args: argparse.Namespace) -> None:
-    """Drive the serving gateway with a synthetic concurrent workload."""
-    from repro.serving import run_serving_benchmark
-
-    if args.http is not None:
-        _run_serve_http(args)
-        return
-    graphs = _load_tenant_graphs(args)
-    fault_plan = None
-    if args.chaos:
-        from repro import faults
-
-        fault_plan = faults.FaultPlan(
-            kill_every=args.chaos_kill_every,
-            delay_every=args.chaos_delay_every,
-            delay_seconds=args.chaos_delay_ms / 1e3,
-            raise_every=args.chaos_raise_every,
-            corrupt_ships=args.chaos_corrupt_ships,
-        )
-    payload = run_serving_benchmark(
-        graphs,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        window_seconds=args.window_ms / 1e3,
-        max_batch=args.max_batch,
-        parallel=args.workers or None,
-        executor=args.executor,
-        seed=args.seed,
-        fault_plan=fault_plan,
-        task_deadline=args.task_deadline,
-        request_deadline=args.request_deadline,
-        durability_root=args.wal_dir,
-        kernel=args.kernel,
-        shards=args.shards,
-        partitioner=args.partitioner,
-    )
-    payload["command"] = "serve"
-    if args.json:
-        _emit_json(payload)
-        return
-    rows = [
-        {
-            "run": name,
-            "seconds": round(payload[name]["seconds"], 4),
-            "queries_per_s": round(payload[name]["qps"], 1),
-            "p50_ms": round(payload[name]["p50_ms"], 3),
-            "p95_ms": round(payload[name]["p95_ms"], 3),
-        }
-        for name in ("cold", "warm")
-    ]
-    print(
-        format_table(
-            rows,
-            title=(
-                f"Serving gateway: {payload['clients']} concurrent clients x "
-                f"{payload['requests_per_client']} requests over "
-                f"{len(payload['tenants'])} tenants "
-                f"({payload['executor']} executor)"
-            ),
-        )
-    )
-    gateway = payload["gateway"]
-    store = payload["store"]
-    print(
-        f"warm gateway speedup: {payload['speedup_warm_vs_cold']:.2f}x over the "
-        "one-session-per-query baseline "
-        f"(answers bit-identical to the serial kernels)"
-    )
-    print(
-        f"micro-batching: {gateway['batches']} batches, "
-        f"mean {gateway['mean_batch_size']:.1f} requests/batch "
-        f"(window {payload['window_seconds'] * 1e3:.1f}ms); "
-        f"payload ships: {store['ships']} "
-        f"(= distinct (graph_id, version) pairs), "
-        f"pool launches: {payload['pool']['launches']}"
-    )
-    tenant_stats = payload.get("tenant_stats", {})
-    recovered = {
-        field: sum(stats.get(field, 0) for stats in tenant_stats.values())
-        for field in (
-            "worker_deaths",
-            "respawns",
-            "task_retries",
-            "deadline_misses",
-            "fallbacks",
-        )
-    }
-    if payload.get("durability_root"):
-        durable = {
-            tenant_id: (stats.get("durability") or {})
-            for tenant_id, stats in tenant_stats.items()
-        }
-        appends = sum(
-            d.get("wal", {}).get("appends", 0) for d in durable.values()
-        )
-        checkpoints = sum(
-            d.get("checkpoints", {}).get("written_by_session", 0)
-            for d in durable.values()
-        )
-        print(
-            f"durability: {len(durable)} durable tenants under "
-            f"{payload['durability_root']} ({appends} WAL appends, "
-            f"{checkpoints} checkpoints)"
-        )
-    if "faults" in payload:
-        injected = payload["faults"]
-        print(
-            f"chaos: injected {injected['kills']} kills, "
-            f"{injected['delays']} stragglers, {injected['raises']} raises, "
-            f"{injected['corruptions']} corrupt ships"
-        )
-        summary = payload.get("fault_summary", {})
-        drawn = summary.get("drawn", {})
-        performed = summary.get("performed", {})
-        if drawn:
-            pairs = ", ".join(
-                f"{kind} {performed.get(kind, 0)}/{count}"
-                for kind, count in sorted(drawn.items())
-                if count
-            )
-            if pairs:
-                print(
-                    f"chaos summary (performed/drawn): {pairs} "
-                    "(worker-side kills count as drawn; the recovery "
-                    "counters above are their witness)"
-                )
-    if any(recovered.values()) or gateway["batch_retries"] or gateway["circuit_opens"]:
-        print(
-            f"recovery: {recovered['worker_deaths']} worker deaths, "
-            f"{recovered['respawns']} pool respawns, "
-            f"{recovered['task_retries']} task retries, "
-            f"{recovered['deadline_misses']} task deadline misses, "
-            f"{recovered['fallbacks']} serial fallbacks; gateway: "
-            f"{gateway['batch_retries']} batch retries, "
-            f"{gateway['circuit_opens']} circuit opens, "
-            f"{gateway['deadline_misses']} request deadline misses"
-        )
 
 
 def _run_partition(args: argparse.Namespace) -> None:
@@ -1254,12 +766,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _run_stats(args)
         elif args.command == "maintain":
             _run_maintain(args)
-        elif args.command == "bench-throughput":
-            _run_bench_throughput(args)
         elif args.command == "serve":
             _run_serve(args)
-        elif args.command == "bench-slo":
-            _run_bench_slo(args)
         elif args.command == "partition":
             _run_partition(args)
         elif args.command == "recover":

@@ -14,7 +14,7 @@ is applied parent-side too, by flipping the checksum word of the freshly
 shipped segment — the next worker attach detects the mismatch exactly as
 it would a torn write.
 
-Usage (tests and the ``repro serve --chaos`` CLI path)::
+Usage (the chaos tests and the chaos gate in ``benchmarks/bench_serving.py``)::
 
     from repro import faults
 

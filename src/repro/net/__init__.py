@@ -16,17 +16,14 @@ puts the :class:`~repro.serving.gateway.ServingGateway` behind a socket:
   drain.
 * :mod:`repro.net.client` — :class:`EgoClient`: a pooled async client
   with retry-on-idempotent-read semantics and streaming scores iteration.
-* :mod:`repro.net.slo` — :func:`run_slo_benchmark`: an open-loop Poisson
-  load harness measuring p50/p95/p99 latency, goodput and shed rate at a
-  target arrival rate, every answer oracle-checked bit-identical to the
-  serial kernels.
 
 Everything is pure standard library — no HTTP framework, no websocket
-package — so the front door deploys wherever the kernels do.
+package — so the front door deploys wherever the kernels do.  ``python -m
+repro serve --http HOST:PORT`` runs it; ``perfbench/run.py`` measures it
+end to end.
 """
 
 from repro.net.client import EgoClient
 from repro.net.server import EgoServer, ServerStats
-from repro.net.slo import run_slo_benchmark
 
-__all__ = ["EgoClient", "EgoServer", "ServerStats", "run_slo_benchmark"]
+__all__ = ["EgoClient", "EgoServer", "ServerStats"]

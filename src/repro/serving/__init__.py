@@ -11,33 +11,11 @@ answers back — while every tenant's parallel work rides one shared
 one shared :class:`~repro.parallel.runtime.PayloadStore` keyed by
 ``(graph_id, version)``.
 
-:mod:`repro.serving.loadgen` drives the gateway with a configurable fleet
-of concurrent async clients and reports qps / latency percentiles against
-the pre-gateway one-session-per-query baseline — shared by the ``serve``
-CLI subcommand, ``benchmarks/bench_serving.py`` and ``benchmarks/smoke.py``.
-:mod:`repro.serving.metrics` holds the shared measurement vocabulary —
-percentile math, the canonical benchmark-JSON serializer and the artifact
-writer — used by the load generators, the SLO harness and every benchmark
-script.
+:mod:`repro.net` puts the gateway behind a socket; load is measured from
+outside the package, by ``perfbench/run.py`` and the gate files under
+``benchmarks/``.
 """
 
 from repro.serving.gateway import GatewayStats, ServingGateway
-from repro.serving.loadgen import run_serving_benchmark
-from repro.serving.metrics import (
-    bench_json,
-    bench_summary_line,
-    percentiles,
-    quantile,
-    write_bench_artifact,
-)
 
-__all__ = [
-    "ServingGateway",
-    "GatewayStats",
-    "run_serving_benchmark",
-    "percentiles",
-    "quantile",
-    "bench_json",
-    "bench_summary_line",
-    "write_bench_artifact",
-]
+__all__ = ["ServingGateway", "GatewayStats"]

@@ -34,7 +34,7 @@ from repro.errors import (
 from repro.graph.generators import erdos_renyi_graph
 from repro.parallel import runtime as runtime_module
 from repro.parallel.runtime import ExecutionRuntime, PayloadStore, WorkerPool
-from repro.serving import ServingGateway, run_serving_benchmark
+from repro.serving import ServingGateway
 from repro.session import EgoSession
 
 pytestmark = pytest.mark.chaos
@@ -409,10 +409,12 @@ class TestGatewayResilience:
 @pytest.mark.slow
 class TestChaosEndToEnd:
     def test_chaotic_serving_benchmark_stays_bit_identical(self):
-        graphs = {
-            "alpha": erdos_renyi_graph(70, 0.12, seed=5),
-            "beta": erdos_renyi_graph(60, 0.15, seed=6),
+        """Concurrent gateway clients under every fault kind at once."""
+        tenants = {
+            "alpha": erdos_renyi_graph(70, 0.12, seed=5).to_compact(),
+            "beta": erdos_renyi_graph(60, 0.15, seed=6).to_compact(),
         }
+        oracles = {name: all_ego_betweenness_csr(cg) for name, cg in tenants.items()}
         plan = faults.FaultPlan(
             kill_every=7,
             delay_every=5,
@@ -420,19 +422,34 @@ class TestChaosEndToEnd:
             raise_every=11,
             corrupt_ships=1,
         )
-        payload = run_serving_benchmark(
-            graphs,
-            clients=6,
-            requests_per_client=2,
-            subset_every=1,  # every request slices → every batch hits the pool
-            parallel=2,
-            executor="process",
-            task_deadline=0.25,
-            fault_plan=plan,
-        )
-        assert payload["bit_identical"] is True
-        assert payload["faults"]["kills"] >= 1
-        assert payload["faults"]["corruptions"] == 1
-        recovered = payload["tenant_stats"]
+        # Six clients, two requests each, every one a vertex slice, so
+        # every batch hits the pool.
+        requests = [
+            [(name, list(tenants[name].labels)[offset::6]) for offset in (c, c + 3)]
+            for c, name in enumerate(["alpha", "beta"] * 3)
+        ]
+
+        async def drive():
+            async with ServingGateway(parallel=2, executor="process") as gateway:
+                for name, compact in tenants.items():
+                    gateway.add_tenant(name, compact, task_deadline=0.25)
+                # Full-map priming: the first ship per tenant is the one
+                # the plan corrupts.
+                primed = {name: await gateway.scores(name) for name in tenants}
+
+                async def client(schedule):
+                    return [await gateway.scores(name, ids) for name, ids in schedule]
+
+                answers = await asyncio.gather(*(client(s) for s in requests))
+                return primed, answers, gateway.stats()["tenants"]
+
+        with faults.inject(plan):
+            primed, answers, recovered = asyncio.run(drive())
+        # Bit-identity held through kills, stragglers, raises and the torn ship.
+        assert primed == oracles
+        for schedule, got in zip(requests, answers):
+            assert got == [{v: oracles[name][v] for v in ids} for name, ids in schedule]
+        assert plan.stats()["kills"] >= 1
+        assert plan.stats()["corruptions"] == 1
         assert sum(t["worker_deaths"] for t in recovered.values()) >= 1
         assert runtime_module._LIVE_SEGMENTS == {}

@@ -149,9 +149,29 @@ class TestCommands:
         assert exit_code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_serve_requires_http(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--datasets", "dblp"])
+        assert exit_info.value.code == 2
+        assert "--http" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--clients", "4"], ["--requests", "2"], ["--chaos"]]
+    )
+    def test_serve_rejects_load_generator_flags(self, flag, capsys):
+        """``serve`` is only the network server: the load flags are gone."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--datasets", "dblp", "--http", "127.0.0.1:0", *flag])
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
 
 def _executor_cases():
-    """``(verb, choice)`` for every verb whose parser offers ``--executor``."""
+    """``(verb, choice)`` for every verb whose parser offers ``--executor``.
+
+    ``serve`` runs until a signal drains it; its executor choices run in
+    ``tests/test_net.py::TestDrain``.
+    """
     parser = build_parser()
     verbs = next(
         action
@@ -161,6 +181,7 @@ def _executor_cases():
     return [
         (verb, choice)
         for verb, verb_parser in verbs.choices.items()
+        if verb != "serve"
         for action in verb_parser._actions
         if "--executor" in action.option_strings
         for choice in action.choices
@@ -171,10 +192,6 @@ def _executor_cases():
 #: without an entry here fails the test below with a KeyError.
 _TINY_ARGS = {
     "topk": lambda path: ["--edge-list", path, "-k", "3", "--parallel", "2"],
-    "bench-throughput": lambda path: [
-        "--edge-list", path, "--queries", "4", "--workers", "2"
-    ],
-    "serve": lambda path: ["--datasets", "dblp", "--scale", "0.05", "--clients", "4"],
 }
 
 

@@ -740,7 +740,11 @@ class TestDrain:
         assert runtime_module._LIVE_SEGMENTS == {}
 
     @pytest.mark.slow
-    def test_sigterm_drains_the_serve_process(self, tmp_path):
+    @pytest.mark.parametrize(
+        "executor,workers",
+        [("serial", "0"), pytest.param("process", "1", marks=pytest.mark.parallel)],
+    )
+    def test_sigterm_drains_the_serve_process(self, tmp_path, executor, workers):
         """``repro serve --http`` + SIGTERM: banner, drain line, exit 0."""
         repo = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONUNBUFFERED="1")
@@ -757,9 +761,9 @@ class TestDrain:
                 "--scale",
                 "0.02",
                 "--workers",
-                "0",
+                workers,
                 "--executor",
-                "serial",
+                executor,
             ],
             cwd=repo,
             env=env,
