@@ -128,8 +128,8 @@ def normalize_kernel(kernel: str) -> str:
     :func:`repro.core.csr_kernels.normalize_backend`.  An **explicit**
     ``"numpy"`` is returned as-is even without numpy installed: whether
     that is an error or a counted degradation is the caller's policy
-    (:class:`~repro.session.EgoSession` applies the PR-6 degraded-mode
-    idiom).
+    (:class:`~repro.session.EgoSession` degrades to ``"python"`` and counts
+    it).
 
     Examples
     --------

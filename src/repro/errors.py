@@ -89,17 +89,9 @@ class WorkerFaultError(ReproError, RuntimeError):
     Everything under this class means *the machinery* (worker processes,
     shared-memory transport, task scheduling) failed — not the query.  The
     computation itself is pure and idempotent, so callers holding a serial
-    code path (``EgoSession`` does) can always re-answer bit-identically;
-    catching this base class is the degraded-mode switch.
+    code path can always re-answer bit-identically: ``EgoSession`` catches
+    this base class and falls back to its serial kernels.
     """
-
-
-class WorkerCrashError(WorkerFaultError):
-    """Raised when a worker process died (was killed or exited) mid-task."""
-
-
-class TaskDeadlineError(WorkerFaultError):
-    """Raised when a task exceeded its deadline and its retries ran out."""
 
 
 class PoolBrokenError(WorkerFaultError):
@@ -118,15 +110,6 @@ class PoolStateError(WorkerFaultError):
     ``"running"``, or ``"closed"``) so a ``submit`` on a closed or
     never-started pool fails loudly instead of surfacing as an opaque
     ``AttributeError`` or a hang.
-    """
-
-
-class TaskQuarantinedError(WorkerFaultError):
-    """Raised when a task failed so often it was quarantined.
-
-    Poison-task isolation: a chunk that keeps killing or timing out workers
-    is pulled out of the pool rotation (later batches compute it serially
-    in the parent) so one pathological chunk cannot crash-loop the pool.
     """
 
 
@@ -167,15 +150,6 @@ class InjectedFaultError(WorkerFaultError):
     """
 
 
-class DegradedModeError(WorkerFaultError):
-    """Raised when the parallel plane is broken and fallback is disabled.
-
-    Sessions fall back to the serial kernels by default (bit-identical
-    answers, degraded latency) and never raise this; it only escapes from
-    a session constructed with ``degraded_fallback=False``.
-    """
-
-
 class GatewayError(ReproError):
     """Base class for serving-gateway failures."""
 
@@ -198,18 +172,6 @@ class RequestTimeoutError(GatewayError, TimeoutError):
 
     The computation may still complete and warm the tenant's memo, but the
     caller has been released: a deadline bounds *waiting*, not work.
-    """
-
-
-class CircuitOpenError(GatewayOverloadedError):
-    """Raised when a tenant's circuit breaker is open (load shedding).
-
-    After ``circuit_threshold`` consecutive infrastructure failures the
-    gateway stops queueing work for the tenant and fails fast until the
-    reset window elapses; then one half-open probe batch decides whether
-    the circuit closes again.  A subtype of
-    :class:`GatewayOverloadedError` so existing shed-and-retry handlers
-    keep working.
     """
 
 

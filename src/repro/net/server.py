@@ -28,9 +28,8 @@ applies, surfaced one layer earlier.
 
 A client that disconnects mid-request does **not** poison anything: its
 in-flight requests are cancelled, a cancelled request is dropped from its
-micro-batch exactly like an in-process cancellation, and the tenant's
-circuit breaker is not charged (disconnects are not infrastructure
-faults).
+micro-batch exactly like an in-process cancellation, and it is not
+counted as a failure (disconnects are not infrastructure faults).
 
 The encoded-response cache
 --------------------------
@@ -102,7 +101,6 @@ _HTTP_STATUS = {
     "InvalidParameterError": 400,
     "ProtocolError": 400,
     "GatewayOverloadedError": 429,
-    "CircuitOpenError": 429,
     "RequestTimeoutError": 408,
     "GatewayClosedError": 503,
 }
@@ -427,7 +425,7 @@ class EgoServer:
 
         The cancellation propagates into the gateway future, which drops
         the request from its micro-batch; it is counted as *cancelled*,
-        never as a failure, so the tenant's circuit breaker is untouched.
+        never as a failure.
         """
         if not connection.tasks:
             return

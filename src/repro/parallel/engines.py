@@ -98,8 +98,6 @@ def vertex_parallel_ego_betweenness(
     runtime: Optional[ExecutionRuntime] = None,
     schedule: str = "static",
     payload_key=None,
-    task_deadline: Optional[float] = None,
-    max_task_retries: Optional[int] = None,
 ) -> ParallelRunResult:
     """VertexPEBW: vertex-partitioned parallel ego-betweenness.
 
@@ -119,17 +117,13 @@ def vertex_parallel_ego_betweenness(
     instead of the engine's static chunks (the load report still models the
     static schedule); ``payload_key`` is the ``(graph_id, version)`` store
     key forwarded to the runtime's payload store (sessions pass theirs so
-    multi-tenant stores account bytes per graph).  ``task_deadline`` /
-    ``max_task_retries`` configure the supervision of an *ephemeral*
-    runtime this call creates (``None`` keeps the runtime defaults; a
-    caller-supplied ``runtime`` keeps its own knobs).  Scores are identical
+    multi-tenant stores account bytes per graph).  Scores are identical
     across every combination.
     """
     return _run_engine(
         graph, num_workers, backend, engine="VertexPEBW",
         graph_backend=graph_backend, runtime=runtime, schedule=schedule,
-        payload_key=payload_key, task_deadline=task_deadline,
-        max_task_retries=max_task_retries,
+        payload_key=payload_key,
     )
 
 
@@ -141,8 +135,6 @@ def edge_parallel_ego_betweenness(
     runtime: Optional[ExecutionRuntime] = None,
     schedule: str = "static",
     payload_key=None,
-    task_deadline: Optional[float] = None,
-    max_task_retries: Optional[int] = None,
 ) -> ParallelRunResult:
     """EdgePEBW: edge-work-balanced parallel ego-betweenness.
 
@@ -156,21 +148,8 @@ def edge_parallel_ego_betweenness(
     return _run_engine(
         graph, num_workers, backend, engine="EdgePEBW",
         graph_backend=graph_backend, runtime=runtime, schedule=schedule,
-        payload_key=payload_key, task_deadline=task_deadline,
-        max_task_retries=max_task_retries,
+        payload_key=payload_key,
     )
-
-
-def _runtime_options(
-    task_deadline: Optional[float], max_task_retries: Optional[int]
-) -> dict:
-    """Supervision kwargs for an ephemeral runtime (None → module default)."""
-    options = {}
-    if task_deadline is not None:
-        options["task_deadline"] = task_deadline
-    if max_task_retries is not None:
-        options["max_task_retries"] = max_task_retries
-    return options
 
 
 def _run_engine(
@@ -182,8 +161,6 @@ def _run_engine(
     runtime: Optional[ExecutionRuntime] = None,
     schedule: str = "static",
     payload_key=None,
-    task_deadline: Optional[float] = None,
-    max_task_retries: Optional[int] = None,
 ) -> ParallelRunResult:
     from repro.core.csr_kernels import normalize_backend
 
@@ -231,11 +208,7 @@ def _run_engine(
             id_chunks = balanced_partition(task_ids, weights_by_id, num_workers)
         owns_runtime = runtime is None
         if owns_runtime:
-            runtime = ExecutionRuntime(
-                max_workers=num_workers,
-                executor=backend,
-                **_runtime_options(task_deadline, max_task_retries),
-            )
+            runtime = ExecutionRuntime(max_workers=num_workers, executor=backend)
         try:
             id_scores, batch = runtime.execute(
                 compact,

@@ -41,8 +41,6 @@ def run_chunks(
     backend: "ParallelBackend | str" = ParallelBackend.SERIAL,
     runtime: Optional[ExecutionRuntime] = None,
     payload_key=None,
-    task_deadline: Optional[float] = None,
-    max_task_retries: Optional[int] = None,
 ) -> Tuple[Dict, List[float]]:
     """Execute the per-chunk computations and merge their results.
 
@@ -54,16 +52,10 @@ def run_chunks(
     the :class:`ExecutionRuntime` (chunks contain dense vertex ids, scores
     are keyed by id); a hash :class:`Graph` runs the serial oracle (chunks
     contain labels, scores are keyed by label).
-    ``task_deadline`` / ``max_task_retries`` configure the supervision of
-    an ephemeral runtime created by this call (``None`` keeps the runtime
-    defaults; a caller-supplied ``runtime`` keeps its own knobs).
     """
     backend = ParallelBackend(backend)
     if isinstance(source, CompactGraph):
-        return _run_chunks_runtime(
-            source, chunks, backend, runtime, payload_key,
-            task_deadline=task_deadline, max_task_retries=max_task_retries,
-        )
+        return _run_chunks_runtime(source, chunks, backend, runtime, payload_key)
     return _run_serial_hash(source, chunks, backend)
 
 
@@ -73,19 +65,12 @@ def _run_chunks_runtime(
     backend: ParallelBackend,
     runtime: Optional[ExecutionRuntime],
     payload_key=None,
-    task_deadline: Optional[float] = None,
-    max_task_retries: Optional[int] = None,
 ) -> Tuple[Dict[int, float], List[float]]:
     """Execute a static chunk schedule through an (ephemeral?) runtime."""
     owns = runtime is None
     if owns:
         workers = sum(1 for chunk in chunks if chunk) or 1
-        options = {}
-        if task_deadline is not None:
-            options["task_deadline"] = task_deadline
-        if max_task_retries is not None:
-            options["max_task_retries"] = max_task_retries
-        runtime = ExecutionRuntime(max_workers=workers, executor=backend, **options)
+        runtime = ExecutionRuntime(max_workers=workers, executor=backend)
     try:
         scores, batch = runtime.execute(compact, chunks=chunks, payload_key=payload_key)
         return scores, batch.chunk_seconds

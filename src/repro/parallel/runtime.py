@@ -123,13 +123,20 @@ DEFAULT_OVERSUBSCRIBE = 4
 #: (worker-death detection stays on).
 DEFAULT_TASK_DEADLINE = 60.0
 
-#: Default per-task retry budget before a chunk is quarantined and computed
-#: serially in the parent (poison-task isolation).
+#: Per-task retry budget: resubmissions one chunk may consume (worker death,
+#: deadline miss, injected fault, integrity failure) before it is
+#: quarantined and computed serially in the parent (poison-task isolation).
 DEFAULT_MAX_TASK_RETRIES = 2
 
 #: Pool respawns one batch may attempt before giving up with
 #: :class:`PoolBrokenError`.
 _MAX_RESPAWNS_PER_BATCH = 3
+
+#: Exponential backoff between consecutive :meth:`WorkerPool.respawn`
+#: calls: the first respawn is immediate, later ones sleep
+#: ``_RESPAWN_BACKOFF × 2^n`` seconds capped at ``_MAX_RESPAWN_BACKOFF``.
+_RESPAWN_BACKOFF = 0.05
+_MAX_RESPAWN_BACKOFF = 2.0
 
 #: Fixed-width signed 64-bit array typecode used for the shipped buffers —
 #: one definition so parent writes and worker casts can never disagree.
@@ -773,11 +780,6 @@ class WorkerPool:
         Pool size (default ``os.cpu_count()``).
     keep_alive:
         Keep the processes running after the refcount drops to zero.
-    respawn_backoff / max_respawn_backoff:
-        Exponential-backoff window between consecutive :meth:`respawn`
-        calls: the first respawn is immediate, later ones sleep
-        ``respawn_backoff × 2^n`` capped at ``max_respawn_backoff``.  The
-        runtime resets the window after every healthy batch.
     worker_cache_limit / neighbor_cache_limit:
         Per-worker LRU capacities, applied in each worker's initializer at
         fork: the attached-payload cache (:func:`set_worker_cache_limit`)
@@ -792,8 +794,6 @@ class WorkerPool:
         self,
         max_workers: Optional[int] = None,
         keep_alive: bool = False,
-        respawn_backoff: float = 0.05,
-        max_respawn_backoff: float = 2.0,
         worker_cache_limit: Optional[int] = None,
         neighbor_cache_limit: Optional[int] = None,
     ) -> None:
@@ -802,8 +802,6 @@ class WorkerPool:
 
         if max_workers is not None and max_workers < 1:
             raise InvalidParameterError("max_workers must be positive")
-        if respawn_backoff < 0 or max_respawn_backoff < 0:
-            raise InvalidParameterError("respawn backoff values must be >= 0")
         if worker_cache_limit is not None and worker_cache_limit < 1:
             raise InvalidParameterError("worker_cache_limit must be >= 1 or None")
         if neighbor_cache_limit is not None and neighbor_cache_limit < 1:
@@ -812,8 +810,6 @@ class WorkerPool:
         self.keep_alive = keep_alive
         self.worker_cache_limit = worker_cache_limit
         self.neighbor_cache_limit = neighbor_cache_limit
-        self.respawn_backoff = respawn_backoff
-        self.max_respawn_backoff = max_respawn_backoff
         self.launches = 0
         self.respawns = 0
         self.worker_deaths = 0
@@ -931,9 +927,9 @@ class WorkerPool:
         """Replace a broken pool with freshly forked processes.
 
         Sleeps the current backoff window first (0 on the first respawn,
-        doubling up to ``max_respawn_backoff`` on consecutive ones — call
-        :meth:`reset_backoff` after a healthy batch), then terminates
-        whatever processes remain and forks a new pool.  Returns the delay
+        then 0.05 s doubling up to 2 s on consecutive ones — the runtime
+        calls :meth:`reset_backoff` after every healthy batch), then
+        terminates whatever processes remain and forks a new pool.  Returns the delay
         slept.  Raises :class:`PoolStateError` on a closed pool.
         """
         with self._lock:
@@ -943,7 +939,7 @@ class WorkerPool:
                 )
             delay = self._next_backoff
             self._next_backoff = min(
-                max(delay * 2, self.respawn_backoff), self.max_respawn_backoff
+                max(delay * 2, _RESPAWN_BACKOFF), _MAX_RESPAWN_BACKOFF
             )
         if delay:
             time.sleep(delay)
@@ -1376,11 +1372,6 @@ class ExecutionRuntime:
         submitted chunk with no result after this long is presumed lost
         and resubmitted (the kernels are pure, so duplicates are
         idempotent).  Default :data:`DEFAULT_TASK_DEADLINE`.
-    max_task_retries:
-        Resubmissions a single chunk may consume (worker death, deadline
-        miss, injected fault, integrity failure) before it is quarantined
-        and computed serially in the parent.  Default
-        :data:`DEFAULT_MAX_TASK_RETRIES`.
     kernel:
         Kernel tier the chunk kernels serve: ``"python"`` (default, the
         interpreted oracle), ``"numpy"`` (vectorized batch kernels over
@@ -1414,7 +1405,6 @@ class ExecutionRuntime:
         pool: Optional[WorkerPool] = None,
         store: Optional[PayloadStore] = None,
         task_deadline: Optional[float] = DEFAULT_TASK_DEADLINE,
-        max_task_retries: int = DEFAULT_MAX_TASK_RETRIES,
         kernel: str = "python",
     ) -> None:
         import weakref
@@ -1427,10 +1417,7 @@ class ExecutionRuntime:
             raise InvalidParameterError("oversubscribe must be positive")
         if task_deadline is not None and task_deadline <= 0:
             raise InvalidParameterError("task_deadline must be positive or None")
-        if max_task_retries < 0:
-            raise InvalidParameterError("max_task_retries must be >= 0")
         self.task_deadline = task_deadline
-        self.max_task_retries = max_task_retries
         self.kernel = normalize_kernel(kernel)
         self.executor = ParallelBackend(executor)
         if pool is None:
@@ -1682,7 +1669,7 @@ class ExecutionRuntime:
 
         def charge_retry(index: int) -> None:
             retries[index] += 1
-            if retries[index] > self.max_task_retries:
+            if retries[index] > DEFAULT_MAX_TASK_RETRIES:
                 self._quarantine.add(
                     (entry_of[index].key, self._spec_key(specs[index]))
                 )

@@ -26,7 +26,10 @@ requests are unaffected.
 
 Answers are **bit-identical to the serial kernels**: batching only changes
 *when* a computation runs, never what it computes (the session layer's
-canonical-order guarantees carry through unchanged).
+canonical-order guarantees carry through unchanged).  The gateway adds no
+fault layer of its own: a broken worker pool is absorbed below it, by the
+runtime's supervision and then the session's serial fallback, so a tenant
+on a failing pool is answered at serial latency rather than failed.
 
 Examples
 --------
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import asyncio
 import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -55,14 +57,12 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.topk import TopKResult
 from repro.errors import (
-    CircuitOpenError,
     GatewayClosedError,
     GatewayOverloadedError,
     InvalidParameterError,
     RecoveryError,
     RequestTimeoutError,
     UnknownTenantError,
-    WorkerFaultError,
 )
 from repro.graph.graph import Vertex
 from repro.parallel.runtime import PayloadStore, WorkerPool
@@ -106,13 +106,6 @@ class GatewayStats:
     deadline_misses:
         Requests that missed their ``request_deadline`` (the caller got
         :class:`~repro.errors.RequestTimeoutError`).
-    batch_retries / batch_faults:
-        Micro-batches retried once after a
-        :class:`~repro.errors.WorkerFaultError`, and batches that still
-        failed after the retry (every live request got the fault).
-    circuit_opens / circuit_shed:
-        Times a tenant's circuit breaker tripped open, and requests shed
-        with :class:`~repro.errors.CircuitOpenError` while it was open.
     cache_hits / cache_misses / cache_evictions / cache_invalidations:
         The hot-key result LRU: requests answered straight from a cached
         ``(version, query-key)`` entry (zero kernel/batch work), lookups
@@ -140,10 +133,6 @@ class GatewayStats:
     topk_runs: int = 0
     topk_coalesced: int = 0
     deadline_misses: int = 0
-    batch_retries: int = 0
-    batch_faults: int = 0
-    circuit_opens: int = 0
-    circuit_shed: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -176,10 +165,6 @@ class GatewayStats:
             "topk_runs": self.topk_runs,
             "topk_coalesced": self.topk_coalesced,
             "deadline_misses": self.deadline_misses,
-            "batch_retries": self.batch_retries,
-            "batch_faults": self.batch_faults,
-            "circuit_opens": self.circuit_opens,
-            "circuit_shed": self.circuit_shed,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
@@ -211,9 +196,6 @@ class _Tenant:
         "lock",
         "backlog",
         "topk_inflight",
-        "circuit_state",
-        "consecutive_failures",
-        "circuit_open_until",
         "cache",
         "cache_version",
         "version_listener",
@@ -229,11 +211,6 @@ class _Tenant:
         self.lock = asyncio.Lock()
         self.backlog = 0
         self.topk_inflight: Dict[Tuple[int, int], asyncio.Task] = {}
-        # Circuit breaker over *infrastructure* failures (WorkerFaultError
-        # escaping a batch after its retry): closed → open → half_open.
-        self.circuit_state = "closed"
-        self.consecutive_failures = 0
-        self.circuit_open_until = 0.0
         # Hot-key result LRU: query-key → answer, valid for exactly one
         # topology version (cache_version); the session version listener
         # clears it the moment apply() moves the graph.
@@ -261,7 +238,9 @@ class ServingGateway:
         values it does not hold yet: ``parallel=None`` (default) on the
         session's serial kernels, ``parallel=N`` as one batch on the
         tenant's runtime over the gateway's shared pool.  A held memo or
-        index answers either way.
+        index answers either way.  When the shared pool fails beyond the
+        runtime's repair, each tenant's session answers from its serial
+        kernels (counted in the tenant's ``fallbacks``); no request fails.
     max_workers:
         Size of a privately created shared :class:`WorkerPool` (ignored
         when ``pool`` is given).
@@ -273,13 +252,6 @@ class ServingGateway:
         waits without bound).  A caller whose answer has not landed
         within the deadline gets :class:`RequestTimeoutError`; the
         batch keeps computing and warms the tenant's memo for the retry.
-    circuit_threshold / circuit_reset_seconds:
-        Per-tenant circuit breaker: after ``circuit_threshold``
-        *consecutive* micro-batches failed on infrastructure faults
-        (:class:`WorkerFaultError`, after the batch's one retry), the
-        tenant's circuit opens and requests are shed with
-        :class:`CircuitOpenError` for ``circuit_reset_seconds``; then one
-        half-open probe batch decides whether the circuit closes again.
     drain_seconds:
         Bound on the :meth:`close` drain: batches still unanswered after
         this long are cancelled and their requests failed with
@@ -293,9 +265,8 @@ class ServingGateway:
         until the tenant's topology version moves — every ``apply()``
         (through the gateway or directly on the session) fires the
         session's version listener and drops the tenant's entries.
-        Cached hits bypass back-pressure and the circuit breaker: a
-        known answer is free to serve even while the tenant sheds fresh
-        work.  The network front door (:mod:`repro.net`) enables this by
+        Cached hits bypass back-pressure: a known answer is free to
+        serve even while the tenant sheds fresh work.  The network front door (:mod:`repro.net`) enables this by
         default; in-process callers opt in.
 
     Notes
@@ -318,8 +289,6 @@ class ServingGateway:
         pool: Optional[WorkerPool] = None,
         store: Optional[PayloadStore] = None,
         request_deadline: Optional[float] = None,
-        circuit_threshold: int = 5,
-        circuit_reset_seconds: float = 1.0,
         drain_seconds: float = 5.0,
         durability_root: Optional[str] = None,
         result_cache_size: int = 0,
@@ -332,10 +301,6 @@ class ServingGateway:
             raise InvalidParameterError("max_pending must be positive")
         if request_deadline is not None and request_deadline <= 0:
             raise InvalidParameterError("request_deadline must be positive or None")
-        if circuit_threshold < 1:
-            raise InvalidParameterError("circuit_threshold must be positive")
-        if circuit_reset_seconds <= 0:
-            raise InvalidParameterError("circuit_reset_seconds must be positive")
         if drain_seconds <= 0:
             raise InvalidParameterError("drain_seconds must be positive")
         if result_cache_size < 0:
@@ -346,8 +311,6 @@ class ServingGateway:
         self.parallel = parallel
         self.executor = executor
         self.request_deadline = request_deadline
-        self.circuit_threshold = circuit_threshold
-        self.circuit_reset_seconds = circuit_reset_seconds
         self.drain_seconds = drain_seconds
         self.durability_root = durability_root
         self.result_cache_size = result_cache_size
@@ -548,7 +511,6 @@ class ServingGateway:
                 stats.topk_requests += 1
                 stats.per_tenant[tenant_id] = stats.per_tenant.get(tenant_id, 0) + 1
                 return cached
-        self._check_circuit(tenant)
         if tenant.backlog >= self.max_pending:
             # top-k traffic obeys the same back-pressure bound as scores
             # traffic: an overloaded tenant sheds load on every door.
@@ -656,13 +618,12 @@ class ServingGateway:
             cached = self._cache_lookup(tenant, cache_key)
             if cached is not _CACHE_MISS:
                 # A known answer is free: serve it even while the tenant
-                # sheds fresh work (no circuit/back-pressure, no backlog
-                # slot, zero kernel executions).
+                # sheds fresh work (no back-pressure, no backlog slot,
+                # zero kernel executions).
                 stats.requests += 1
                 stats.answered += 1
                 stats.per_tenant[tenant_id] = stats.per_tenant.get(tenant_id, 0) + 1
                 return dict(cached)
-        self._check_circuit(tenant)
         if tenant.backlog >= self.max_pending:
             stats.rejected += 1
             raise GatewayOverloadedError(
@@ -695,48 +656,6 @@ class ServingGateway:
             self._stats.failed += 1
         else:
             self._stats.answered += 1
-
-    # ------------------------------------------------------------------
-    # Circuit breaker
-    # ------------------------------------------------------------------
-    def _check_circuit(self, tenant: _Tenant) -> None:
-        """Shed the request if the tenant's circuit is open.
-
-        An open circuit whose reset window has elapsed moves to
-        ``half_open``: the request is admitted as the probe, and its
-        batch's outcome decides whether the circuit closes or re-opens.
-        """
-        if tenant.circuit_state != "open":
-            return
-        if time.monotonic() < tenant.circuit_open_until:
-            self._stats.rejected += 1
-            self._stats.circuit_shed += 1
-            raise CircuitOpenError(
-                f"tenant {tenant.tenant_id!r} circuit is open after "
-                f"{tenant.consecutive_failures} consecutive infrastructure "
-                f"failures; shedding load for up to "
-                f"{self.circuit_reset_seconds}s, then probing"
-            )
-        tenant.circuit_state = "half_open"
-
-    def _batch_ok(self, tenant: _Tenant) -> None:
-        """A batch executed on healthy machinery: close/keep the circuit."""
-        tenant.consecutive_failures = 0
-        if tenant.circuit_state != "closed":
-            tenant.circuit_state = "closed"
-
-    def _batch_fault(self, tenant: _Tenant, fault: WorkerFaultError) -> None:
-        """An infrastructure fault escaped a batch (after its retry)."""
-        tenant.consecutive_failures += 1
-        reopen = tenant.circuit_state == "half_open"
-        trip = (
-            tenant.circuit_state == "closed"
-            and tenant.consecutive_failures >= self.circuit_threshold
-        )
-        if reopen or trip:
-            tenant.circuit_state = "open"
-            tenant.circuit_open_until = time.monotonic() + self.circuit_reset_seconds
-            self._stats.circuit_opens += 1
 
     # ------------------------------------------------------------------
     # Hot-key result cache
@@ -844,9 +763,10 @@ class ServingGateway:
                 parallel=self.parallel,
                 executor=self.executor,
             )
-            call = partial(read, [request.payload for request in live])
             try:
-                answers = await self._execute_batch(loop, call, tenant, len(live))
+                answers = await loop.run_in_executor(
+                    None, read, [request.payload for request in live]
+                )
             except Exception:  # noqa: BLE001 - isolated per request below
                 # One bad request (e.g. an unknown vertex) must not poison
                 # the coalesced batch: fall back to answering each request
@@ -887,32 +807,6 @@ class ServingGateway:
             else:
                 request.future.set_result(answer)
 
-    async def _execute_batch(
-        self, loop, call, tenant: _Tenant, live_count: int
-    ) -> List[Any]:
-        """Run one coalesced pass, retrying once on infrastructure faults.
-
-        A :class:`WorkerFaultError` means the machinery — not any request —
-        failed; the computation is idempotent, so the whole batch retries
-        once (the session/runtime may have respawned the pool meanwhile).
-        A second fault is definitive: every live request fails with it and
-        the tenant's circuit accounting is charged.  Any other exception
-        propagates to the caller's per-request isolation and never touches
-        the circuit.
-        """
-        try:
-            answers = await loop.run_in_executor(None, call)
-        except WorkerFaultError:
-            self._stats.batch_retries += 1
-            try:
-                answers = await loop.run_in_executor(None, call)
-            except WorkerFaultError as fault:
-                self._stats.batch_faults += 1
-                self._batch_fault(tenant, fault)
-                return [fault] * live_count
-        self._batch_ok(tenant)
-        return answers
-
     # ------------------------------------------------------------------
     # Lifecycle and introspection
     # ------------------------------------------------------------------
@@ -927,16 +821,12 @@ class ServingGateway:
                 "parallel": self.parallel,
                 "executor": self.executor,
                 "request_deadline": self.request_deadline,
-                "circuit_threshold": self.circuit_threshold,
-                "circuit_reset_seconds": self.circuit_reset_seconds,
                 "drain_seconds": self.drain_seconds,
                 "result_cache_size": self.result_cache_size,
             },
             "tenants": {
                 tenant_id: {
                     **tenant.session.stats().as_dict(),
-                    "circuit_state": tenant.circuit_state,
-                    "consecutive_failures": tenant.consecutive_failures,
                     "cache_entries": len(tenant.cache),
                     "version": tenant.session.version,
                 }

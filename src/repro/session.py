@@ -97,7 +97,6 @@ from repro.dynamic.local_update import EgoBetweennessIndex
 from repro.dynamic.stream import UpdateEvent
 from repro.errors import (
     BackendCapabilityError,
-    DegradedModeError,
     DurabilityError,
     InvalidParameterError,
     RecoveryError,
@@ -118,7 +117,6 @@ from repro.parallel.engines import (
     vertex_parallel_ego_betweenness,
 )
 from repro.parallel.runtime import (
-    DEFAULT_MAX_TASK_RETRIES,
     DEFAULT_TASK_DEADLINE,
     ExecutionRuntime,
     ParallelBackend,
@@ -141,6 +139,12 @@ GraphSource = Union[Graph, CompactGraph, DynamicCompactGraph, str, Iterable]
 #: half of the ``(graph_id, version)`` payload-store key a session stamps
 #: on every runtime execution.
 _GRAPH_IDS = itertools.count()
+
+#: The :class:`DynamicCompactGraph` overlay parameters a compact or dynamic
+#: session accepts as keyword arguments (applied at promotion).
+_OVERLAY_OPTIONS = frozenset(
+    ("rebuild_ratio", "min_rebuild_deltas", "auto_rebuild", "maintain_summaries")
+)
 
 
 @dataclass(frozen=True)
@@ -350,26 +354,22 @@ class EgoSession:
         ``"numpy"`` when numpy is importable and ``"python"`` otherwise;
         the explicit tiers pin the choice.  An explicit ``"numpy"``
         without importable numpy degrades to ``"python"`` with a counted
-        ``SessionStats.kernel_fallbacks`` (or raises
-        :class:`DegradedModeError` when ``degraded_fallback=False``).
-        Every tier is bit-identical; the numpy tier vectorizes the batch
-        wedge kernels over the same CSR arrays.
+        ``SessionStats.kernel_fallbacks``.  Every tier is bit-identical;
+        the numpy tier vectorizes the batch wedge kernels over the same
+        CSR arrays.
     scale:
         Dataset scale factor, used only when ``source`` is a dataset name.
     auto_promote:
         When ``False``, :meth:`apply` on a static ``compact`` / ``hash``
         session raises :class:`BackendCapabilityError` instead of promoting
         (``backend="dynamic"`` always promotes).
-    degraded_fallback:
-        When ``True`` (the default), a parallel query whose execution
-        infrastructure fails beyond repair (worker pool broken, retries
-        exhausted) is re-answered by the serial CSR kernels — bit-identical
-        result, degraded latency — and counted in ``SessionStats.fallbacks``.
-        ``False`` raises :class:`DegradedModeError` instead (the serving
-        gateway's circuit breaker wants the failure signal).
-    task_deadline / max_task_retries:
-        Supervision knobs forwarded to the session's execution runtimes
-        (see :class:`~repro.parallel.runtime.ExecutionRuntime`).
+    task_deadline:
+        Per-task deadline forwarded to the session's execution runtimes
+        (see :class:`~repro.parallel.runtime.ExecutionRuntime`).  A
+        parallel query whose execution infrastructure fails beyond the
+        runtime's repair (worker pool broken, retries exhausted) is always
+        re-answered by the serial kernels — bit-identical result, degraded
+        latency — and counted in ``SessionStats.fallbacks``.
     durability:
         ``None`` (the default) keeps the session purely in-memory.  A
         directory path enables the durability plane on a **fresh**
@@ -391,7 +391,9 @@ class EgoSession:
         together with ``durability=``.
     overlay_options:
         Forwarded to the :class:`DynamicCompactGraph` overlay created at
-        promotion (``rebuild_ratio``, ``min_rebuild_deltas``, ...).
+        promotion: ``rebuild_ratio``, ``min_rebuild_deltas``,
+        ``auto_rebuild`` and ``maintain_summaries``.  Any other keyword
+        raises ``TypeError`` at construction.
 
     Notes
     -----
@@ -412,9 +414,7 @@ class EgoSession:
         scale: Optional[float] = None,
         auto_promote: bool = True,
         graph_id: Optional[str] = None,
-        degraded_fallback: bool = True,
         task_deadline: Optional[float] = DEFAULT_TASK_DEADLINE,
-        max_task_retries: int = DEFAULT_MAX_TASK_RETRIES,
         durability=None,
         fsync: Optional[str] = None,
         fsync_interval: Optional[float] = None,
@@ -431,9 +431,7 @@ class EgoSession:
         # tenants naming the same graph_id assert they hold the same graph).
         self.graph_id = graph_id or f"session-{next(_GRAPH_IDS)}"
         self._auto_promote = auto_promote
-        self._degraded_fallback = degraded_fallback
         self._task_deadline = task_deadline
-        self._max_task_retries = max_task_retries
         self._fallbacks = 0
         self._kernel_fallbacks = 0
         self.kernel = self._negotiate_kernel(kernel)
@@ -443,6 +441,12 @@ class EgoSession:
         # stats() survives promotions and snapshot rebuilds.
         self._chunk_kernel: Optional[tuple] = None
         self._kernel_chunks_retired: Dict[str, int] = {"python": 0, "numpy": 0}
+        unknown = sorted(set(overlay_options) - _OVERLAY_OPTIONS)
+        if unknown:
+            raise TypeError(
+                f"EgoSession() got unexpected keyword argument(s) {unknown}; "
+                f"overlay options are {sorted(_OVERLAY_OPTIONS)}"
+            )
         if overlay_options and self.backend == "hash":
             raise TypeError(
                 "overlay options are only valid with the 'compact' and "
@@ -545,9 +549,7 @@ class EgoSession:
 
         ``auto`` resolves silently; an explicit ``numpy`` request without
         importable numpy is an infrastructure shortfall — degrade to the
-        python oracle with a counted fallback, or raise
-        :class:`DegradedModeError` when the session wants the failure
-        signal instead.
+        python oracle with a counted fallback.
         """
         from repro.core.vec_kernels import (
             KERNEL_TIERS,
@@ -563,13 +565,6 @@ class EgoSession:
                 f"{describe_kernels(KERNEL_TIERS)}"
             )
         if kernel == "numpy" and not numpy_available():
-            if not self._degraded_fallback:
-                raise DegradedModeError(
-                    "kernel='numpy' requested but numpy is not importable "
-                    "and this session was opened with "
-                    "degraded_fallback=False (install the [fast] extra "
-                    "or use kernel='auto')"
-                )
             self._kernel_fallbacks += 1
             return "python"
         return normalize_kernel(kernel)
@@ -836,16 +831,13 @@ class EgoSession:
             id_entries, _ = runtime.execute_top_k(
                 self._units(targets), k, num_workers=num_workers
             )
-        except WorkerFaultError as error:
+        except WorkerFaultError:
 
             def recompute():
                 scores = self._compute(targets, None, "serial")
                 return scores if k is None else top_entries(scores, k, self._sort_key())
 
-            query = "scores" if k is None else f"top_k(k={k})"
-            return self._degraded(
-                error, f"{query} on {num_workers} workers ({executor})", recompute
-            )
+            return self._degraded(recompute)
         # The runtime returns every id reaching the k-th score; ties at it
         # are broken here, on labels.
         return top_entries({labels[i]: score for i, score in id_entries}, k)
@@ -927,26 +919,19 @@ class EgoSession:
                 pool=pool,
                 store=store,
                 task_deadline=self._task_deadline,
-                max_task_retries=self._max_task_retries,
                 kernel=self.kernel,
             )
             self._runtimes[key] = runtime
         return runtime
 
-    def _degraded(self, error: WorkerFaultError, describe: str, recompute):
+    def _degraded(self, recompute):
         """Serve a query from the serial kernels after a worker fault.
 
-        The degraded path: ``recompute`` re-answers with the in-process
-        serial kernels, which are bit-identical to every parallel path by
-        construction — only latency degrades.  With ``degraded_fallback``
-        disabled, the infrastructure failure escapes as
-        :class:`DegradedModeError` instead.
+        The session's one fault policy: ``recompute`` re-answers with the
+        in-process serial kernels, which are bit-identical to every
+        parallel path by construction — only latency degrades.  The
+        fallback is counted in ``SessionStats.fallbacks``.
         """
-        if not self._degraded_fallback:
-            raise DegradedModeError(
-                f"parallel execution failed for {describe} and this session "
-                f"was opened with degraded_fallback=False: {error}"
-            ) from error
         self._fallbacks += 1
         return recompute()
 
@@ -1355,12 +1340,10 @@ class EgoSession:
                 runtime=self.runtime(executor, max_workers=self._pool_size(num_workers)),
                 payload_key=self._payload_key(),
             )
-        except WorkerFaultError as error:
+        except WorkerFaultError:
             # The serial engine run is in-process (no pool, no transport)
             # and bit-identical to every parallel execution by construction.
             return self._degraded(
-                error,
-                f"parallel {engine} engine run ({num_workers} workers)",
                 lambda: run_engine(
                     self._current_compact(),
                     num_workers,

@@ -27,7 +27,7 @@ from repro.core.vec_kernels import (
     normalize_kernel,
     numpy_available,
 )
-from repro.errors import DegradedModeError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.graph.csr import CompactGraph
 from repro.graph.generators import star_graph
 from repro.graph.graph import Graph
@@ -271,12 +271,6 @@ def test_session_auto_without_numpy_is_not_a_fallback(monkeypatch, triangle_grap
     session = EgoSession(triangle_graph, kernel="auto")
     assert session.kernel == "python"
     assert session.stats().kernel_fallbacks == 0  # auto resolving is not a failure
-
-
-def test_session_strict_mode_raises_without_numpy(monkeypatch, triangle_graph):
-    _block_numpy(monkeypatch)
-    with pytest.raises(DegradedModeError):
-        EgoSession(triangle_graph, kernel="numpy", degraded_fallback=False)
 
 
 def test_session_rejects_unknown_kernel(triangle_graph):
