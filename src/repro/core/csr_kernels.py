@@ -54,7 +54,7 @@ from repro.core.ego_betweenness import _sum_from_histogram, _sum_pair_contributi
 from repro.core.spath_map import IdentifiedInfoCSR
 from repro.core.topk import SearchStats, TopKAccumulator, TopKResult, threshold_cut
 from repro.errors import InvalidParameterError
-from repro.graph.csr import CompactGraph
+from repro.graph.csr import CompactGraph, row_sets
 from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.graph import Graph, Vertex
 
@@ -163,11 +163,6 @@ def normalize_backend(backend: str) -> str:
 # ----------------------------------------------------------------------
 # Ego-network construction (shared by every kernel)
 # ----------------------------------------------------------------------
-def _build_neighbor_sets(indptr: Sequence[int], indices: Sequence[int]) -> List[set]:
-    """Build the per-vertex neighbour-id sets from raw CSR arrays."""
-    return [set(indices[indptr[i] : indptr[i + 1]]) for i in range(len(indptr) - 1)]
-
-
 #: Memo of derived neighbour sets keyed by CSR buffer identity.  Values pin
 #: the buffers themselves, which both keeps the ``id()`` keys valid (a
 #: pinned object cannot be garbage-collected and its id recycled) and lets
@@ -234,7 +229,7 @@ def _neighbor_sets_cached(
     if hit is not None and hit[0] is indptr and hit[1] is indices:
         _NBR_SETS_CACHE.move_to_end(key)
         return hit[2]
-    nbr_sets = _build_neighbor_sets(indptr, indices)
+    nbr_sets = row_sets(indptr, indices)
     _NBR_SETS_CACHE[key] = (indptr, indices, nbr_sets)
     while len(_NBR_SETS_CACHE) > _NBR_SETS_CACHE_LIMIT:
         _NBR_SETS_CACHE.popitem(last=False)
@@ -470,14 +465,24 @@ def build_dense_adjacency(
     that hold only the two flat arrays (parallel workers reading a
     shared-memory segment).  Returns ``None`` above
     :data:`~repro.graph.csr.DENSE_ADJACENCY_VERTEX_LIMIT`, where the
-    neighbour-set probe is used instead.
+    neighbour-set probe is used instead.  With numpy the edges are
+    scattered into the ``bytearray`` through an ``np.frombuffer`` view in
+    one call; without it, one Python store per directed edge.
     """
+    from repro.core.vec_kernels import _numpy_module, as_int64
     from repro.graph.csr import DENSE_ADJACENCY_VERTEX_LIMIT
 
     n = len(indptr) - 1
     if not 0 < n <= DENSE_ADJACENCY_VERTEX_LIMIT:
         return None
     dense = bytearray(n * n)
+    np = _numpy_module()
+    if np is not None:
+        ptr = as_int64(np, indptr)
+        rows = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(ptr))
+        rows += as_int64(np, indices)
+        np.frombuffer(dense, dtype=np.uint8)[rows] = 1
+        return dense
     for u in range(n):
         base = u * n
         for pos in range(indptr[u], indptr[u + 1]):
@@ -489,12 +494,14 @@ class CSRChunkKernel:
     """Reusable chunk-scoring kernel over raw CSR buffers.
 
     Wraps the two flat ``(indptr, indices)`` arrays — plain sequences or
-    zero-copy ``memoryview`` casts of a shared-memory segment — and builds
-    the derived acceleration structures (per-vertex neighbour sets and, on
-    small graphs, the dense adjacency bitmap) exactly once.  A persistent
-    parallel worker constructs one kernel per shipped graph version and then
-    serves every vertex chunk of that version from it, so the per-call cost
-    is the wedge enumeration alone.
+    zero-copy ``memoryview`` casts of a shared-memory segment.  The python
+    tier's acceleration structures (per-vertex neighbour sets and, on
+    small graphs, the dense adjacency bitmap) are built on its first chunk
+    and kept; the numpy tier never builds them.  A persistent parallel
+    worker constructs one kernel per shipped graph version and then serves
+    every vertex chunk of that version from it, so after the first chunk
+    the per-call cost is the wedge enumeration alone.  A kernel made by
+    :meth:`for_compact` uses that snapshot's own cached structures instead.
 
     ``kernel`` selects the negotiated execution tier
     (:data:`repro.core.vec_kernels.KERNEL_TIERS`): ``"python"`` runs the
@@ -504,6 +511,7 @@ class CSRChunkKernel:
     reason demotes the kernel to the python tier permanently and counts one
     ``kernel_fallbacks`` — the answer is recomputed, never lost.
     ``chunks_by_tier`` records which tier actually served each chunk.
+    ``build_dense=False`` keeps both tiers off the dense bitmap.
 
     Scores are bit-identical to :func:`all_ego_betweenness_csr` on every
     tier (all integer counting funnels through the canonical sorted
@@ -521,11 +529,14 @@ class CSRChunkKernel:
     __slots__ = (
         "indptr",
         "indices",
-        "nbr_sets",
-        "dense",
+        "build_dense",
         "kernel",
         "chunks_by_tier",
         "kernel_fallbacks",
+        "_compact",
+        "_nbr_sets",
+        "_dense",
+        "_dense_built",
         "_vec",
     )
 
@@ -535,36 +546,63 @@ class CSRChunkKernel:
         indices: Sequence[int],
         build_dense: bool = True,
         kernel: str = "python",
-        nbr_sets: Optional[List[set]] = None,
-        dense: Optional[bytearray] = None,
     ) -> None:
         from repro.core.vec_kernels import normalize_kernel
 
         self.indptr = indptr
         self.indices = indices
-        self.nbr_sets = (
-            nbr_sets if nbr_sets is not None else _neighbor_sets_cached(indptr, indices)
-        )
-        if dense is not None:
-            self.dense = dense
-        else:
-            self.dense = build_dense_adjacency(indptr, indices) if build_dense else None
+        self.build_dense = build_dense
         self.kernel = normalize_kernel(kernel)
         self.chunks_by_tier: Dict[str, int] = {"python": 0, "numpy": 0}
         self.kernel_fallbacks = 0
+        self._compact: Optional[CompactGraph] = None
+        self._nbr_sets: Optional[List[set]] = None
+        self._dense: Optional[bytearray] = None
+        self._dense_built = False
         self._vec = None
+
+    @classmethod
+    def for_compact(cls, compact: CompactGraph, kernel: str = "python") -> "CSRChunkKernel":
+        """A kernel over ``compact``'s arrays that shares its cached neighbour
+        sets and dense bitmap (the serial transport's kernel)."""
+        chunk_kernel = cls(compact.indptr, compact.indices, kernel=kernel)
+        chunk_kernel._compact = compact
+        return chunk_kernel
 
     @property
     def num_vertices(self) -> int:
         """Number of vertices covered by the buffers."""
         return len(self.indptr) - 1
 
+    @property
+    def nbr_sets(self) -> List[set]:
+        """The python tier's per-vertex neighbour-id sets (built on first use)."""
+        if self._nbr_sets is None:
+            if self._compact is not None:
+                self._nbr_sets = self._compact.neighbor_sets()
+            else:
+                self._nbr_sets = _neighbor_sets_cached(self.indptr, self.indices)
+        return self._nbr_sets
+
+    @property
+    def dense(self) -> Optional[bytearray]:
+        """The python tier's dense adjacency bitmap, or ``None`` (built on first use)."""
+        if not self._dense_built:
+            self._dense_built = True
+            if not self.build_dense:
+                self._dense = None
+            elif self._compact is not None:
+                self._dense = self._compact.dense_adjacency()
+            else:
+                self._dense = build_dense_adjacency(self.indptr, self.indices)
+        return self._dense
+
     def _vectorized(self):
         if self._vec is None:
             from repro.core.vec_kernels import VectorizedChunkScorer
 
             self._vec = VectorizedChunkScorer(
-                self.indptr, self.indices, dense=self.dense
+                self.indptr, self.indices, dense=self.build_dense
             )
         return self._vec
 

@@ -30,7 +30,8 @@ one of two paths:
 
 * **dense-adjacency bitmap** — on graphs small enough for the
   :data:`~repro.graph.csr.DENSE_ADJACENCY_VERTEX_LIMIT` bitmap the whole
-  tensor is one fancy-indexed gather from the ``n × n`` byte matrix (hub
+  tensor is one fancy-indexed gather from a padded ``(n+1) × (n+1)``
+  boolean matrix, scattered once from the CSR rows (hub
   vertices with thousands of neighbours pay a single vectorized gather
   instead of ``d²`` byte probes);
 * **sorted-intersection** — otherwise membership is resolved against the
@@ -65,6 +66,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.ego_betweenness import _sum_from_histogram
 from repro.errors import InvalidParameterError
+from repro.graph.csr import DENSE_ADJACENCY_VERTEX_LIMIT
 
 __all__ = [
     "KERNEL_TIERS",
@@ -149,6 +151,20 @@ def normalize_kernel(kernel: str) -> str:
     return kernel
 
 
+def as_int64(np, buf):
+    """Attach ``buf`` as an int64 array — zero-copy whenever possible."""
+    if isinstance(buf, np.ndarray):
+        return np.ascontiguousarray(buf, dtype=np.int64)
+    try:
+        # memoryview('q') casts of shared-memory segments and array('l')
+        # payloads: a view over the existing bytes.
+        return np.frombuffer(buf, dtype=np.int64)
+    except (TypeError, ValueError, BufferError):
+        # Plain Python lists (CompactGraph storage): one copy at
+        # kernel-construction time, amortised over every chunk.
+        return np.asarray(buf, dtype=np.int64)
+
+
 #: Cell budget (``B · D²``) of one padded batch: bounds the boolean tensor
 #: at ~2 MB and its float64 matmul operands at ~16 MB each.
 _BATCH_CELL_BUDGET = 1 << 21
@@ -174,10 +190,11 @@ class VectorizedChunkScorer:
         zero-copy ``memoryview`` casts of a shared-memory segment; buffer
         inputs are attached via ``np.frombuffer`` without copying.
     dense:
-        The optional flat ``n × n`` adjacency bitmap
-        (:func:`repro.core.csr_kernels.build_dense_adjacency`); when given,
-        the membership tensor is gathered from it, otherwise the
-        sorted-intersection path runs against the CSR rows.
+        When true (the default) and the graph is small enough for the
+        :data:`~repro.graph.csr.DENSE_ADJACENCY_VERTEX_LIMIT` bitmap, the
+        membership tensor is gathered from a padded adjacency matrix built
+        from the CSR arrays; otherwise the sorted-intersection path runs
+        against the CSR rows.
 
     Raises
     ------
@@ -192,7 +209,7 @@ class VectorizedChunkScorer:
         self,
         indptr: Sequence[int],
         indices: Sequence[int],
-        dense: Optional[bytearray] = None,
+        dense: bool = True,
     ) -> None:
         np = _numpy_module()
         if np is None:
@@ -200,34 +217,19 @@ class VectorizedChunkScorer:
                 "the 'numpy' kernel tier requires numpy (pip install repro[fast])"
             )
         self.np = np
-        self.indptr = self._as_int64(indptr)
-        self.indices = self._as_int64(indices)
-        self.n = len(self.indptr) - 1
-        if dense is not None and self.n > 0:
-            # Sentinel-padded copy of the bitmap (row/column ``n`` all
-            # zero): padded neighbour matrices gather straight through it
-            # with no validity masking.  One ``(n+1)²`` build per kernel —
-            # the CSR payload arrays stay zero-copy views.
-            flat = np.frombuffer(dense, dtype=np.uint8).reshape(self.n, self.n)
-            padded = np.zeros((self.n + 1, self.n + 1), dtype=np.bool_)
-            padded[: self.n, : self.n] = flat.view(np.bool_)
+        self.indptr = as_int64(np, indptr)
+        self.indices = as_int64(np, indices)
+        self.n = n = len(self.indptr) - 1
+        if dense and 0 < n <= DENSE_ADJACENCY_VERTEX_LIMIT:
+            # Sentinel-padded adjacency (row/column ``n`` all zero): padded
+            # neighbour matrices gather straight through it with no
+            # validity masking.  One ``(n+1)²`` scatter from the CSR rows
+            # per kernel; the CSR payload arrays stay zero-copy views.
+            padded = np.zeros((n + 1, n + 1), dtype=np.bool_)
+            padded[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = True
             self.adjacency = padded
         else:
             self.adjacency = None
-
-    def _as_int64(self, buf):
-        """Attach ``buf`` as an int64 array — zero-copy whenever possible."""
-        np = self.np
-        if isinstance(buf, np.ndarray):
-            return np.ascontiguousarray(buf, dtype=np.int64)
-        try:
-            # memoryview('q') casts of shared-memory segments and
-            # array('l') payloads: a view over the existing bytes.
-            return np.frombuffer(buf, dtype=np.int64)
-        except (TypeError, ValueError, BufferError):
-            # Plain Python lists (CompactGraph storage): one copy at
-            # kernel-construction time, amortised over every chunk.
-            return np.asarray(buf, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Public API

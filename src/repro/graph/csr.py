@@ -2,7 +2,7 @@
 
 :class:`CompactGraph` is the read-only fast twin of the hash-set
 :class:`~repro.graph.graph.Graph`.  Vertices are relabelled to dense
-``0..n-1`` integers (insertion order of the source graph, with a stable
+``0..n-1`` integers (first-seen order of the source, with a stable
 id ↔ label mapping) and the adjacency is stored as two flat arrays::
 
     indices[indptr[v] : indptr[v + 1]]   # sorted neighbour ids of v
@@ -14,20 +14,28 @@ arithmetic over contiguous ``array`` storage instead of hashing arbitrary
 Python objects, which is what makes the CSR top-k search several times
 faster than the hash-set oracle.
 
+An edge list of plain ``int`` labels goes straight to CSR through
+:meth:`CompactGraph.from_edges` (a numpy sort-and-dedupe, no hash
+:class:`Graph` in between); any other edge list, or the same one without
+numpy, goes through :class:`Graph` and :meth:`CompactGraph.from_graph`,
+as an existing :class:`Graph` does via :meth:`Graph.to_compact`.  Both
+routes give the same labels and arrays.
+
 The class is deliberately immutable: the dynamic-maintenance algorithms of
-Section IV keep operating on :class:`Graph`, and callers convert once up
-front via :meth:`Graph.to_compact` / :meth:`CompactGraph.from_graph` before
-entering a read-only hot path.
+Section IV run on :class:`Graph` or on the
+:class:`~repro.graph.dynamic_csr.DynamicCompactGraph` overlay.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import chain
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._ordering import sort_key
-from repro.errors import VertexNotFoundError
+from repro.errors import SelfLoopError, VertexNotFoundError
 from repro.graph.graph import Edge, Graph, Vertex
 
 __all__ = [
@@ -116,6 +124,76 @@ def gallop_intersect_size(small: Sequence[int], large: Sequence[int]) -> int:
     return count
 
 
+def row_sets(indptr: Sequence[int], indices: Sequence[int]) -> List[set]:
+    """The per-vertex neighbour-id sets of raw CSR arrays, one C-level pass.
+
+    Examples
+    --------
+    >>> row_sets([0, 1, 3, 4], [1, 0, 2, 1])
+    [{1}, {0, 2}, {1}]
+    """
+    return list(map(set, map(indices.__getitem__, map(slice, indptr[:-1], indptr[1:]))))
+
+
+def _run_starts(np, ordered):
+    """Mask of the positions in a sorted array where a new value begins."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def _int_edges_to_csr(
+    edges: List[Edge], vertices: List[Vertex]
+) -> Optional[Tuple[List[int], List[int], List[int]]]:
+    """``(labels, indptr, indices)`` of an edge list of plain-``int`` labels.
+
+    Returns ``None`` — the caller goes through the hash :class:`Graph` —
+    without numpy, when an edge is not a pair, when any label is not
+    exactly an ``int`` (``bool``, other ``int`` subclasses and non-ints
+    keep their own identity there) or when a label overflows int64.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    try:
+        if set(map(len, edges)) - {2}:
+            return None
+        flat = vertices + list(chain.from_iterable(edges))
+    except TypeError:
+        return None
+    if list(map(type, flat)).count(int) != len(flat):
+        return None
+    try:
+        values = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        return None
+    ends = values[len(vertices):]
+    loops = np.flatnonzero(ends[0::2] == ends[1::2])
+    if loops.size:
+        raise SelfLoopError(int(ends[2 * loops[0]]))
+    # Ids in first-seen order, which a dict keeps.  A label's id is found
+    # from its rank among the sorted distinct labels.
+    labels = list(dict.fromkeys(flat))
+    n = len(labels)
+    if not n:
+        return [], [0], []
+    order = np.argsort(values)
+    ids = np.empty_like(order)
+    ids[order] = np.argsort(np.array(labels, dtype=np.int64))[
+        np.cumsum(_run_starts(np, values[order])) - 1
+    ]
+    ids = ids[len(vertices):]
+    # Both directions of every edge as row-major keys, sorted and deduped.
+    keys = np.concatenate((ids[0::2] * n + ids[1::2], ids[1::2] * n + ids[0::2]))
+    keys.sort()
+    keys = keys[_run_starts(np, keys)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return labels, indptr.tolist(), (keys % n).tolist()
+
+
 class CompactGraph:
     """Immutable CSR snapshot of an undirected simple graph.
 
@@ -161,15 +239,13 @@ class CompactGraph:
         self, labels: Sequence[Vertex], indptr: Sequence[int], indices: Sequence[int]
     ) -> None:
         self._labels: List[Vertex] = list(labels)
-        self._ids: Dict[Vertex, int] = {label: i for i, label in enumerate(self._labels)}
+        self._ids: Dict[Vertex, int] = dict(zip(self._labels, range(len(self._labels))))
         # Plain lists index and slice measurably faster than typed arrays in
         # CPython, and the kernels are index/slice bound; arrays() rebuilds
         # the typed form when a compact pickle payload is needed.
         self.indptr: List[int] = list(indptr)
         self.indices: List[int] = list(indices)
-        self.degrees: List[int] = [
-            self.indptr[i + 1] - self.indptr[i] for i in range(len(self._labels))
-        ]
+        self.degrees: List[int] = list(map(sub, self.indptr[1:], self.indptr[:-1]))
         self._bound_order: Optional[List[int]] = None
         self._tie_keys: Optional[List[tuple]] = None
         self._label_keys: Optional[Dict[Vertex, tuple]] = None
@@ -206,8 +282,26 @@ class CompactGraph:
         edges: Iterable[Edge],
         vertices: Optional[Iterable[Vertex]] = None,
     ) -> "CompactGraph":
-        """Build a CSR graph from an edge list (duplicates ignored)."""
-        return cls.from_graph(Graph(edges=edges, vertices=vertices))
+        """Build a CSR graph straight from an edge list.
+
+        Labels take first-seen order (``vertices`` first, then each edge's
+        endpoints); duplicate and reversed pairs are ignored and a
+        self-loop raises :class:`~repro.errors.SelfLoopError` — the labels
+        and arrays of ``from_graph(Graph(edges=edges, vertices=vertices))``
+        without building the hash graph.
+
+        Examples
+        --------
+        >>> cg = CompactGraph.from_edges([(7, 3), (3, 7), (3, 5)])
+        >>> cg.labels, cg.indptr, cg.indices
+        ([7, 3, 5], [0, 1, 3, 4], [1, 0, 2, 1])
+        """
+        edges = edges if isinstance(edges, list) else list(edges)
+        vertices = [] if vertices is None else list(vertices)
+        csr = _int_edges_to_csr(edges, vertices)
+        if csr is None:
+            return cls.from_graph(Graph(edges=edges, vertices=vertices))
+        return cls(*csr)
 
     def to_graph(self) -> Graph:
         """Materialise an equivalent mutable hash-set :class:`Graph`."""
@@ -353,10 +447,7 @@ class CompactGraph:
         ``O(n + 2m)`` extra memory; built on first use only.
         """
         if self._nbr_sets is None:
-            indptr, indices = self.indptr, self.indices
-            self._nbr_sets = [
-                set(indices[indptr[i] : indptr[i + 1]]) for i in range(len(self._labels))
-            ]
+            self._nbr_sets = row_sets(self.indptr, self.indices)
         return self._nbr_sets
 
     def dense_adjacency(self) -> Optional[bytearray]:

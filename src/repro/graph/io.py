@@ -18,6 +18,7 @@ from repro.graph.graph import Graph, Vertex
 
 __all__ = [
     "read_edge_list",
+    "read_edge_pairs",
     "write_edge_list",
     "parse_edge_lines",
     "relabel_to_integers",
@@ -57,6 +58,43 @@ def parse_edge_lines(
         yield (u, v)
 
 
+def read_edge_pairs(
+    source: PathOrFile,
+    *,
+    comment: str = "#",
+    delimiter: Optional[str] = None,
+    vertex_type: Callable[[str], Vertex] = int,
+    skip_self_loops: bool = True,
+) -> List[Tuple[Vertex, Vertex]]:
+    """Read the ``(u, v)`` pairs of an edge-list file or open text handle.
+
+    Duplicates are kept (every graph constructor ignores them).  Self-loops are
+    silently dropped by default (matching how SNAP social-network files
+    are typically cleaned); set ``skip_self_loops=False`` to have them
+    raise instead.
+    """
+    close_after = False
+    if hasattr(source, "read"):
+        handle = source  # type: ignore[assignment]
+    else:
+        handle = open(os.fspath(source), "r", encoding="utf-8")
+        close_after = True
+    try:
+        pairs = []
+        for u, v in parse_edge_lines(
+            handle, comment=comment, delimiter=delimiter, vertex_type=vertex_type
+        ):
+            if u == v:
+                if skip_self_loops:
+                    continue
+                raise GraphFormatError(f"self-loop on vertex {u!r}")
+            pairs.append((u, v))
+        return pairs
+    finally:
+        if close_after:
+            handle.close()
+
+
 def read_edge_list(
     source: PathOrFile,
     *,
@@ -67,30 +105,18 @@ def read_edge_list(
 ) -> Graph:
     """Read an undirected graph from an edge-list file or open text handle.
 
-    Duplicate edges are collapsed.  Self-loops are silently dropped by
-    default (matching how SNAP social-network files are typically cleaned);
-    set ``skip_self_loops=False`` to have them raise instead.
+    Duplicate edges are collapsed; self-loops are handled as in
+    :func:`read_edge_pairs`.
     """
-    close_after = False
-    if hasattr(source, "read"):
-        handle = source  # type: ignore[assignment]
-    else:
-        handle = open(os.fspath(source), "r", encoding="utf-8")
-        close_after = True
-    try:
-        graph = Graph()
-        for u, v in parse_edge_lines(
-            handle, comment=comment, delimiter=delimiter, vertex_type=vertex_type
-        ):
-            if u == v:
-                if skip_self_loops:
-                    continue
-                raise GraphFormatError(f"self-loop on vertex {u!r}")
-            graph.add_edge(u, v, exist_ok=True)
-        return graph
-    finally:
-        if close_after:
-            handle.close()
+    return Graph(
+        edges=read_edge_pairs(
+            source,
+            comment=comment,
+            delimiter=delimiter,
+            vertex_type=vertex_type,
+            skip_self_loops=skip_self_loops,
+        )
+    )
 
 
 def write_edge_list(

@@ -490,12 +490,12 @@ class _AttachedGraph:
     """A worker's zero-copy view of one shipped graph version.
 
     Attaching maps the shared segment and casts the two array regions as
-    ``memoryview``\\ s — no deserialisation, no copy of the adjacency — then
-    builds the process-local :class:`~repro.core.csr_kernels.CSRChunkKernel`
-    (neighbour sets, dense bitmap) once.  Higher kernel tiers attach
-    lazily through :meth:`kernel_for` and share those derived structures
-    — the numpy tier wraps ``np.frombuffer`` views around the *same*
-    segment bytes, so negotiating a tier ships nothing extra.  ``close``
+    ``memoryview``\\ s — no deserialisation, no copy of the adjacency — and
+    wraps them in the process-local python-tier
+    :class:`~repro.core.csr_kernels.CSRChunkKernel`.  Higher kernel tiers
+    attach lazily through :meth:`kernel_for` — the numpy tier wraps
+    ``np.frombuffer`` views around the *same* segment bytes, so
+    negotiating a tier ships nothing extra.  ``close``
     releases the views before closing the mapping, in that order, or
     ``mmap`` refuses to unmap.
     """
@@ -534,9 +534,10 @@ class _AttachedGraph:
     def kernel_for(self, tier: str):
         """The chunk kernel serving ``tier`` (lazily built per tier).
 
-        Non-python tiers reuse the base kernel's neighbour sets and dense
-        bitmap — only the tier dispatch state is new, and the numpy tier's
-        array views alias the already-attached segment (zero-copy).
+        Each tier builds only what it uses: the python kernel its neighbour
+        sets and bitmap on its first chunk, the numpy kernel its padded
+        adjacency over ``np.frombuffer`` views of the attached segment
+        (zero-copy).
         """
         if tier == "python":
             return self.kernel
@@ -544,15 +545,7 @@ class _AttachedGraph:
         if kernel is None:
             from repro.core.csr_kernels import CSRChunkKernel
 
-            base = self.kernel
-            kernel = CSRChunkKernel(
-                base.indptr,
-                base.indices,
-                build_dense=False,
-                kernel=tier,
-                nbr_sets=base.nbr_sets,
-                dense=base.dense,
-            )
+            kernel = CSRChunkKernel(self.kernel.indptr, self.kernel.indices, kernel=tier)
             self.tier_kernels[tier] = kernel
         return kernel
 
@@ -651,16 +644,74 @@ def set_worker_cache_limit(limit: Optional[int] = None) -> int:
     return _WORKER_CACHE_LIMIT
 
 
+#: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _openblas_thread_calls(verb: str) -> List[Callable]:
+    """``openblas_<verb>_num_threads`` of every OpenBLAS mapped into this process.
+
+    Looks the libraries up in ``/proc/self/maps`` (empty where there is
+    none) and tries the symbol under each known export prefix and the
+    64-bit-integer suffix.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({
+                path for path in (line.split()[-1] for line in maps)
+                if path.startswith("/") and "openblas" in path.lower()
+            })
+    except OSError:
+        return []
+    calls = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in (
+            f"{prefix}_{verb}_num_threads{suffix}"
+            for prefix in ("scipy_openblas", "openblas")
+            for suffix in ("64_", "")
+        ):
+            call = getattr(library, name, None)
+            if call is not None:
+                calls.append(call)
+                break
+    return calls
+
+
+def _one_blas_thread() -> None:
+    """Cap BLAS at one thread in this process: the pool size is the parallelism.
+
+    The environment covers a numpy imported after the fork; a numpy the
+    parent had already loaded (as opening an ``int`` edge list does, so any
+    pool forked after a session opened) is capped through its OpenBLAS
+    directly, where the environment is read too late.
+    """
+    import os
+    import sys
+
+    for name in _BLAS_THREAD_VARS:
+        os.environ[name] = "1"
+    if "numpy" in sys.modules:
+        for call in _openblas_thread_calls("set"):
+            call(1)
+
+
 def _init_worker(
     worker_cache_limit: Optional[int] = None,
     neighbor_cache_limit: Optional[int] = None,
 ) -> None:
-    """Pool initializer: apply per-pool cache limits in each worker.
+    """Pool initializer: one BLAS thread, then the per-pool cache limits.
 
     Runs in every worker process at fork (and under spawn, where module
     globals are re-imported rather than inherited), so a pool sized for a
     16-shard graph keeps all 16 attachments resident.
     """
+    _one_blas_thread()
     if worker_cache_limit is not None:
         set_worker_cache_limit(worker_cache_limit)
     if neighbor_cache_limit is not None:
@@ -774,6 +825,11 @@ class WorkerPool:
     broken pool wholesale with bounded exponential backoff between
     consecutive respawns.
 
+    Every worker runs BLAS on one thread (see :func:`_init_worker`): the
+    process count is the parallelism, and ``N`` workers each starting one
+    BLAS thread per core would oversubscribe the cores the pool already
+    fills.
+
     Parameters
     ----------
     max_workers:
@@ -872,19 +928,22 @@ class WorkerPool:
 
     def _fork_locked(self) -> None:
         import multiprocessing
+        from multiprocessing import resource_tracker
 
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             context = multiprocessing.get_context()
-        if self.worker_cache_limit is None and self.neighbor_cache_limit is None:
-            pool = context.Pool(processes=self.max_workers)
-        else:
-            pool = context.Pool(
-                processes=self.max_workers,
-                initializer=_init_worker,
-                initargs=(self.worker_cache_limit, self.neighbor_cache_limit),
-            )
+        # Start the parent's shared-memory tracker before forking, so the
+        # workers report to it: a worker forked without one starts its own
+        # tracker, which warns at exit and unlinks, when the worker dies,
+        # segments the parent still holds.
+        resource_tracker.ensure_running()
+        pool = context.Pool(
+            processes=self.max_workers,
+            initializer=_init_worker,
+            initargs=(self.worker_cache_limit, self.neighbor_cache_limit),
+        )
         self._state["pool"] = pool
         self._known_pids = self._live_pids(pool)
         self.launches += 1
@@ -1082,7 +1141,7 @@ class PayloadStore:
 
     Keys are ``(graph_id, version)`` pairs.  :meth:`ship` is the only entry
     point: the first ship of a key materialises the payload (shared-memory
-    segment for the process transport; cache warming for the serial one)
+    segment for the process transport; bookkeeping only for the serial one)
     and every later ship of the same key — from any runtime, any tenant —
     is a hit.  Entries are evicted, and their segments unlinked, when the
     last holder calls :meth:`release`.
@@ -1155,8 +1214,8 @@ class PayloadStore:
         assigns an anonymous one.  A snapshot object already resident (under
         any key) and a key already resident (from any snapshot object) are
         both hits.  ``materialize=False`` is the serial transport: the entry
-        is tracked and accounted, and "shipping" warms the snapshot's shared
-        kernel caches instead of writing a segment.  The entry's refcount is
+        is tracked and accounted but no segment is written (the serial
+        kernel builds what its tier uses on its first chunk).  The entry's refcount is
         incremented either way — callers own exactly one :meth:`release` per
         ship.
         """
@@ -1189,11 +1248,6 @@ class PayloadStore:
             entry = _StoreEntry(key, compact)
             if materialize:
                 entry.payload = _ShippedPayload(compact)
-            else:
-                # Serial "shipping" warms the snapshot's shared kernel
-                # state once so every later chunk reuses it.
-                compact.neighbor_sets()
-                compact.dense_adjacency()
             self._entries[key] = entry
             self._by_identity[id(compact)] = key
             self._account_ship_locked(entry)
@@ -1586,15 +1640,7 @@ class ExecutionRuntime:
         if held.kernel is None:
             from repro.core.csr_kernels import CSRChunkKernel
 
-            compact = held.compact
-            held.kernel = CSRChunkKernel(
-                compact.indptr,
-                compact.indices,
-                build_dense=False,
-                kernel=self.kernel,
-                nbr_sets=compact.neighbor_sets(),
-                dense=compact.dense_adjacency(),
-            )
+            held.kernel = CSRChunkKernel.for_compact(held.compact, kernel=self.kernel)
         return held.kernel
 
     # ------------------------------------------------------------------

@@ -16,8 +16,9 @@ A session is constructed from any graph source — a hash-set
 :class:`~repro.graph.csr.CompactGraph` snapshot, a mutable
 :class:`~repro.graph.dynamic_csr.DynamicCompactGraph` overlay, a plain edge
 list, or a registry dataset name — and starts in the **static** state: the
-graph is frozen as a CSR snapshot (or, with ``backend="hash"``, read from
-the hash-set oracle) and queries (:meth:`EgoSession.top_k`,
+graph is frozen as a CSR snapshot (an edge list is read straight into one,
+with no hash graph in between), or, with ``backend="hash"``, read from the
+hash-set oracle; queries (:meth:`EgoSession.top_k`,
 :meth:`~EgoSession.score`, :meth:`~EgoSession.scores`) run on warm caches.
 
 The moment the first update arrives (:meth:`~EgoSession.apply`), the
@@ -346,6 +347,9 @@ class EgoSession:
     source:
         A :class:`Graph`, :class:`CompactGraph`, :class:`DynamicCompactGraph`,
         an iterable of ``(u, v)`` edge pairs, or a registry dataset name.
+        Edge pairs are read straight into a :class:`CompactGraph`
+        (:meth:`CompactGraph.from_edges`); only ``backend="hash"`` builds a
+        hash :class:`Graph` from them.
     backend:
         One of :data:`SESSION_BACKENDS`; see the module docstring.
     kernel:
@@ -423,8 +427,8 @@ class EgoSession:
         retain_checkpoints: Optional[int] = None,
         **overlay_options,
     ) -> None:
-        source = self._coerce_source(source, scale)
         self.backend = _negotiate_backend(backend, source)
+        source = self._coerce_source(source, scale, self.backend)
         # The stable half of the session's (graph_id, version) payload key.
         # Auto-assigned ids are unique per session; an explicit graph_id is
         # the opt-in for cross-session payload dedup in a shared store (two
@@ -605,14 +609,7 @@ class EgoSession:
 
         if cached is not None:
             self._retire_chunk_kernel(cached[1])
-        kernel = CSRChunkKernel(
-            compact.indptr,
-            compact.indices,
-            build_dense=False,
-            kernel=self.kernel,
-            nbr_sets=compact.neighbor_sets(),
-            dense=compact.dense_adjacency(),
-        )
+        kernel = CSRChunkKernel.for_compact(compact, kernel=self.kernel)
         self._chunk_kernel = (compact, kernel)
         return kernel
 
@@ -624,7 +621,9 @@ class EgoSession:
         self._kernel_fallbacks += kernel.kernel_fallbacks
 
     @staticmethod
-    def _coerce_source(source: GraphSource, scale: Optional[float]):
+    def _coerce_source(source: GraphSource, scale: Optional[float], backend: str):
+        """The graph object behind ``source``: an edge list becomes a
+        ``CompactGraph`` directly, or a ``Graph`` for the hash backend."""
         if isinstance(source, (Graph, CompactGraph, DynamicCompactGraph)):
             return source
         if isinstance(source, str):
@@ -634,7 +633,7 @@ class EgoSession:
                 return load_dataset(source)
             return load_dataset(source, scale=scale)
         if isinstance(source, Iterable):
-            return Graph(edges=source)
+            return Graph(edges=source) if backend == "hash" else CompactGraph.from_edges(source)
         raise InvalidParameterError(
             "source must be a Graph, CompactGraph, DynamicCompactGraph, an "
             f"iterable of edges, or a dataset name — got {type(source).__name__}"
@@ -648,14 +647,14 @@ class EgoSession:
     @classmethod
     def from_edges(cls, edges: Iterable, **kwargs) -> "EgoSession":
         """Open a session on an iterable of ``(u, v)`` edge pairs."""
-        return cls(Graph(edges=edges), **kwargs)
+        return cls(edges, **kwargs)
 
     @classmethod
     def from_edge_list(cls, path, **kwargs) -> "EgoSession":
-        """Open a session on a whitespace edge-list file."""
-        from repro.graph.io import read_edge_list
+        """Open a session on a whitespace edge-list file (self-loops dropped)."""
+        from repro.graph.io import read_edge_pairs
 
-        return cls(read_edge_list(path), **kwargs)
+        return cls(read_edge_pairs(path), **kwargs)
 
     @classmethod
     def recover(cls, directory, **kwargs) -> "EgoSession":

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.csr_kernels import CSRChunkKernel, all_ego_betweenness_csr
 from repro.core.ego_betweenness import all_ego_betweenness
+from repro.core.vec_kernels import numpy_available
 from repro.errors import InvalidParameterError
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.graph.graph import Graph
@@ -460,3 +461,105 @@ class TestAtexitSweepWarning:
         assert not runtime_module._LIVE_SEGMENTS  # tier-1 leaves none behind
         runtime_module._sweep_segments()
         assert not [w for w in recwarn.list if w.category is ResourceWarning]
+
+
+def _run_script(script: str, *args: str) -> "subprocess.CompletedProcess":
+    """Run ``script`` in a fresh interpreter with ``src/`` importable."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+BLAS_PROBE = """
+import json, os, sys
+if sys.argv[1] == "before":
+    import numpy
+assert ("numpy" in sys.modules) == (sys.argv[1] == "before")
+from repro.parallel.runtime import WorkerPool, _openblas_thread_calls
+
+def probe():
+    import numpy
+    return {
+        "env": os.environ["OPENBLAS_NUM_THREADS"],
+        "openblas": [get() for get in _openblas_thread_calls("get")],
+    }
+
+pool = WorkerPool(2).acquire()
+pool.ensure_started()
+print(json.dumps(pool.submit(probe, ()).get(30)))
+pool.release()
+"""
+
+
+@pytest.mark.parallel
+class TestWorkerBlasThreads:
+    """The process count is the parallelism: each worker runs one BLAS thread."""
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
+    @pytest.mark.parametrize("numpy_at_fork", ["before", "after"])
+    def test_pool_worker_reports_one_blas_thread(self, numpy_at_fork):
+        import json
+
+        result = _run_script(BLAS_PROBE, numpy_at_fork)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.strip().splitlines()[-1])
+        assert report["env"] == "1"
+        assert all(threads == 1 for threads in report["openblas"])
+
+
+TRACKER_PROBE = """
+import os, signal, time
+from multiprocessing import shared_memory
+from repro.core.ego_betweenness import all_ego_betweenness
+from repro.graph.generators import barabasi_albert_graph
+from repro.parallel.runtime import PayloadStore, WorkerPool
+from repro.session import EgoSession
+
+graph = barabasi_albert_graph(120, 3, seed=5)
+pool = WorkerPool(2).acquire()
+pool.ensure_started()  # forked before this process ships anything
+store = PayloadStore()
+first = EgoSession(graph, graph_id="g")
+first.runtime("process", pool=pool, store=store)
+assert first.scores(parallel=2, executor="process") == all_ego_betweenness(graph)
+held = [entry.payload.meta[0] for entry in store._entries.values()]
+
+def attach_and_die(name):
+    shared_memory.SharedMemory(name=name)  # registers with the worker's tracker
+    os.kill(os.getpid(), signal.SIGKILL)
+
+# Killed mid-task: an idle worker may hold the pool's queue lock.
+pool.submit(attach_and_die, (held[0],))
+deadline = time.time() + 10
+while pool.check_workers() == 0 and time.time() < deadline:
+    time.sleep(0.05)
+time.sleep(1.0)  # a worker-owned tracker would have unlinked by now
+print("HELD", all(os.path.exists("/dev/shm/" + name) for name in held))
+second = EgoSession(graph, graph_id="g")
+second.runtime("process", pool=pool, store=store)
+print("CORRECT", second.scores(parallel=2, executor="process") == all_ego_betweenness(graph))
+second.close()
+first.close()
+pool.release()
+store.close()
+"""
+
+
+@pytest.mark.parallel
+@pytest.mark.skipif(not __import__("os").path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_pool_forked_before_first_ship_shares_the_parent_tracker():
+    """A worker's death must not unlink a segment the parent still holds."""
+    result = _run_script(TRACKER_PROBE)
+    assert result.returncode == 0, result.stderr
+    assert "HELD True" in result.stdout
+    assert "CORRECT True" in result.stdout
+    assert "leaked shared_memory" not in result.stderr
