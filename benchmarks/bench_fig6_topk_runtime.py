@@ -3,7 +3,7 @@
 Each hash-set search is paired with its CSR-backend variant running on a
 pre-converted :class:`CompactGraph` shared via the session fixture.  The
 warm CSR numbers measure the *steady state of a query service*: conversion,
-cached orders and — dominating after the first round — the memoised
+neighbour sets and — dominating after the first round — the memoised
 per-vertex ego summaries are all amortised across rounds (and across the
 tests sharing the fixture), so most measured rounds are cache-hit latency
 rather than fresh wedge enumeration.  The ``cold`` variant is the honest

@@ -21,7 +21,7 @@ from repro.session import EgoSession
 
 def _cold_session_topk(graph, k):
     # CompactGraph.from_graph bypasses the Graph-level conversion memo, so
-    # every call pays conversion, cached orders and ego-summary builds.
+    # every call pays conversion, neighbour sets and ego-summary builds.
     session = EgoSession(CompactGraph.from_graph(graph))
     return session.top_k(k)
 

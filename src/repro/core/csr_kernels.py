@@ -47,8 +47,9 @@ import heapq
 import time
 from collections import Counter, OrderedDict
 from itertools import chain, combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro._ordering import sort_key
 from repro.core.bounds import BoundDecomposition
 from repro.core.ego_betweenness import _sum_from_histogram, _sum_pair_contributions
 from repro.core.spath_map import IdentifiedInfoCSR
@@ -73,6 +74,7 @@ __all__ = [
     "bound_decomposition_csr",
     "base_b_search_csr",
     "opt_b_search_csr",
+    "static_bound_order",
     "dynamic_ego_score",
     "dynamic_update_corrections",
     "dynamic_affected_pairs",
@@ -701,7 +703,9 @@ def _ego_summary(compact: CompactGraph, pid: int, nbr_sets: List[set]):
         return entry
     indptr, indices = compact.indptr, compact.indices
     n = compact.num_vertices
-    dense = compact.dense_adjacency()
+    # The wedge keys are the same with either probe, so use the bitmap
+    # only if a full sweep already built it.
+    dense = compact.dense_adjacency(build=False)
     start = indptr[pid]
     end = indptr[pid + 1]
     d = end - start
@@ -793,6 +797,33 @@ def ego_bw_cal_csr(
 # ----------------------------------------------------------------------
 # Top-k searches
 # ----------------------------------------------------------------------
+def static_bound_order(compact: CompactGraph) -> Iterator[Tuple[float, tuple, int]]:
+    """Yield ``(-bound, sort key, id)`` for every vertex, in ascending order.
+
+    The static visit order of the searches and of the session's
+    bound-pruned parallel top-k — the eager ``sorted`` of these triples,
+    with ``bound = d(d-1)/2`` (Lemma 1) — produced lazily.  Ids
+    are ordered by degree once, with an int key at C speed; each group of
+    equal bounds is sorted by label sort key, computing the keys, only
+    when the consumer reaches it.  Degrees 0 and 1 share the bound 0 and
+    so form one group.  A search that stops after a short prefix pays for
+    that prefix.
+    """
+    degrees = compact.degrees
+    labels = compact.labels
+    order = sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True)
+    sizes = Counter(degrees)
+    sizes[1] += sizes.pop(0, 0)
+    start = 0
+    for d in sorted(sizes, reverse=True):
+        group = order[start : start + sizes[d]]
+        start += len(group)
+        neg_bound = -(d * (d - 1) / 2.0)
+        keys = map(sort_key, map(labels.__getitem__, group))
+        for key, v in sorted(zip(keys, group)):
+            yield neg_bound, key, v
+
+
 def base_b_search_csr(
     source: GraphLike, k: int, maintain_shared_maps: bool = True
 ) -> TopKResult:
@@ -814,17 +845,14 @@ def base_b_search_csr(
         return TopKResult(entries=[], k=k, stats=stats)
 
     indptr, indices = compact.indptr, compact.indices
-    degrees = compact.degrees
     labels = compact.labels
     nbr_sets = compact.neighbor_sets()
-    dense = compact.dense_adjacency()
-    ties = compact.tie_keys()
+    dense = compact.dense_adjacency(build=False)
     info = IdentifiedInfoCSR(n) if maintain_shared_maps else None
     computed = bytearray(n)
     accumulator = TopKAccumulator(effective_k)
-    for pid in compact.bound_order():
-        dp = degrees[pid]
-        if not accumulator.admits(dp * (dp - 1) / 2.0, ties[pid]):
+    for neg_bound, key, pid in static_bound_order(compact):
+        if not accumulator.admits(-neg_bound, key):
             break
         if info is not None:
             score = ego_bw_cal_csr(compact, pid, info, computed, float("-inf"), nbr_sets)
@@ -869,16 +897,16 @@ def opt_b_search_csr(source: GraphLike, k: int, theta: float = 1.05) -> TopKResu
     heappop = heapq.heappop
     heappush = heapq.heappush
 
-    ties = compact.tie_keys()
-    # The initial max-heap over static bounds is replaced by the cached
+    # The initial max-heap over static bounds is replaced by the lazy
     # static pop order plus a small heap holding only re-pushed vertices:
     # the pop sequence is identical to the eager heap's, but a search that
     # terminates after visiting a short prefix never materialises n heap
-    # entries.  ``repush_bound`` tracks the freshest bound of re-pushed
-    # vertices so stale (superseded) entries from either source are
-    # skipped; every other vertex's current bound is its static bound.
-    order = compact.bound_order()
-    pos = 0
+    # entries nor n sort keys.  ``repush_bound`` tracks the freshest bound
+    # of re-pushed vertices so stale (superseded) entries from either
+    # source are skipped; every other vertex's current bound is its static
+    # bound.
+    static = static_bound_order(compact)
+    upcoming = next(static, None)
     heap: List[Tuple[float, tuple, int]] = []
     repush_bound: Dict[int, float] = {}
 
@@ -886,16 +914,10 @@ def opt_b_search_csr(source: GraphLike, k: int, theta: float = 1.05) -> TopKResu
     pruned = bytearray(n)
     nbr_sets = compact.neighbor_sets()
 
-    while pos < n or heap:
-        if pos < n:
-            v = order[pos]
-            dv = degrees[v]
-            static_entry = (-(dv * (dv - 1) / 2.0), ties[v], v)
-            if not heap or static_entry <= heap[0]:
-                entry = static_entry
-                pos += 1
-            else:
-                entry = heappop(heap)
+    while upcoming is not None or heap:
+        if upcoming is not None and (not heap or upcoming <= heap[0]):
+            entry = upcoming
+            upcoming = next(static, None)
         else:
             entry = heappop(heap)
         neg_bound, key, pid = entry

@@ -225,8 +225,6 @@ class CompactGraph:
         "indptr",
         "indices",
         "degrees",
-        "_bound_order",
-        "_tie_keys",
         "_label_keys",
         "_nbr_sets",
         "_dense_adj",
@@ -246,8 +244,6 @@ class CompactGraph:
         self.indptr: List[int] = list(indptr)
         self.indices: List[int] = list(indices)
         self.degrees: List[int] = list(map(sub, self.indptr[1:], self.indptr[:-1]))
-        self._bound_order: Optional[List[int]] = None
-        self._tie_keys: Optional[List[tuple]] = None
         self._label_keys: Optional[Dict[Vertex, tuple]] = None
         self._nbr_sets: Optional[List[set]] = None
         self._dense_adj: Optional[bytearray] = None
@@ -415,28 +411,8 @@ class CompactGraph:
         return intersect_size_sorted(a, b)
 
     # ------------------------------------------------------------------
-    # Orderings and worker payloads
+    # Derived structures and worker payloads
     # ------------------------------------------------------------------
-    def bound_order(self) -> List[int]:
-        """Return vertex ids sorted by non-increasing static bound (cached).
-
-        Ties are broken by ascending label sort key — the exact pop order of
-        OptBSearch's max-heap over the initial static bounds, and the visit
-        order of BaseBSearch.  (Sorting by the bound, not the degree:
-        degrees 0 and 1 share the bound 0.0, so they tie with each other in
-        the heap.)  Having this precomputed lets the CSR search stream
-        static candidates lazily and only heap-manage the few re-pushed
-        vertices.
-        """
-        if self._bound_order is None:
-            degrees = self.degrees
-            ties = self.tie_keys()
-            self._bound_order = sorted(
-                range(len(degrees)),
-                key=lambda v: (-(degrees[v] * (degrees[v] - 1) / 2.0), ties[v]),
-            )
-        return self._bound_order
-
     def neighbor_sets(self) -> List[set]:
         """Return the per-vertex neighbour-id sets (lazily built, cached).
 
@@ -450,16 +426,18 @@ class CompactGraph:
             self._nbr_sets = row_sets(self.indptr, self.indices)
         return self._nbr_sets
 
-    def dense_adjacency(self) -> Optional[bytearray]:
+    def dense_adjacency(self, build: bool = True) -> Optional[bytearray]:
         """Return the flat ``n × n`` adjacency bitmap, or ``None`` if too big.
 
         Built lazily (and cached) only when
         ``n <= DENSE_ADJACENCY_VERTEX_LIMIT``: ``dense[u * n + v]`` is 1 iff
         the edge ``(u, v)`` exists.  The wedge kernels exploit that their
         packed pair key ``x * n + y`` is exactly this probe index, turning
-        the adjacency test into a single byte load.
+        the adjacency test into a single byte load.  ``build=False`` returns
+        the bitmap only if it is already built (else ``None``): a search
+        visiting a few egos would spend more building it than probing it.
         """
-        if not self._dense_adj_built:
+        if build and not self._dense_adj_built:
             self._dense_adj_built = True
             # One bitmap builder for parent snapshots and parallel workers
             # alike (imported lazily: csr_kernels imports this module).
@@ -477,22 +455,12 @@ class CompactGraph:
         """
         return array("l", self.indptr), array("l", self.indices)
 
-    def tie_keys(self) -> List[tuple]:
-        """Return the per-id deterministic sort keys of the labels (cached).
-
-        They equal :func:`repro._ordering.sort_key` on the original labels:
-        the tie-breakers of the top-k order, precomputed once per snapshot
-        for the searches and the full-map ranking.
-        """
-        if self._tie_keys is None:
-            self._tie_keys = [sort_key(label) for label in self._labels]
-        return self._tie_keys
-
     def label_keys(self) -> Dict[Vertex, tuple]:
-        """Return :meth:`tie_keys` keyed by label (cached).
+        """Return :func:`repro._ordering.sort_key` of every label (cached).
 
         Ranking a label-keyed score map looks its tied vertices up here.
         """
         if self._label_keys is None:
-            self._label_keys = dict(zip(self._labels, self.tie_keys()))
+            labels = self._labels
+            self._label_keys = dict(zip(labels, map(sort_key, labels)))
         return self._label_keys

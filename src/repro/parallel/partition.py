@@ -21,7 +21,7 @@ This module provides both strategies in a backend-independent form:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CompactGraph
@@ -57,19 +57,23 @@ def vertex_work_estimates(graph: Graph) -> Dict[Vertex, float]:
     return estimates
 
 
-def vertex_work_estimates_csr(compact: CompactGraph) -> List[float]:
-    """Return the per-vertex edge-work estimates, indexed by dense vertex id.
+def vertex_work_estimates_csr(
+    compact: CompactGraph, ids: Optional[Iterable[int]] = None
+) -> List[float]:
+    """Return the per-vertex edge-work estimates of ``ids``, in order.
 
     The CSR twin of :func:`vertex_work_estimates`: the same
     ``Σ_{w ∈ N(p)} min(d(w), d(p)) + 1`` quantity, computed from the flat
-    degree and adjacency arrays.  The values are identical to the hash
+    degree and adjacency arrays.  ``ids`` defaults to every vertex, when
+    the list is indexed by dense vertex id; a chunker that cuts only some
+    ids pays only for those.  The values are identical to the hash
     estimates (the sums are integer-exact in floats), so schedules and the
     load-balance report agree between backends.
     """
     indptr, indices = compact.indptr, compact.indices
     degrees = compact.degrees
     estimates: List[float] = []
-    for p in range(len(degrees)):
+    for p in range(len(degrees)) if ids is None else ids:
         dp = degrees[p]
         work = 1.0
         for w in indices[indptr[p] : indptr[p + 1]]:

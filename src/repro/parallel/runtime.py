@@ -80,7 +80,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import faults as _faults
 from repro.errors import (
@@ -1368,8 +1368,9 @@ class _Held:
 
     Carries the snapshot this runtime last executed under the key (the
     ship short-circuit is runtime-local: a key-hit entry in a shared store
-    does not retain later holders' snapshots), plus the key's lazily built
-    work estimates and parent-side serial chunk kernel.
+    does not retain later holders' snapshots), plus the work estimates of
+    the ids chunked under the key so far and its lazily built parent-side
+    serial chunk kernel.
     """
 
     __slots__ = ("entry", "compact", "estimates", "kernel")
@@ -1377,7 +1378,7 @@ class _Held:
     def __init__(self, entry: _StoreEntry, compact: CompactGraph) -> None:
         self.entry = entry
         self.compact = compact
-        self.estimates: Optional[List[float]] = None
+        self.estimates: Dict[int, float] = {}
         self.kernel: Optional[Any] = None
 
 
@@ -1824,7 +1825,7 @@ class ExecutionRuntime:
         ids: Sequence[int],
         num_workers: int,
         *,
-        estimates: Optional[List[float]] = None,
+        estimates: Optional[Mapping[int, float]] = None,
         target_chunks: Optional[int] = None,
     ) -> List[List[int]]:
         """Split ``ids`` into weight-balanced contiguous id ranges.
@@ -1833,10 +1834,11 @@ class ExecutionRuntime:
         friendly, range-encodable) cut into ``num_workers × oversubscribe``
         chunks of approximately equal estimated work, executed via the
         pool's shared queue so idle workers steal the next chunk.
-        ``estimates`` supplies cached per-id work estimates of ``compact``
-        (computed when omitted); ``target_chunks`` overrides the chunk-count
-        target (a many-unit batch splits the oversubscription budget across
-        its units).
+        ``estimates`` supplies cached work estimates of ``compact`` by id,
+        covering at least ``ids`` (computed for ``ids`` alone when
+        omitted); ``target_chunks`` overrides the chunk-count target (a
+        many-unit batch splits the oversubscription budget across its
+        units).
         """
         ids = sorted(ids)
         if not ids:
@@ -1844,7 +1846,7 @@ class ExecutionRuntime:
         if estimates is None:
             from repro.parallel.partition import vertex_work_estimates_csr
 
-            estimates = vertex_work_estimates_csr(compact)
+            estimates = dict(zip(ids, vertex_work_estimates_csr(compact, ids)))
         if target_chunks is None:
             target_chunks = num_workers * self.oversubscribe
         target_chunks = max(1, min(len(ids), target_chunks))
@@ -2097,7 +2099,8 @@ class ExecutionRuntime:
 
         The dynamic schedule splits the ``workers × oversubscribe`` chunk
         budget across the units — for one unit that is the whole budget —
-        and chunks each unit with its own cached work estimates.
+        and chunks each unit with its own work estimates, computed only for
+        the ids being chunked and memoised on the held payload.
         """
         if chunks is not None:
             return [(0, list(chunk)) for chunk in chunks]
@@ -2112,15 +2115,19 @@ class ExecutionRuntime:
         per_unit = max(1, workers * self.oversubscribe // max(len(units), 1))
         plan: List[Tuple[int, List[int]]] = []
         for u, (unit, held) in enumerate(zip(units, helds)):
-            if held.estimates is None:
+            estimates = held.estimates
+            missing = [i for i in unit[2] if i not in estimates]
+            if missing:
                 from repro.parallel.partition import vertex_work_estimates_csr
 
-                held.estimates = vertex_work_estimates_csr(held.compact)
+                estimates.update(
+                    zip(missing, vertex_work_estimates_csr(held.compact, missing))
+                )
             plan.extend(
                 (u, chunk)
                 for chunk in self.dynamic_chunks(
                     unit[1], unit[2], workers,
-                    estimates=held.estimates, target_chunks=per_unit,
+                    estimates=estimates, target_chunks=per_unit,
                 )
             )
         return plan

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import itertools
 
@@ -89,6 +89,7 @@ from repro.core.csr_kernels import (
     describe_backends,
     ego_betweenness_csr_cached,
     opt_b_search_csr,
+    static_bound_order,
 )
 from repro.core.ego_betweenness import all_ego_betweenness, ego_betweenness
 from repro.core.opt_search import _opt_b_search_hash
@@ -807,39 +808,70 @@ class EgoSession:
         ]
 
     def _execute(
-        self,
-        targets: Optional[List[Vertex]],
-        num_workers: int,
-        executor: str,
-        k: Optional[int] = None,
-    ):
-        """Answer ``targets`` with one runtime batch over :meth:`_units`.
+        self, targets: Optional[List[Vertex]], num_workers: int, executor: str
+    ) -> Dict[Vertex, float]:
+        """Score ``targets`` with one runtime batch over :meth:`_units`.
 
-        Returns ``{label: score}`` — or, with ``k``, the top-k entries.  A
-        worker fault degrades to the serial kernels (see :meth:`_degraded`).
+        A worker fault degrades to the serial kernels (see :meth:`_degraded`).
+        """
+        compact = self._current_compact()
+        runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
+        try:
+            id_scores, _ = runtime.execute(self._units(targets), num_workers=num_workers)
+        except WorkerFaultError:
+            return self._degraded(lambda: self._compute(targets, None, "serial"))
+        labels = compact.labels
+        return {labels[i]: score for i, score in id_scores.items()}
+
+    def _pruned_top_k(
+        self, k: int, num_workers: int, executor: str
+    ) -> Tuple[List[Tuple[Vertex, float]], int]:
+        """The top-k of the current snapshot; returns ``(entries, ids scored)``.
+
+        Scores only the vertices whose static bound ``d(d-1)/2`` (Lemma 1)
+        lets them rank, in at most two runtime batches.  Wave 1 is the k
+        vertices of largest bound; with τ its k-th score, wave 2 is every
+        other vertex whose bound reaches τ (ties at τ included: a tied
+        vertex may win on its sort key).  Any vertex left unscored has a
+        score at most its bound, below τ, which is at most the true k-th
+        score.  Sharded, each wave runs on the shards owning its vertices,
+        whose halos hold every owned vertex's whole ego.  A worker fault
+        degrades to the serial kernels (see :meth:`_degraded`).
         """
         compact = self._current_compact()
         runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
         labels = compact.labels
+        order = static_bound_order(compact)
+        wave = [labels[v] for _, _, v in itertools.islice(order, k)]
+        scored = len(wave)
         try:
-            if k is None:
-                id_scores, _ = runtime.execute(
-                    self._units(targets), num_workers=num_workers
-                )
-                return {labels[i]: score for i, score in id_scores.items()}
-            id_entries, _ = runtime.execute_top_k(
-                self._units(targets), k, num_workers=num_workers
+            entries, _ = runtime.execute_top_k(
+                self._units(wave), k, num_workers=num_workers
             )
+            if scored == k:
+                threshold = entries[k - 1][1]
+                wave = [
+                    labels[v]
+                    for _, _, v in itertools.takewhile(
+                        lambda entry: -entry[0] >= threshold, order
+                    )
+                ]
+                if wave:
+                    more, _ = runtime.execute_top_k(
+                        self._units(wave), k, num_workers=num_workers
+                    )
+                    entries += more
+                    scored += len(wave)
         except WorkerFaultError:
 
             def recompute():
-                scores = self._compute(targets, None, "serial")
-                return scores if k is None else top_entries(scores, k, self._sort_key())
+                scores = self._compute(None, None, "serial")
+                return top_entries(scores, k, self._sort_key()), len(scores)
 
             return self._degraded(recompute)
-        # The runtime returns every id reaching the k-th score; ties at it
-        # are broken here, on labels.
-        return top_entries({labels[i]: score for i, score in id_entries}, k)
+        # The runtime returns every id reaching a wave's k-th score; ties at
+        # the overall k-th are broken here, on labels.
+        return top_entries({labels[i]: score for i, score in entries}, k), scored
 
     def _require_parallel_backend(self, executor: str) -> None:
         """Reject a process executor on the serial-only ``hash`` oracle."""
@@ -1146,9 +1178,11 @@ class EgoSession:
 
         ``naive`` and ``parallel=N`` (which ignores ``algorithm``) rank the
         values map, read as :meth:`scores` reads it — except on a cold
-        static CSR session with ``parallel=N``, where the worker-side
-        reduction answers (see :meth:`_map_top_k`).  Every route returns
-        the same entries.
+        static CSR session with ``parallel=N``, where only the vertices
+        whose static bound lets them rank are scored, in at most two
+        runtime batches (see :meth:`_pruned_top_k`).  Every route returns
+        the same entries; ``exact_computations`` counts what the call
+        scored.
         """
         start = time.perf_counter()
         if k < 1:
@@ -1182,24 +1216,23 @@ class EgoSession:
         return result
 
     def _map_top_k(self, k: int, parallel: Optional[int], executor: str) -> TopKResult:
-        """The top k of the values map, or of the worker-side reduction.
+        """The top k of the values map, or of the bound-pruned waves.
 
-        The reduction serves a cold static CSR session with ``parallel``
-        set: each chunk task returns only its entries at or above its k-th
-        score, and :meth:`_execute` picks the top k among them —
-        ``O(tasks × k + ties)`` result traffic instead of ``O(n)``.  As no
-        values map comes back, the entries are cached per ``(version, k)``.
+        The waves (:meth:`_pruned_top_k`) serve a cold static CSR session
+        with ``parallel`` set: only the vertices whose static bound lets
+        them rank are scored, and each chunk task returns only its entries
+        at or above its k-th score.  As no values map comes back, the
+        entries are cached per ``(version, k)``.  ``exact_computations``
+        counts the vertices this call scored: a held map or a cached answer
+        costs none.
         """
         start = time.perf_counter()
-        if (
-            parallel is None
-            or self._state == "dynamic"
-            or self.backend == "hash"
-            or self._fresh_values() is not None
-        ):
+        pruned = 0
+        held = self._fresh_values() is not None
+        if parallel is None or self._state == "dynamic" or self.backend == "hash" or held:
             values = self._read(None, parallel, executor)
             entries = top_entries(values, k, self._sort_key())
-            computed = len(values)
+            computed = 0 if held else len(values)
         else:
             version = self._current_version()
             if self._topk_cache_version != version:
@@ -1207,15 +1240,15 @@ class EgoSession:
                 self._topk_cache_version = version
             cached = self._topk_cache.get(k)
             if cached is None:
-                entries = self._execute(None, parallel, executor, k=k)
+                entries, computed = self._pruned_top_k(k, parallel, executor)
                 self._topk_cache[k] = list(entries)
-                computed = self.num_vertices
+                pruned = self.num_vertices - computed
             else:
                 entries, computed = list(cached), 0
         stats = SearchStats(
             algorithm="naive",
             exact_computations=computed,
-            pruned_vertices=0,
+            pruned_vertices=pruned,
             elapsed_seconds=time.perf_counter() - start,
         )
         return TopKResult(entries=entries, k=k, stats=stats)

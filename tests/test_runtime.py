@@ -190,9 +190,9 @@ class TestSessionBatchedQueries:
             # same (version, k): served from the result cache, no new batch
             assert session.top_k(6, parallel=2).entries == first.entries
             assert session.runtime_stats()["serial"].batches == batches
-            # different k: a fresh bounded reduction
+            # different k: a fresh bound-pruned answer, in one or two waves
             session.top_k(9, parallel=2)
-            assert session.runtime_stats()["serial"].batches == batches + 1
+            assert session.runtime_stats()["serial"].batches in (batches + 1, batches + 2)
             # a mutation invalidates the cache (new version)
             session.apply(("insert", 0, 149))
             after = session.top_k(6, parallel=2)
