@@ -7,6 +7,11 @@ oracle, and with the numpy tier shipping **zero extra payload bytes**
 through the runtime transport (the workers wrap ``np.frombuffer`` views
 around the already-shipped CSR segments).
 
+A second gate keeps the numpy tier free of a size cliff: its per-vertex
+full-sweep cost on dblp at scales 2.4 and 2.8 (n = 4,630 and 5,364, past
+the python tier's 4,096-vertex byte bitmap) stays within
+``CLIFF_BOUND`` × that of dblp at scale 2.1 (n = 4,081).
+
 Plain pytest — no pytest-benchmark fixtures — so the dedicated CI job can
 run it with only ``pytest`` (plus numpy) installed::
 
@@ -37,6 +42,16 @@ def _default_scale(default: float = 0.3) -> float:
         return float(os.environ.get("REPRO_BENCH_SCALE", default))
     except ValueError:
         return default
+
+
+#: dblp scales of the no-cliff gate: the reference first, then the graphs
+#: past the python tier's byte-bitmap limit.
+CLIFF_SCALES: Tuple[float, ...] = (2.1, 2.4, 2.8)
+
+#: Largest allowed per-vertex sweep cost relative to the reference scale.
+#: A membership path that falls off the bitmap costs ~2.8x; the bitmap
+#: path measures 0.76-1.31x on a shared 2-vCPU machine.
+CLIFF_BOUND = 1.5
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -138,6 +153,61 @@ def run_kernel_benchmark(
     return payload
 
 
+def run_cliff_benchmark(repeats: int = 7) -> Dict[str, Any]:
+    """Per-vertex numpy full-sweep cost of dblp at :data:`CLIFF_SCALES`.
+
+    Each sweep builds a fresh numpy-tier kernel (its adjacency bitmap
+    included) and scores every vertex.  The three graphs are measured
+    interleaved, best of ``repeats``, so drift on the machine lands on all
+    of them alike; every graph's scores are first checked bit-identical to
+    the CSR python kernels.
+    """
+    from repro.core.csr_kernels import CSRChunkKernel, all_ego_betweenness_csr
+    from repro.datasets.registry import load_dataset
+
+    compacts = {
+        scale: load_dataset("dblp", scale=scale).to_compact()
+        for scale in CLIFF_SCALES
+    }
+
+    def sweep(compact):
+        kernel = CSRChunkKernel(compact.indptr, compact.indices, kernel="numpy")
+        scores = kernel.score_chunk(range(compact.num_vertices))
+        if kernel.kernel_fallbacks:
+            raise AssertionError("numpy kernel demoted to python mid-benchmark")
+        return scores
+
+    for scale, compact in compacts.items():
+        labels = compact.labels
+        scores = {labels[i]: s for i, s in sweep(compact).items()}
+        if scores != all_ego_betweenness_csr(compact):
+            raise AssertionError(f"numpy kernel diverged on dblp@{scale}")
+    best = {scale: float("inf") for scale in CLIFF_SCALES}
+    for _ in range(repeats):
+        for scale, compact in compacts.items():
+            start = time.perf_counter()
+            sweep(compact)
+            best[scale] = min(best[scale], time.perf_counter() - start)
+    per_vertex = {
+        scale: best[scale] / compacts[scale].num_vertices for scale in CLIFF_SCALES
+    }
+    reference = per_vertex[CLIFF_SCALES[0]]
+    return {
+        "bench": "kernels_cliff",
+        "repeats": repeats,
+        "bound": CLIFF_BOUND,
+        "datasets": {
+            f"dblp@{scale}": {
+                "vertices": compacts[scale].num_vertices,
+                "sweep_s": best[scale],
+                "us_per_vertex": per_vertex[scale] * 1e6,
+                "ratio": per_vertex[scale] / reference,
+            }
+            for scale in CLIFF_SCALES
+        },
+    }
+
+
 def test_kernels_numpy_gate(results_dir):
     """The ISSUE-9 acceptance criterion: >= 3x, bit-identical, aggregated."""
     pytest.importorskip("numpy")
@@ -150,6 +220,19 @@ def test_kernels_numpy_gate(results_dir):
     assert payload["bit_identical"] is True
     assert payload["numpy_available"] is True
     assert payload["speedup_numpy_vs_python"] >= 3.0, payload
+
+
+def test_kernels_numpy_no_size_cliff(results_dir):
+    """Per-vertex sweep cost past n = 4096 stays within CLIFF_BOUND."""
+    pytest.importorskip("numpy")
+    from benchmarks.conftest import save_report
+
+    payload = run_cliff_benchmark()
+    save_report(
+        results_dir, "kernels_cliff", json.dumps(payload, indent=2, sort_keys=True)
+    )
+    for name, entry in payload["datasets"].items():
+        assert entry["ratio"] <= CLIFF_BOUND, (name, payload)
 
 
 def test_kernels_numpy_tier_ships_nothing_extra(results_dir):

@@ -20,11 +20,7 @@ front door retains)
 and ``BENCH_kernels.json`` (per-dataset speedup of the vectorized numpy
 kernel tier over the python wedge kernels, bit-identity-checked against the
 hash-graph oracle; ``numpy_available: false`` with python timings when the
-``[fast]`` extra is absent) and ``BENCH_sharding.json`` (the horizontal
-sharding plane: community-vs-range cut quality, warm sharded vs
-single-payload sweep/top-k speedup at the dense-adjacency cliff scale, and
-the ships-per-shard accounting — every sharded answer checked bit-identical
-to the unsharded oracle first)
+``[fast]`` extra is absent)
 so every CI run records the perf trajectory of the repository.  Pure standard library
 (numpy optional — the kernels bench degrades gracefully) — runnable as::
 
@@ -418,21 +414,6 @@ def bench_kernels(scale: float, repeats: int) -> dict:
     return run_kernel_benchmark(scale=scale, repeats=repeats)
 
 
-def bench_sharding(scale: float, repeats: int) -> dict:
-    """Sharding-plane numbers: cut quality, sharded speedup, ship accounting.
-
-    Delegates to ``benchmarks/bench_sharding.py`` (the >=1.5x acceptance
-    gate lives there); every sharded score, subset and top-k ranking is
-    bit-identity-checked against the unsharded answer before any timing is
-    reported.  The throughput section runs at the dense-adjacency cliff
-    scale (``REPRO_BENCH_SHARDING_SCALE``, default 2.4) regardless of the
-    smoke ``--scale`` — the cliff is the thing being measured.
-    """
-    from benchmarks.bench_sharding import run_sharding_benchmark
-
-    return run_sharding_benchmark(scale=scale, repeats=repeats)
-
-
 def bench_net(scale: float, concurrency: int) -> dict:
     """Closed-loop net retention: wire throughput over in-process throughput.
 
@@ -504,7 +485,6 @@ def main(argv=None) -> int:
         ),
         ("BENCH_net.json", bench_net(args.scale, concurrency=8)),
         ("BENCH_kernels.json", bench_kernels(args.scale, args.repeats)),
-        ("BENCH_sharding.json", bench_sharding(args.scale, args.repeats)),
     ):
         write_bench_artifact(out_dir, name, payload, environment=env)
         print(bench_summary_line(name, payload))

@@ -30,10 +30,6 @@ Subcommands
 ``checkpoint``
     Force a checkpoint on a durability directory: recover the session,
     write a fresh snapshot and prune the now-covered WAL segments.
-``partition``
-    Partition a graph into halo-augmented shards and report the plan —
-    shard sizes, cut-edge fraction, halo overhead — without running any
-    queries (the dry-run for ``--shards``/``--partitioner``).
 ``experiment``
     Run one of the paper-reproduction experiments and print its report.
 ``datasets``
@@ -69,19 +65,6 @@ _KERNEL_HELP = (
     "'python' pins the interpreted oracle; every tier is bit-identical "
     "(default: auto)"
 )
-
-_SHARDS_HELP = (
-    "fan parallel sweeps out across N halo-augmented shard payloads "
-    "instead of one resident CSR image (0 = unsharded; default 0)"
-)
-
-_PARTITIONER_HELP = (
-    "shard partitioner: 'auto' resolves to 'community' (size-capped label "
-    "propagation — keeps neighbourhoods together), 'range' is the "
-    "contiguous id-block baseline; answers are bit-identical either way "
-    "(default: auto)"
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
@@ -128,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for --parallel (default: process)",
     )
     _add_kernel_argument(topk)
-    _add_sharding_arguments(topk)
     _add_json_argument(topk)
 
     stats = subparsers.add_parser("stats", help="print graph statistics")
@@ -272,31 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on the SIGTERM/SIGINT drain (default 5)",
     )
     _add_kernel_argument(serve)
-    _add_sharding_arguments(serve)
     _add_json_argument(serve)
-
-    partition = subparsers.add_parser(
-        "partition",
-        help=(
-            "partition a graph into halo-augmented shards and report the "
-            "plan without running queries"
-        ),
-    )
-    _add_graph_source_arguments(partition)
-    partition.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        metavar="N",
-        help="number of shards to plan (default 4)",
-    )
-    partition.add_argument(
-        "--partitioner",
-        choices=("auto", "range", "community"),
-        default="auto",
-        help=_PARTITIONER_HELP,
-    )
-    _add_json_argument(partition)
 
     recover = subparsers.add_parser(
         "recover",
@@ -373,18 +331,6 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards", type=int, default=0, metavar="N", help=_SHARDS_HELP
-    )
-    parser.add_argument(
-        "--partitioner",
-        choices=("auto", "range", "community"),
-        default="auto",
-        help=_PARTITIONER_HELP,
-    )
-
-
 def _add_json_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
@@ -408,8 +354,6 @@ def _run_topk(args: argparse.Namespace) -> None:
         _load_graph(args),
         backend=args.backend,
         kernel=args.kernel,
-        shards=args.shards,
-        partitioner=args.partitioner,
     )
     result = session.top_k(
         args.k,
@@ -419,7 +363,7 @@ def _run_topk(args: argparse.Namespace) -> None:
         executor=args.executor,
     )
     # Snapshot the stats before close(): closing detaches the runtimes,
-    # and with them the runtime-side accounting (sharded batches, ships).
+    # and with them the runtime-side accounting (batches, ships).
     session_stats = session.stats().as_dict()
     session.close()
     entries = [
@@ -582,9 +526,6 @@ def _run_serve(args: argparse.Namespace) -> None:
         session_options: Dict[str, Any] = {"kernel": args.kernel}
         if args.task_deadline is not None:
             session_options["task_deadline"] = args.task_deadline
-        if args.shards:
-            session_options["shards"] = args.shards
-            session_options["partitioner"] = args.partitioner
         for name, graph in graphs.items():
             gateway.add_tenant(name, graph, **session_options)
         server = EgoServer(
@@ -616,43 +557,6 @@ def _run_serve(args: argparse.Namespace) -> None:
         f"({summary['answered']} answered, {summary['errors']} errors, "
         f"{summary['shed']} shed, {summary['cancelled']} cancelled) over "
         f"{summary['connections']} connections; no segments leaked"
-    )
-
-
-def _run_partition(args: argparse.Namespace) -> None:
-    """Plan a sharding and report it without running any queries."""
-    from repro.graph.partition import partition_graph
-
-    graph = _load_graph(args)
-    plan = partition_graph(graph.to_compact(), args.shards, args.partitioner)
-    summary = plan.summary()
-    if args.json:
-        _emit_json({"command": "partition", **summary})
-        return
-    rows = [
-        {
-            "shard": shard.index,
-            "owned": shard.num_owned,
-            "members": shard.num_members,
-            "halo": shard.halo_count,
-        }
-        for shard in plan.shards
-    ]
-    print(
-        format_table(
-            rows,
-            title=(
-                f"Shard plan: {summary['shards']} shards "
-                f"({summary['partitioner']} partitioner, "
-                f"{summary['num_vertices']} vertices)"
-            ),
-        )
-    )
-    print(
-        f"cut edges: {summary['cut_edges']}/{summary['total_edges']} "
-        f"({summary['cut_edge_fraction']:.4f} of all edges); "
-        f"halo overhead: {summary['halo_vertices']} duplicated vertices "
-        f"({summary['halo_overhead']:.4f} of the vertex count)"
     )
 
 
@@ -768,8 +672,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _run_maintain(args)
         elif args.command == "serve":
             _run_serve(args)
-        elif args.command == "partition":
-            _run_partition(args)
         elif args.command == "recover":
             _run_recover(args)
         elif args.command == "checkpoint":

@@ -193,14 +193,13 @@ _NBR_SETS_CACHE_LIMIT = _env_nbr_sets_limit()
 def set_neighbor_sets_cache_limit(limit: "Optional[int]" = None) -> int:
     """Resize this process's neighbour-set memo; return the new limit.
 
-    The historical capacity of 8 buffer pairs starves N-shard ×
-    multi-tenant interleaving (each shard subgraph is its own buffer
-    pair), so the limit is tunable: ``None`` re-reads the
-    ``REPRO_NBR_SETS_CACHE_LIMIT`` environment variable (falling back to
-    the built-in default of 8); an integer sets it directly.  Worker
-    processes apply their pool's configured limit via the fork
-    initializer (``WorkerPool(neighbor_cache_limit=…)``).  Shrinking
-    evicts the least-recently-used entries immediately.
+    One entry per buffer pair (graph version) the process has scored, so
+    the limit bounds the memory of a worker that many tenants' graphs
+    pass through: ``None`` re-reads the ``REPRO_NBR_SETS_CACHE_LIMIT``
+    environment variable (falling back to the built-in default of 8); an
+    integer sets it directly.  Workers inherit the parent's limit when
+    the pool forks.  Shrinking evicts the least-recently-used entries
+    immediately.
     """
     global _NBR_SETS_CACHE_LIMIT
     if limit is None:

@@ -28,12 +28,11 @@ For each batch the boolean ego-adjacency tensor ``M[b, i, j]`` — is
 neighbour ``j`` adjacent to neighbour ``i`` inside ego ``b`` — is built by
 one of two paths:
 
-* **dense-adjacency bitmap** — on graphs small enough for the
-  :data:`~repro.graph.csr.DENSE_ADJACENCY_VERTEX_LIMIT` bitmap the whole
-  tensor is one fancy-indexed gather from a padded ``(n+1) × (n+1)``
-  boolean matrix, scattered once from the CSR rows (hub
-  vertices with thousands of neighbours pay a single vectorized gather
-  instead of ``d²`` byte probes);
+* **packed adjacency bitmap** — when the ``(n+1) × (n+1)`` bit matrix
+  fits :data:`BITMAP_BYTE_BUDGET` (16 MiB, n ≤ 11,583) the whole tensor is
+  one gather ``(bits[i, j >> 3] >> (j & 7)) & 1`` from a sentinel-padded
+  bitmap scattered once from the CSR rows (hub vertices with thousands of
+  neighbours pay a single vectorized gather instead of ``d²`` probes);
 * **sorted-intersection** — otherwise membership is resolved against the
   sorted CSR rows themselves: every neighbour's adjacency row is gathered
   flat, offset per ego, and located with one global ``searchsorted`` (the
@@ -66,7 +65,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.ego_betweenness import _sum_from_histogram
 from repro.errors import InvalidParameterError
-from repro.graph.csr import DENSE_ADJACENCY_VERTEX_LIMIT
 
 __all__ = [
     "KERNEL_TIERS",
@@ -75,6 +73,7 @@ __all__ = [
     "normalize_kernel",
     "numpy_available",
     "VectorizedChunkScorer",
+    "BITMAP_BYTE_BUDGET",
 ]
 
 #: Accepted ``kernel=`` values, in negotiation order.
@@ -165,6 +164,16 @@ def as_int64(np, buf):
         return np.asarray(buf, dtype=np.int64)
 
 
+#: Byte budget of the packed adjacency bitmap: ``n+1`` rows of ``n+1``
+#: bits, each row padded to whole bytes, fit it up to n = 11,583.  Larger
+#: graphs resolve membership against the sorted CSR rows instead.
+BITMAP_BYTE_BUDGET = 1 << 24
+
+
+def _fits_bitmap(n: int) -> bool:
+    """Whether the packed adjacency bitmap of ``n`` vertices fits the budget."""
+    return (n + 1) * ((n + 8) >> 3) <= BITMAP_BYTE_BUDGET
+
 #: Cell budget (``B · D²``) of one padded batch: bounds the boolean tensor
 #: at ~2 MB and its float64 matmul operands at ~16 MB each.
 _BATCH_CELL_BUDGET = 1 << 21
@@ -190,10 +199,10 @@ class VectorizedChunkScorer:
         zero-copy ``memoryview`` casts of a shared-memory segment; buffer
         inputs are attached via ``np.frombuffer`` without copying.
     dense:
-        When true (the default) and the graph is small enough for the
-        :data:`~repro.graph.csr.DENSE_ADJACENCY_VERTEX_LIMIT` bitmap, the
-        membership tensor is gathered from a padded adjacency matrix built
-        from the CSR arrays; otherwise the sorted-intersection path runs
+        When true (the default) and the graph's ``(n+1) × (n+1)`` bit
+        matrix fits :data:`BITMAP_BYTE_BUDGET`, the membership tensor is
+        gathered from a packed adjacency bitmap built from the CSR arrays
+        (``adjacency``); otherwise the sorted-intersection path runs
         against the CSR rows.
 
     Raises
@@ -220,14 +229,20 @@ class VectorizedChunkScorer:
         self.indptr = as_int64(np, indptr)
         self.indices = as_int64(np, indices)
         self.n = n = len(self.indptr) - 1
-        if dense and 0 < n <= DENSE_ADJACENCY_VERTEX_LIMIT:
-            # Sentinel-padded adjacency (row/column ``n`` all zero): padded
-            # neighbour matrices gather straight through it with no
-            # validity masking.  One ``(n+1)²`` scatter from the CSR rows
-            # per kernel; the CSR payload arrays stay zero-copy views.
-            padded = np.zeros((n + 1, n + 1), dtype=np.bool_)
-            padded[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = True
-            self.adjacency = padded
+        if dense and n > 0 and _fits_bitmap(n):
+            # Sentinel-padded adjacency bits (row/column ``n`` all zero):
+            # bit ``col & 7`` of byte ``[row, col >> 3]``, each row packed
+            # little-endian into whole bytes.  Padded neighbour matrices
+            # gather straight through it with no validity masking.  One
+            # scatter from the CSR rows per kernel; the CSR payload arrays
+            # stay zero-copy views.
+            bits = np.zeros((n + 1, (n + 8) >> 3), dtype=np.uint8)
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+            cols = self.indices
+            np.bitwise_or.at(
+                bits, (rows, cols >> 3), np.left_shift(1, cols & 7).astype(np.uint8)
+            )
+            self.adjacency = bits
         else:
             self.adjacency = None
 
@@ -305,10 +320,17 @@ class VectorizedChunkScorer:
         return nbrs
 
     def _membership_dense(self, nbrs):
-        """``M[b, i, j]`` via one gather from the dense adjacency bitmap."""
+        """``M[b, i, j]`` via one gather from the packed adjacency bitmap."""
         # The sentinel id ``n`` indexes the all-zero padding row/column, so
         # the gather needs no validity masking at all.
-        return self.adjacency[nbrs[:, :, None], nbrs[:, None, :]]
+        # The index arrays broadcast, so the only ``B·D²`` array is the
+        # gathered bytes, shifted and masked in place.
+        np = self.np
+        cols = nbrs[:, None, :]
+        M = self.adjacency[nbrs[:, :, None], cols >> 3]
+        M >>= (cols & 7).astype(np.uint8)
+        M &= 1
+        return M.view(np.bool_)
 
     def _membership_sorted(self, nbrs):
         """``M[b, i, j]`` via flat CSR-row gather + one global searchsorted.

@@ -21,9 +21,9 @@ Execution is owned by the persistent
 reusable worker pool whose workers receive the flat CSR arrays once per
 graph version through a zero-copy shared-memory transport and then execute
 vertex chunks by id range (statically partitioned, or dynamically chunked
-through the pool's shared task queue).  One batch core serves every
-payload shape: a sharded graph is a list of shard units, an unsharded one
-the single identity unit.  :mod:`repro.parallel.executor` keeps the
+through the pool's shared task queue).  Every graph is one payload, and
+every batch runs one snapshot's ids through one batch core.
+:mod:`repro.parallel.executor` keeps the
 one-shot ``run_chunks`` entry point (the hash oracle runs serially there),
 and :mod:`repro.parallel.load_balance` provides the deterministic speedup
 model used to reproduce the shape of Fig. 10 independently of Python's

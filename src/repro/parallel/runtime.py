@@ -30,17 +30,14 @@ standalone callers), or it can be constructed with ``pool=`` / ``store=``
 to join shared infrastructure (what the serving gateway does for its
 tenants).
 
-A batch executes over a list of units ``(payload key, snapshot, ids,
-local → parent id map)``: one per shard payload of a
-:class:`~repro.graph.partition.ShardPlan`, or a single identity unit for an
-unsharded graph (a bare snapshot is accepted as that unit).  Every unit is
-chunked from one ``workers × oversubscribe`` budget, all chunks run through
-one serial loop or one supervised submission loop, and the results are
-keyed by parent id.  Execution offers two reductions:
+A batch executes one snapshot's dense ids: they are chunked from one
+``workers × oversubscribe`` budget, and all chunks run through one serial
+loop or one supervised submission loop against the snapshot's one payload.
+Execution offers two reductions:
 
 * :meth:`ExecutionRuntime.execute` — score chunks, merge the full
-  ``{parent id: score}`` map (scores bit-identical to the serial kernels
-  for every executor/schedule/worker count/shard plan).
+  ``{id: score}`` map (scores bit-identical to the serial kernels for
+  every executor/schedule/worker count).
 * :meth:`ExecutionRuntime.execute_top_k` — worker-side result reduction:
   every chunk task returns only its entries at or above its k-th score
   instead of every score, and the parent keeps the union's entries that
@@ -80,7 +77,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import faults as _faults
 from repro.errors import (
@@ -98,7 +95,6 @@ __all__ = [
     "WorkerPool",
     "PayloadStore",
     "PayloadKey",
-    "ShardPayloadKey",
     "ExecutionRuntime",
     "RuntimeStats",
     "BatchStats",
@@ -148,15 +144,6 @@ _ITEMSIZE = array(_TYPECODE).itemsize
 #: snapshots get a store-assigned id.
 PayloadKey = Tuple[str, int]
 
-#: A sharded payload-store key: ``(graph_id, shard, version)``.  One huge
-#: graph split by a :class:`~repro.graph.partition.ShardPlan` ships each
-#: halo-augmented shard subgraph as its own resident entry; the version
-#: component is the *shard's* rebuild counter, so a mutation re-keys (and
-#: re-ships) only the shards it touched.  Both key shapes coexist in one
-#: :class:`PayloadStore` — the store never interprets keys beyond equality
-#: (rendering aside).
-ShardPayloadKey = Tuple[str, int, int]
-
 
 class ParallelBackend(str, Enum):
     """Available execution backends for the runtime and the engines."""
@@ -194,9 +181,6 @@ class BatchStats:
     kind:
         ``"scores"`` (full merged map) or ``"top_k"`` (worker-side bounded
         reduction).
-    shards:
-        Number of shard units (``(graph_id, shard, version)`` keys) this
-        batch executed; 0 for a whole-graph batch.
     """
 
     num_tasks: int
@@ -207,7 +191,6 @@ class BatchStats:
     compute_seconds: float
     chunk_seconds: List[float] = field(default_factory=list)
     kind: str = "scores"
-    shards: int = 0
 
 
 @dataclass
@@ -226,8 +209,8 @@ class RuntimeStats:
         another tenant already shipped into a shared store is a hit, not a
         ship).
     payload_bytes:
-        Total size in bytes of the payloads this runtime currently holds
-        (one per graph version, or one per shard of a sharded graph).
+        Size in bytes of the payload this runtime currently holds (the
+        graph version of its last batch).
     payload_bytes_shipped:
         Cumulative bytes this runtime shipped into the store (capacity
         planning: transport traffic caused by this runtime).
@@ -279,12 +262,6 @@ class RuntimeStats:
         Vectorized-kernel demotions observed across workers: each one is
         a worker-side :class:`~repro.core.csr_kernels.CSRChunkKernel`
         that permanently dropped from ``numpy`` to ``python``.
-    sharded_batches:
-        Batches that executed at least one shard unit (``BatchStats.shards
-        > 0``); absent from :meth:`as_dict` while zero.
-    shard_chunks:
-        Cumulative chunks executed per shard index (string-keyed for the
-        JSON payload) — the load-balance readout of the shard plan.
     last_batch:
         The most recent :class:`BatchStats`, or ``None``.
     """
@@ -315,8 +292,6 @@ class RuntimeStats:
         default_factory=lambda: {"python": 0, "numpy": 0}
     )
     kernel_fallbacks: int = 0
-    sharded_batches: int = 0
-    shard_chunks: Dict[str, int] = field(default_factory=dict)
     last_batch: Optional[BatchStats] = None
 
     def as_dict(self) -> Dict[str, Any]:
@@ -347,9 +322,6 @@ class RuntimeStats:
             "kernel_chunks": dict(self.kernel_chunks),
             "kernel_fallbacks": self.kernel_fallbacks,
         }
-        if self.sharded_batches or self.shard_chunks:
-            payload["sharded_batches"] = self.sharded_batches
-            payload["shard_chunks"] = dict(self.shard_chunks)
         if self.last_batch is not None:
             payload["last_batch"] = {
                 "num_tasks": self.last_batch.num_tasks,
@@ -360,8 +332,6 @@ class RuntimeStats:
                 "setup_seconds": self.last_batch.setup_seconds,
                 "compute_seconds": self.last_batch.compute_seconds,
             }
-            if self.last_batch.shards:
-                payload["last_batch"]["shards"] = self.last_batch.shards
         return payload
 
 
@@ -590,15 +560,13 @@ class _AttachedGraph:
 
 
 #: Process-local LRU of attached graph versions, keyed by segment name.
-#: Sized for multi-tenant pools: one kernel per resident payload key, so
-#: several tenants' batches interleave without re-attaching (the eviction
-#: only matters when more than ``_WORKER_CACHE_LIMIT`` graphs are live).
-#: The historical default of 8 starves N-shard × multi-tenant interleaving
-#: — every sweep over a 16-shard graph would thrash the cache — so the
-#: limit is tunable: the ``REPRO_WORKER_CACHE_LIMIT`` environment variable
-#: at import, :func:`set_worker_cache_limit` at runtime, and
-#: ``WorkerPool(worker_cache_limit=…)`` per pool (applied in each worker's
-#: initializer at fork).
+#: One entry per payload key a worker has served, so several tenants'
+#: batches on a shared pool interleave without re-attaching.  Each entry
+#: maps its segment and keeps the kernels built over it (the python tier's
+#: neighbour sets, the numpy tier's adjacency bitmap of up to 16 MiB), so
+#: the limit bounds a worker's memory when many graphs pass through it:
+#: the ``REPRO_WORKER_CACHE_LIMIT`` environment variable at import,
+#: :func:`set_worker_cache_limit` at runtime.
 _WORKER_CACHE: Dict[str, _AttachedGraph] = {}
 _DEFAULT_WORKER_CACHE_LIMIT = 8
 
@@ -627,9 +595,9 @@ def set_worker_cache_limit(limit: Optional[int] = None) -> int:
 
     ``None`` re-reads ``REPRO_WORKER_CACHE_LIMIT`` (falling back to the
     built-in default of 8).  Shrinking evicts (closes) the
-    least-recently-used attachments immediately.  Worker processes apply
-    their pool's configured limit in the fork initializer; calling this in
-    the parent affects only parent-side attachments.
+    least-recently-used attachments immediately.  Workers inherit the
+    parent's limit when the pool forks; calling this later in the parent
+    affects only parent-side attachments.
     """
     global _WORKER_CACHE_LIMIT
     if limit is None:
@@ -701,23 +669,9 @@ def _one_blas_thread() -> None:
             call(1)
 
 
-def _init_worker(
-    worker_cache_limit: Optional[int] = None,
-    neighbor_cache_limit: Optional[int] = None,
-) -> None:
-    """Pool initializer: one BLAS thread, then the per-pool cache limits.
-
-    Runs in every worker process at fork (and under spawn, where module
-    globals are re-imported rather than inherited), so a pool sized for a
-    16-shard graph keeps all 16 attachments resident.
-    """
+def _init_worker() -> None:
+    """Pool initializer: one BLAS thread per worker process."""
     _one_blas_thread()
-    if worker_cache_limit is not None:
-        set_worker_cache_limit(worker_cache_limit)
-    if neighbor_cache_limit is not None:
-        from repro.core.csr_kernels import set_neighbor_sets_cache_limit
-
-        set_neighbor_sets_cache_limit(neighbor_cache_limit)
 
 
 def _attached(meta: Tuple[str, int, int]) -> _AttachedGraph:
@@ -836,36 +790,20 @@ class WorkerPool:
         Pool size (default ``os.cpu_count()``).
     keep_alive:
         Keep the processes running after the refcount drops to zero.
-    worker_cache_limit / neighbor_cache_limit:
-        Per-worker LRU capacities, applied in each worker's initializer at
-        fork: the attached-payload cache (:func:`set_worker_cache_limit`)
-        and the kernel neighbour-set cache
-        (:func:`~repro.core.csr_kernels.set_neighbor_sets_cache_limit`).
-        ``None`` (the default) leaves each worker on its environment-driven
-        default — size these for N-shard × multi-tenant pools, where more
-        than 8 payload keys interleave per sweep.
     """
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
         keep_alive: bool = False,
-        worker_cache_limit: Optional[int] = None,
-        neighbor_cache_limit: Optional[int] = None,
     ) -> None:
         import os
         import weakref
 
         if max_workers is not None and max_workers < 1:
             raise InvalidParameterError("max_workers must be positive")
-        if worker_cache_limit is not None and worker_cache_limit < 1:
-            raise InvalidParameterError("worker_cache_limit must be >= 1 or None")
-        if neighbor_cache_limit is not None and neighbor_cache_limit < 1:
-            raise InvalidParameterError("neighbor_cache_limit must be >= 1 or None")
         self.max_workers = max_workers or os.cpu_count() or 1
         self.keep_alive = keep_alive
-        self.worker_cache_limit = worker_cache_limit
-        self.neighbor_cache_limit = neighbor_cache_limit
         self.launches = 0
         self.respawns = 0
         self.worker_deaths = 0
@@ -942,7 +880,6 @@ class WorkerPool:
         pool = context.Pool(
             processes=self.max_workers,
             initializer=_init_worker,
-            initargs=(self.worker_cache_limit, self.neighbor_cache_limit),
         )
         self._state["pool"] = pool
         self._known_pids = self._live_pids(pool)
@@ -1093,11 +1030,8 @@ def shared_payload_store() -> "PayloadStore":
 # ----------------------------------------------------------------------
 # PayloadStore: the multi-entry shared-memory table
 # ----------------------------------------------------------------------
-def _render_key(key: Tuple) -> str:
-    """Render a store key for stats: ``gid@vN`` or ``gid#sS@vN`` (sharded)."""
-    if len(key) == 3:
-        graph_id, shard, version = key
-        return f"{graph_id}#s{shard}@v{version}"
+def _render_key(key: PayloadKey) -> str:
+    """Render a store key for stats: ``gid@vN``."""
     graph_id, version = key
     return f"{graph_id}@v{version}"
 
@@ -1345,26 +1279,8 @@ class PayloadStore:
 # ----------------------------------------------------------------------
 # The runtime
 # ----------------------------------------------------------------------
-#: One execution unit of a batch: ``(payload key, snapshot, ids,
-#: parent_ids)``.  ``ids`` are the snapshot's dense ids to execute;
-#: ``parent_ids`` maps each snapshot id to the id results are keyed by (a
-#: shard subgraph's local → parent-graph map), or is ``None`` for the
-#: identity — an unsharded graph is a one-unit plan.  A ``None`` key lets
-#: the store assign an anonymous, identity-scoped one.
-Unit = Tuple[
-    Optional[Union[PayloadKey, ShardPayloadKey]],
-    CompactGraph,
-    Sequence[int],
-    Optional[Sequence[int]],
-]
-
-def _slot(key: Tuple) -> Optional[int]:
-    """The shard slot of a store key (``None`` for a whole-graph key)."""
-    return key[1] if len(key) == 3 else None
-
-
 class _Held:
-    """One payload key a runtime holds a store reference on.
+    """The payload key a runtime holds a store reference on.
 
     Carries the snapshot this runtime last executed under the key (the
     ship short-circuit is runtime-local: a key-hit entry in a shared store
@@ -1385,17 +1301,16 @@ class _Held:
 def _release_runtime_state(state: Dict[str, Any]) -> None:
     """Detach a runtime from its pool/store (close/GC/exit path)."""
     store: Optional[PayloadStore] = state.pop("store", None)
-    held: Dict[Tuple, _Held] = state.pop("held", None) or {}
+    held: Optional[_Held] = state.pop("held", None)
     if store is not None and not store.closed:
-        for key in held:
-            store.release(key)
+        if held is not None:
+            store.release(held.entry.key)
         if state.pop("owns_store", False):
             store.close()
-    held.clear()
     pool: Optional[WorkerPool] = state.pop("pool", None)
     if pool is not None and not pool.closed:
         pool.release()
-    state.update(store=None, held={}, pool=None, owns_store=False)
+    state.update(store=None, held=None, pool=None, owns_store=False)
 
 
 class ExecutionRuntime:
@@ -1439,17 +1354,14 @@ class ExecutionRuntime:
 
     Notes
     -----
-    A batch executes over a list of :data:`Unit`\\ s — one per shard
-    payload, or the single identity unit of an unsharded graph — and the
-    runtime holds a store reference on every payload key it executed.  A
-    held key is released only when a later batch *supersedes* it (same
-    ``graph_id`` and shard slot, different version) or executes another
-    ``graph_id``; a released entry survives in a shared store while other
-    tenants still hold it.  So a graph version ships once, and every shard
-    of it ships once, however batches alternate between its shards.  Use
-    as a context manager — or call :meth:`close` — for deterministic
-    teardown; ``weakref.finalize`` guards back every layer so crashes
-    cannot leak pools or shared-memory segments.
+    The runtime holds a store reference on the payload key of its last
+    batch, and releases it when a batch executes another key (a new
+    version or another graph); a released entry survives in a shared store
+    while other tenants still hold it.  So a graph version ships once
+    however many batches run on it.  Use as a context manager — or call
+    :meth:`close` — for deterministic teardown; ``weakref.finalize``
+    guards back every layer so crashes cannot leak pools or shared-memory
+    segments.
     """
 
     def __init__(
@@ -1482,16 +1394,14 @@ class ExecutionRuntime:
         owns_store = store is None
         if owns_store:
             store = PayloadStore()
-        # The residency map: every payload key this runtime holds a store
-        # reference on.  The dict is shared with the GC finaliser's state
-        # holder, which must not keep ``self`` alive yet must see the
-        # *current* holdings.
-        self._held: Dict[Tuple, _Held] = {}
+        # The payload this runtime holds a store reference on lives in the
+        # state holder shared with the GC finaliser, which must not keep
+        # ``self`` alive yet must see the *current* holding.
         self._state: Dict[str, Any] = {
             "pool": pool.acquire(),
             "store": store,
             "owns_store": owns_store,
-            "held": self._held,
+            "held": None,
         }
         # Poison-task quarantine: (payload key, encoded chunk spec) pairs
         # that exhausted their retry budget execute serially in the parent
@@ -1571,23 +1481,34 @@ class ExecutionRuntime:
     # ------------------------------------------------------------------
     # Residency, transport and pool management
     # ------------------------------------------------------------------
-    def _hold(self, key: Optional[Tuple], compact: CompactGraph) -> Tuple[_Held, bool]:
-        """Hold ``compact``'s store entry under ``key``, shipping it if needed."""
-        if key is None:
-            held = next((h for h in self._held.values() if h.compact is compact), None)
+    @property
+    def _held(self) -> Optional[_Held]:
+        """The payload of this runtime's last batch, or ``None``."""
+        return self._state["held"]
+
+    def _hold(self, key: Optional[PayloadKey], compact: CompactGraph) -> Tuple[_Held, bool]:
+        """Hold ``compact``'s store entry under ``key``, shipping it if needed.
+
+        The payload held before is released when the new one differs: a
+        runtime holds one payload at a time.
+        """
+        held = self._held
+        if held is not None and (
+            held.compact is compact if key is None else held.entry.key == key
+        ):
+            shipped = False
         else:
-            held = self._held.get(key)
-        if held is None:
             entry, shipped = self.store.ship(
                 compact,
                 key=key,
                 materialize=self.executor is ParallelBackend.PROCESS,
             )
-            held = self._held.get(entry.key)
-            if held is None:
-                held = self._held[entry.key] = _Held(entry, compact)
-            else:  # an anonymous ship resolved to a key already held
-                self.store.release(entry.key)
+            if held is not None:
+                # Released after the ship: when both resolve to one entry,
+                # its refcount never drops to zero in between.
+                self.store.release(held.entry.key)
+            if held is None or held.entry is not entry:
+                held = self._state["held"] = _Held(entry, compact)
             if shipped:
                 self._stats.payload_ships += 1
                 self._stats.payload_bytes_shipped += entry.nbytes
@@ -1596,31 +1517,9 @@ class ExecutionRuntime:
                     # bad checksum on attach and the batch re-ships cleanly.
                     entry.payload.corrupt_header()
                     _faults.note_performed("corruptions")
-        else:
-            shipped = False
         if held.compact is not compact:
             held.compact, held.kernel = compact, None
         return held, shipped
-
-    def _release_superseded(self, keys: Iterable[Tuple]) -> None:
-        """Drop held keys this batch supersedes or that belong to another graph.
-
-        A batch supersedes a held key of the same ``graph_id`` and shard
-        slot under a different version.  Keys of the batch's graph in other
-        slots stay held: a subset batch touching one shard must not evict
-        its siblings.
-        """
-        keys = set(keys)
-        graph_ids = {key[0] for key in keys}
-        slots = {(key[0], _slot(key)) for key in keys}
-        for key in [
-            key
-            for key in self._held
-            if key not in keys
-            and (key[0] not in graph_ids or (key[0], _slot(key)) in slots)
-        ]:
-            del self._held[key]
-            self.store.release(key)
 
     def _ensure_pool(self) -> bool:
         """Start the worker pool if the process executor needs one."""
@@ -1655,7 +1554,7 @@ class ExecutionRuntime:
         return ("l", tuple(spec[1]))
 
     def _reship_entry(self, entry: _StoreEntry) -> None:
-        """Replace one entry's segment after an integrity failure."""
+        """Replace the entry's segment after an integrity failure."""
         entry = self.store.reship(entry.key)
         self._stats.payload_ships += 1
         self._stats.payload_bytes_shipped += entry.nbytes
@@ -1671,8 +1570,9 @@ class ExecutionRuntime:
         self,
         method: str,
         args: Tuple,
-        tasks: Sequence[Tuple[int, Sequence[int], _StoreEntry]],
-        serial_chunk: Callable[[int, Sequence[int]], Any],
+        tasks: Sequence[Tuple[int, Sequence[int]]],
+        entry: _StoreEntry,
+        serial_chunk: Callable[[Sequence[int]], Any],
     ) -> Dict[int, Tuple[Any, float, Tuple[str, int]]]:
         """Submit chunk tasks and collect results under supervision.
 
@@ -1684,10 +1584,9 @@ class ExecutionRuntime:
         retry budget (they run serially in the parent — the kernels are
         pure, so every recovery path stays bit-identical).
 
-        Each task is ``(index, chunk, entry)``: the store entry is the
-        payload the chunk executes against, so one submission loop fans a
-        batch out over many shard payloads.  ``serial_chunk(index, chunk)``
-        is the in-parent fallback for quarantined chunks.
+        Each task is ``(index, chunk)``, executed against the payload of
+        the store ``entry``.  ``serial_chunk(chunk)`` is the in-parent
+        fallback for quarantined chunks.
 
         Returns ``{chunk index: (result payload, kernel seconds,
         (tier served, fallback delta))}`` for every submitted task.
@@ -1696,8 +1595,7 @@ class ExecutionRuntime:
         """
         pool: WorkerPool = self.pool
         stats = self._stats
-        chunk_of = {index: chunk for index, chunk, _ in tasks}
-        entry_of = {index: entry for index, _, entry in tasks}
+        chunk_of = dict(tasks)
         specs = {index: _encode_ids(chunk) for index, chunk in chunk_of.items()}
         retries = {index: 0 for index in chunk_of}
         outputs: Dict[int, Tuple[Any, float, Tuple[str, int]]] = {}
@@ -1711,15 +1609,13 @@ class ExecutionRuntime:
             # bit-identical by the tier contract, so no tier bookkeeping
             # beyond attributing the chunk to the python tier.
             start = time.perf_counter()
-            payload = serial_chunk(index, chunk_of[index])
+            payload = serial_chunk(chunk_of[index])
             outputs[index] = (payload, time.perf_counter() - start, ("python", 0))
 
         def charge_retry(index: int) -> None:
             retries[index] += 1
             if retries[index] > DEFAULT_MAX_TASK_RETRIES:
-                self._quarantine.add(
-                    (entry_of[index].key, self._spec_key(specs[index]))
-                )
+                self._quarantine.add((entry.key, self._spec_key(specs[index])))
                 stats.quarantined_tasks += 1
                 run_quarantined(index)
             else:
@@ -1730,14 +1626,11 @@ class ExecutionRuntime:
             # --- submit everything queued --------------------------------
             while to_submit:
                 index = to_submit[-1]
-                if (
-                    entry_of[index].key,
-                    self._spec_key(specs[index]),
-                ) in self._quarantine:
+                if (entry.key, self._spec_key(specs[index])) in self._quarantine:
                     to_submit.pop()
                     run_quarantined(index)
                     continue
-                meta = entry_of[index].payload.meta
+                meta = entry.payload.meta
                 fault = _faults.draw_task_fault()
                 try:
                     result = pool.submit(
@@ -1779,8 +1672,8 @@ class ExecutionRuntime:
                     # concurrent re-ship): re-ship once per corruption, then
                     # retry the task against the fresh segment.
                     stats.integrity_failures += 1
-                    if meta == entry_of[index].payload.meta:
-                        self._reship_entry(entry_of[index])
+                    if meta == entry.payload.meta:
+                        self._reship_entry(entry)
                     charge_retry(index)
                 except InjectedFaultError:
                     charge_retry(index)
@@ -1826,7 +1719,6 @@ class ExecutionRuntime:
         num_workers: int,
         *,
         estimates: Optional[Mapping[int, float]] = None,
-        target_chunks: Optional[int] = None,
     ) -> List[List[int]]:
         """Split ``ids`` into weight-balanced contiguous id ranges.
 
@@ -1836,9 +1728,7 @@ class ExecutionRuntime:
         pool's shared queue so idle workers steal the next chunk.
         ``estimates`` supplies cached work estimates of ``compact`` by id,
         covering at least ``ids`` (computed for ``ids`` alone when
-        omitted); ``target_chunks`` overrides the chunk-count target (a
-        many-unit batch splits the oversubscription budget across its
-        units).
+        omitted).
         """
         ids = sorted(ids)
         if not ids:
@@ -1847,9 +1737,7 @@ class ExecutionRuntime:
             from repro.parallel.partition import vertex_work_estimates_csr
 
             estimates = dict(zip(ids, vertex_work_estimates_csr(compact, ids)))
-        if target_chunks is None:
-            target_chunks = num_workers * self.oversubscribe
-        target_chunks = max(1, min(len(ids), target_chunks))
+        target_chunks = max(1, min(len(ids), num_workers * self.oversubscribe))
         total = sum(estimates[i] for i in ids)
         target = total / target_chunks
         chunks: List[List[int]] = []
@@ -1871,7 +1759,7 @@ class ExecutionRuntime:
     # ------------------------------------------------------------------
     def execute(
         self,
-        units: "CompactGraph | Sequence[Unit]",
+        compact: CompactGraph,
         chunks: Optional[Sequence[Sequence[int]]] = None,
         *,
         ids: Optional[Iterable[int]] = None,
@@ -1879,24 +1767,22 @@ class ExecutionRuntime:
         schedule: str = "dynamic",
         payload_key: Optional[PayloadKey] = None,
     ) -> Tuple[Dict[int, float], BatchStats]:
-        """Score every unit's ids; return ``(scores by parent id, batch)``.
+        """Score ``compact``'s ids; return ``(scores by id, batch)``.
 
         Parameters
         ----------
-        units:
-            The :data:`Unit`\\ s to execute — one per shard payload — or a
-            bare snapshot, which is the single identity unit
-            ``(payload_key, units, ids, None)``.  A snapshot the store has
-            not seen ships its payload (once per key); a resident one —
-            shipped by this runtime or any other tenant of a shared store —
-            reuses the shipped arrays.
+        compact:
+            The snapshot to execute.  A snapshot the store has not seen
+            ships its payload (once per key); a resident one — shipped by
+            this runtime or any other tenant of a shared store — reuses the
+            shipped arrays.
         chunks:
-            An explicit static schedule (per-worker id chunks) for a bare
-            snapshot.  When omitted, the runtime chunks the ids itself
-            according to ``schedule``.
+            An explicit static schedule (per-worker id chunks).  When
+            omitted, the runtime chunks the ids itself according to
+            ``schedule``.
         ids:
-            The dense vertex ids of a bare snapshot to score (default:
-            every vertex).  Ignored when ``chunks`` is given.
+            The dense vertex ids to score (default: every vertex).  Ignored
+            when ``chunks`` is given.
         num_workers:
             Parallelism used by the chunker (default ``max_workers``).
         schedule:
@@ -1904,71 +1790,54 @@ class ExecutionRuntime:
             task queue) or ``"static"`` (one chunk per worker in id-range
             blocks) — only consulted when ``chunks`` is omitted.
         payload_key:
-            The store key of a bare snapshot (sessions pass their
+            The store key of the snapshot (sessions pass their
             ``(graph_id, version)``); ``None`` lets the store assign an
             anonymous identity-scoped key.
 
         Returns
         -------
-        The merged ``{parent id: score}`` map (in no particular order) plus
-        the batch's :class:`BatchStats`.  Because each shard contains every
-        owned vertex's complete ego network (the halo construction),
-        sharded scores equal the unsharded ones.
+        The merged ``{id: score}`` map (in no particular order) plus the
+        batch's :class:`BatchStats`.
         """
         return self._batch(
-            "scores", self._as_units(units, ids, payload_key), num_workers,
+            "scores", compact, ids, payload_key, num_workers,
             schedule=schedule, chunks=chunks,
         )
 
     def execute_top_k(
         self,
-        units: "CompactGraph | Sequence[Unit]",
+        compact: CompactGraph,
         k: int,
         *,
         ids: Optional[Iterable[int]] = None,
         num_workers: Optional[int] = None,
         payload_key: Optional[PayloadKey] = None,
     ) -> Tuple[List[Tuple[int, float]], BatchStats]:
-        """Top-k candidates over every unit, with worker-side reduction.
+        """Top-k candidates of ``compact``'s ids, with worker-side reduction.
 
-        ``units`` / ``ids`` / ``payload_key`` as in :meth:`execute`.  Each
-        chunk task returns only the entries at or above the chunk's k-th
-        largest score (see
-        :func:`~repro.core.csr_kernels.top_k_entries_from_arrays`), so only
-        ``O(tasks × k + ties)`` entries cross the process boundary instead
-        of every score.
+        ``ids`` / ``payload_key`` as in :meth:`execute`.  Each chunk task
+        returns only the entries at or above the chunk's k-th largest score
+        (see :func:`~repro.core.csr_kernels.top_k_entries_from_arrays`), so
+        only ``O(tasks × k + ties)`` entries cross the process boundary
+        instead of every score.
 
-        Returns every ``(parent id, score)`` of the requested ids whose
-        score reaches the global k-th score — the top ``k`` by score plus
-        all ties at the k-th — best score first, and the batch's
+        Returns every ``(id, score)`` of the requested ids whose score
+        reaches the global k-th score — the top ``k`` by score plus all
+        ties at the k-th — best score first, and the batch's
         :class:`BatchStats`.  Which tied entries make the top-k is the
         caller's call: the top-k order breaks ties by the vertex label's
         sort key, which ids do not carry.
         """
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
-        return self._batch(
-            "top_k", self._as_units(units, ids, payload_key), num_workers, k=k
-        )
-
-    @staticmethod
-    def _as_units(units, ids, payload_key) -> List[Unit]:
-        """Normalise a bare snapshot to its single identity unit."""
-        if isinstance(units, CompactGraph):
-            return [
-                (
-                    payload_key,
-                    units,
-                    range(units.num_vertices) if ids is None else list(ids),
-                    None,
-                )
-            ]
-        return list(units)
+        return self._batch("top_k", compact, ids, payload_key, num_workers, k=k)
 
     def _batch(
         self,
         kind: str,
-        units: List[Unit],
+        compact: CompactGraph,
+        ids: Optional[Iterable[int]],
+        payload_key: Optional[PayloadKey],
         num_workers: Optional[int],
         *,
         schedule: str = "dynamic",
@@ -1982,23 +1851,18 @@ class ExecutionRuntime:
             raise InvalidParameterError(
                 f"unknown schedule {schedule!r}; use 'dynamic' or 'static'"
             )
-        if chunks is not None and len(units) != 1:
-            raise InvalidParameterError("an explicit chunk schedule needs one unit")
+        ids = range(compact.num_vertices) if ids is None else list(ids)
 
         setup_start = time.perf_counter()
-        holds = [self._hold(unit[0], unit[1]) for unit in units]
-        helds = [held for held, _ in holds]
-        keys = [held.entry.key for held in helds]
-        if keys:
-            self._release_superseded(keys)
-        self._stats.payload_bytes = sum(h.entry.nbytes for h in self._held.values())
+        held, shipped = self._hold(payload_key, compact)
+        self._stats.payload_bytes = held.entry.nbytes
         pool_started = self._ensure_pool()
         setup_seconds = time.perf_counter() - setup_start
 
         workers = num_workers or self.max_workers
-        cap = min(k, sum(len(unit[2]) for unit in units))
+        cap = min(k, len(ids))
         plan = (
-            self._chunk(units, helds, chunks, workers, schedule)
+            self._chunk(held, ids, chunks, workers, schedule)
             if kind == "scores" or cap
             else []
         )
@@ -2008,13 +1872,11 @@ class ExecutionRuntime:
             method, args = "top_chunk", (cap,)
 
         compute_start = time.perf_counter()
-        tasks = [(i, chunk) for i, (_, chunk) in enumerate(plan) if chunk]
+        tasks = [(i, chunk) for i, chunk in enumerate(plan) if chunk]
         if self.executor is ParallelBackend.SERIAL:
+            kernel = self._serial_kernel(held)
             outputs = {
-                i: _serve_chunk(
-                    self._serial_kernel(helds[plan[i][0]]), method, chunk, *args
-                )
-                for i, chunk in tasks
+                i: _serve_chunk(kernel, method, chunk, *args) for i, chunk in tasks
             }
         else:
             from repro.core.csr_kernels import (
@@ -2029,8 +1891,7 @@ class ExecutionRuntime:
                 else top_k_entries_from_arrays
             )
 
-            def serial_chunk(index, chunk):
-                compact = helds[plan[index][0]].compact
+            def serial_chunk(chunk):
                 return oracle(
                     compact.indptr,
                     compact.indices,
@@ -2041,21 +1902,14 @@ class ExecutionRuntime:
                 )
 
             outputs = self._run_supervised(
-                method,
-                args,
-                [(i, chunk, helds[plan[i][0]].entry) for i, chunk in tasks],
-                serial_chunk,
+                method, args, tasks, held.entry, serial_chunk
             )
         chunk_seconds = [0.0] * len(plan)
         pairs: List[Tuple[int, Any]] = []
         for i, _ in tasks:
             payload, chunk_seconds[i], kinfo = outputs[i]
             self._tally_kernel(kinfo)
-            parent = units[plan[i][0]][3]
-            items = payload.items() if kind == "scores" else payload
-            pairs.extend(
-                items if parent is None else [(parent[j], v) for j, v in items]
-            )
+            pairs.extend(payload.items() if kind == "scores" else payload)
         if kind == "scores":
             result: Any = dict(pairs)
         else:
@@ -2065,72 +1919,50 @@ class ExecutionRuntime:
             result.sort(key=itemgetter(1), reverse=True)
         compute_seconds = time.perf_counter() - compute_start
 
-        shard_slots = [_slot(key) for key in keys]
-        shards = sum(1 for slot in shard_slots if slot is not None)
-        if shards:
-            self._stats.sharded_batches += 1
-            counts = self._stats.shard_chunks
-            for i, _ in tasks:
-                name = str(shard_slots[plan[i][0]])
-                counts[name] = counts.get(name, 0) + 1
         batch = BatchStats(
             num_tasks=len(tasks),
             schedule="static" if chunks is not None else schedule,
-            shipped=any(shipped for _, shipped in holds),
+            shipped=shipped,
             pool_started=pool_started,
             setup_seconds=setup_seconds,
             compute_seconds=compute_seconds,
             chunk_seconds=chunk_seconds,
             kind=kind,
-            shards=shards,
         )
         self._account_batch(batch)
         return result, batch
 
     def _chunk(
         self,
-        units: List[Unit],
-        helds: List[_Held],
+        held: _Held,
+        ids: Sequence[int],
         chunks: Optional[Sequence[Sequence[int]]],
         workers: int,
         schedule: str,
-    ) -> List[Tuple[int, List[int]]]:
-        """Cut every unit's ids into ``(unit index, chunk)`` pairs, in order.
+    ) -> List[List[int]]:
+        """Cut ``ids`` into chunks, in order.
 
-        The dynamic schedule splits the ``workers × oversubscribe`` chunk
-        budget across the units — for one unit that is the whole budget —
-        and chunks each unit with its own work estimates, computed only for
-        the ids being chunked and memoised on the held payload.
+        The dynamic schedule cuts ``workers × oversubscribe`` chunks by
+        work estimates, computed only for the ids being chunked and
+        memoised on the held payload.
         """
         if chunks is not None:
-            return [(0, list(chunk)) for chunk in chunks]
+            return [list(chunk) for chunk in chunks]
         if schedule == "static":
             from repro.parallel.partition import block_partition
 
-            return [
-                (u, chunk)
-                for u, unit in enumerate(units)
-                for chunk in block_partition(sorted(unit[2]), workers)
-            ]
-        per_unit = max(1, workers * self.oversubscribe // max(len(units), 1))
-        plan: List[Tuple[int, List[int]]] = []
-        for u, (unit, held) in enumerate(zip(units, helds)):
-            estimates = held.estimates
-            missing = [i for i in unit[2] if i not in estimates]
-            if missing:
-                from repro.parallel.partition import vertex_work_estimates_csr
+            return block_partition(sorted(ids), workers)
+        estimates = held.estimates
+        missing = [i for i in ids if i not in estimates]
+        if missing:
+            from repro.parallel.partition import vertex_work_estimates_csr
 
-                estimates.update(
-                    zip(missing, vertex_work_estimates_csr(held.compact, missing))
-                )
-            plan.extend(
-                (u, chunk)
-                for chunk in self.dynamic_chunks(
-                    unit[1], unit[2], workers,
-                    estimates=estimates, target_chunks=per_unit,
-                )
+            estimates.update(
+                zip(missing, vertex_work_estimates_csr(held.compact, missing))
             )
-        return plan
+        return self.dynamic_chunks(
+            held.compact, ids, workers, estimates=estimates
+        )
 
     def _account_batch(self, batch: BatchStats) -> None:
         stats = self._stats

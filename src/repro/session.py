@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import itertools
 
@@ -108,11 +108,6 @@ from repro.errors import (
 from repro.graph.csr import CompactGraph
 from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.graph import Graph, Vertex
-from repro.graph.partition import (
-    ShardPlan,
-    normalize_partitioner,
-    partition_graph,
-)
 from repro.parallel.engines import (
     ParallelRunResult,
     edge_parallel_ego_betweenness,
@@ -243,13 +238,6 @@ class SessionStats:
         counters (WAL appends/syncs/segments, checkpoints written,
         events since the last checkpoint) of the attached
         :class:`~repro.durability.manager.DurabilityManager`.
-    sharding:
-        ``None`` for an unsharded session; otherwise the sharding-plane
-        description — the negotiated ``shards``/``partitioner``, the
-        current :meth:`~repro.graph.partition.ShardPlan.summary` once a
-        plan exists (cut edges, halo overhead, per-shard sizes/versions,
-        rebuilds), and the per-shard chunk counts / sharded batch totals
-        aggregated over the session's runtimes.
     last_query:
         The most recent :class:`Query`, or ``None``.
     """
@@ -279,7 +267,6 @@ class SessionStats:
     deadline_misses: int = 0
     integrity_failures: int = 0
     durability: Optional[Dict[str, Any]] = None
-    sharding: Optional[Dict[str, Any]] = None
     last_query: Optional[Query] = None
 
     def as_dict(self) -> Dict[str, Any]:
@@ -313,8 +300,6 @@ class SessionStats:
             }
         if self.durability is not None:
             payload["durability"] = dict(self.durability)
-        if self.sharding is not None:
-            payload["sharding"] = dict(self.sharding)
         if self.last_query is not None:
             payload["last_query"] = {
                 key: value
@@ -414,8 +399,6 @@ class EgoSession:
         backend: str = "auto",
         *,
         kernel: str = "auto",
-        shards: int = 0,
-        partitioner: str = "auto",
         scale: Optional[float] = None,
         auto_promote: bool = True,
         graph_id: Optional[str] = None,
@@ -440,7 +423,6 @@ class EgoSession:
         self._fallbacks = 0
         self._kernel_fallbacks = 0
         self.kernel = self._negotiate_kernel(kernel)
-        self.shards, self.partitioner = self._negotiate_sharding(shards, partitioner)
         # Tier-aware serial chunk kernel, memoized per compact snapshot;
         # counters of replaced kernels fold into the retired totals so
         # stats() survives promotions and snapshot rebuilds.
@@ -505,13 +487,6 @@ class EgoSession:
         # encoded-response cache) invalidate on the mutation itself instead
         # of discovering staleness lazily.
         self._version_listeners: List = []
-        # Sharding plane: the ShardPlan over the current snapshot, built
-        # lazily by the first sharded execution and refreshed incrementally
-        # from the edge endpoints applied since (only touched shards
-        # rebuild and re-ship; the rest keep their payload keys).
-        self._shard_plan: Optional[ShardPlan] = None
-        self._shard_plan_version: Optional[int] = None
-        self._pending_shard_events: List[tuple] = []
 
         # Durability plane (None = purely in-memory).  Set by the
         # durability= argument here, or by recover() re-attaching the plane
@@ -573,29 +548,6 @@ class EgoSession:
             self._kernel_fallbacks += 1
             return "python"
         return normalize_kernel(kernel)
-
-    def _negotiate_sharding(self, shards, partitioner: str):
-        """Resolve the requested shard fan-out (backend/kernel idiom).
-
-        ``shards=0`` (the default) keeps the single-payload path;
-        ``shards=N`` fans parallel sweeps out across ``N`` halo-augmented
-        shard payloads.  The partitioner name resolves exactly like
-        backends and kernels (``auto`` → ``community``).  The ``hash``
-        oracle backend has no CSR arrays to partition, so sharding it is
-        a contradiction rather than a degradation — it raises.
-        """
-        if isinstance(shards, bool) or not isinstance(shards, int) or shards < 0:
-            raise InvalidParameterError(
-                f"shards must be a non-negative integer — got {shards!r}"
-            )
-        partitioner = normalize_partitioner(partitioner)
-        if shards and self.backend == "hash":
-            raise InvalidParameterError(
-                "sharding partitions the CSR arrays and the 'hash' oracle "
-                "backend has none; use backend='compact' or 'dynamic' "
-                "with shards=N"
-            )
-        return shards, partitioner
 
     def _serial_chunk_kernel(self, compact: CompactGraph):
         """The session's tier-aware serial chunk kernel over ``compact``.
@@ -747,77 +699,21 @@ class EgoSession:
         """The ``(graph_id, version)`` key this session's payloads ship under."""
         return (self.graph_id, self._current_version())
 
-    # ------------------------------------------------------------------
-    # Sharding plane
-    # ------------------------------------------------------------------
-    def _current_shard_plan(self) -> Optional[ShardPlan]:
-        """The shard plan over the current state (``None`` when unsharded).
-
-        Built lazily by the first sharded execution.  After updates the
-        plan refreshes incrementally: only the shards the touched edge
-        endpoints reach rebuild (bumping their payload versions, so
-        exactly those re-ship), the rest keep their keys and stay
-        resident in the store.
-        """
-        if not self.shards:
-            return None
-        version = self._current_version()
-        if self._shard_plan is not None and self._shard_plan_version == version:
-            return self._shard_plan
-        compact = self._current_compact()
-        if self._shard_plan is not None and self._pending_shard_events:
-            self._shard_plan.refresh(compact, self._pending_shard_events)
-        else:
-            self._shard_plan = partition_graph(compact, self.shards, self.partitioner)
-        self._pending_shard_events = []
-        self._shard_plan_version = version
-        return self._shard_plan
-
-    def _units(self, targets: Optional[List[Vertex]] = None) -> List[tuple]:
-        """The runtime units answering ``targets`` (``None``: every vertex).
-
-        Unsharded, that is the one identity unit of the current snapshot.
-        With ``shards`` set, it is one unit per shard owning a target, each
-        carrying its local → parent id map, so results come back keyed by
-        the parent's dense ids and only the touched shard payloads ship.
-        """
-        compact = self._current_compact()
-        plan = self._current_shard_plan()
-        if plan is None:
-            if targets is None:
-                ids: Sequence[int] = range(compact.num_vertices)
-            else:
-                ids = [compact.id_of(vertex) for vertex in targets]
-            return [(self._payload_key(), compact, ids, None)]
-        owned: Dict[int, Iterable[int]] = {}
-        if targets is None:
-            owned = {shard.index: shard.owned_local for shard in plan.shards}
-        else:
-            for vertex in targets:
-                shard = plan.shards[plan.shard_of(vertex)]
-                owned.setdefault(shard.index, set()).add(shard.graph.id_of(vertex))
-        return [
-            (
-                plan.payload_key(self.graph_id, shard),
-                shard.graph,
-                sorted(owned[shard.index]),
-                [compact.id_of(label) for label in shard.graph.labels],
-            )
-            for shard in plan.shards
-            if owned.get(shard.index)
-        ]
-
     def _execute(
         self, targets: Optional[List[Vertex]], num_workers: int, executor: str
     ) -> Dict[Vertex, float]:
-        """Score ``targets`` with one runtime batch over :meth:`_units`.
+        """Score ``targets`` (``None``: every vertex) with one runtime batch.
 
         A worker fault degrades to the serial kernels (see :meth:`_degraded`).
         """
         compact = self._current_compact()
         runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
+        ids = None if targets is None else [compact.id_of(vertex) for vertex in targets]
         try:
-            id_scores, _ = runtime.execute(self._units(targets), num_workers=num_workers)
+            id_scores, _ = runtime.execute(
+                compact, ids=ids, num_workers=num_workers,
+                payload_key=self._payload_key(),
+            )
         except WorkerFaultError:
             return self._degraded(lambda: self._compute(targets, None, "serial"))
         labels = compact.labels
@@ -834,31 +730,31 @@ class EgoSession:
         other vertex whose bound reaches τ (ties at τ included: a tied
         vertex may win on its sort key).  Any vertex left unscored has a
         score at most its bound, below τ, which is at most the true k-th
-        score.  Sharded, each wave runs on the shards owning its vertices,
-        whose halos hold every owned vertex's whole ego.  A worker fault
-        degrades to the serial kernels (see :meth:`_degraded`).
+        score.  A worker fault degrades to the serial kernels (see
+        :meth:`_degraded`).
         """
         compact = self._current_compact()
         runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
-        labels = compact.labels
+        key = self._payload_key()
         order = static_bound_order(compact)
-        wave = [labels[v] for _, _, v in itertools.islice(order, k)]
+        wave = [v for _, _, v in itertools.islice(order, k)]
         scored = len(wave)
         try:
             entries, _ = runtime.execute_top_k(
-                self._units(wave), k, num_workers=num_workers
+                compact, k, ids=wave, num_workers=num_workers, payload_key=key
             )
             if scored == k:
                 threshold = entries[k - 1][1]
                 wave = [
-                    labels[v]
+                    v
                     for _, _, v in itertools.takewhile(
                         lambda entry: -entry[0] >= threshold, order
                     )
                 ]
                 if wave:
                     more, _ = runtime.execute_top_k(
-                        self._units(wave), k, num_workers=num_workers
+                        compact, k, ids=wave, num_workers=num_workers,
+                        payload_key=key,
                     )
                     entries += more
                     scored += len(wave)
@@ -871,6 +767,7 @@ class EgoSession:
             return self._degraded(recompute)
         # The runtime returns every id reaching a wave's k-th score; ties at
         # the overall k-th are broken here, on labels.
+        labels = compact.labels
         return top_entries({labels[i]: score for i, score in entries}, k), scored
 
     def _require_parallel_backend(self, executor: str) -> None:
@@ -1088,10 +985,10 @@ class EgoSession:
         """Compute exact values of ``targets`` (``None``: every vertex).
 
         The one place a kernel is picked.  The ``hash`` oracle computes
-        serially; ``parallel=N`` makes one runtime batch over
-        :meth:`_units`; otherwise the serial CSR kernel runs — the session's
-        tier chunk kernel for a full sweep, the memoised ego summary for a
-        single vertex, ``all_ego_betweenness_csr`` for other subsets.
+        serially; ``parallel=N`` makes one runtime batch (:meth:`_execute`);
+        otherwise the serial CSR kernel runs — the session's tier chunk
+        kernel for a full sweep, the memoised ego summary for a single
+        vertex, ``all_ego_betweenness_csr`` for other subsets.
         """
         if self.backend == "hash":
             graph = self._current_hash_graph()
@@ -1305,8 +1202,7 @@ class EgoSession:
         32 concurrent requests cost at most one pool, one payload ship and
         one sweep instead of 32 cold calls.  ``parallel`` and ``executor``
         are those of :meth:`scores`.  Results are bit-identical to
-        per-query :meth:`scores` calls for every worker count, executor and
-        shard plan.
+        per-query :meth:`scores` calls for every worker count and executor.
         """
         start = time.perf_counter()
         requests = [None if query is None else list(query) for query in queries]
@@ -1451,11 +1347,6 @@ class EgoSession:
                 else:
                     maintainer.delete_edge(event.u, event.v)
                 self._lazy_update_seconds[k] += maintainer.last_update_seconds
-            if self._shard_plan is not None:
-                # Feed the incremental plan refresh: the endpoints decide
-                # which shards rebuild (and re-ship) on the next sharded
-                # execution.
-                self._pending_shard_events.append((event.u, event.v))
             count += 1
         self._update_events += count
         self._record("apply", start, events=count)
@@ -1739,21 +1630,6 @@ class EgoSession:
             for tier, count in runtime_stats.kernel_chunks.items():
                 kernel_chunks[tier] = kernel_chunks.get(tier, 0) + count
             kernel_fallbacks += runtime_stats.kernel_fallbacks
-        sharding: Optional[Dict[str, Any]] = None
-        if self.shards:
-            sharding = {"shards": self.shards, "partitioner": self.partitioner}
-            if self._shard_plan is not None:
-                sharding.update(self._shard_plan.summary())
-            sharded_batches = 0
-            shard_chunks: Dict[str, int] = {}
-            for runtime_stats in runtimes.values():
-                sharded_batches += runtime_stats.sharded_batches
-                for shard_name, count in runtime_stats.shard_chunks.items():
-                    shard_chunks[shard_name] = (
-                        shard_chunks.get(shard_name, 0) + count
-                    )
-            sharding["sharded_batches"] = sharded_batches
-            sharding["shard_chunks"] = shard_chunks
         return SessionStats(
             backend=self.backend,
             state=self._state,
@@ -1784,7 +1660,6 @@ class EgoSession:
             durability=(
                 self._durability.stats() if self._durability is not None else None
             ),
-            sharding=sharding,
             last_query=self._last_query,
         )
 

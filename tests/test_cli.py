@@ -165,6 +165,27 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topk", "--dataset", "dblp", "--shards", "2"],
+            ["topk", "--dataset", "dblp", "--partitioner", "community"],
+            ["serve", "--datasets", "dblp", "--http", "127.0.0.1:0", "--shards", "2"],
+        ],
+    )
+    def test_sharding_flags_are_rejected(self, argv, capsys):
+        """Every graph is one payload: the sharding flags are gone."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    def test_partition_is_not_a_verb(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["partition", "--dataset", "dblp", "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "partition" in capsys.readouterr().err
+
 
 def _executor_cases():
     """``(verb, choice)`` for every verb whose parser offers ``--executor``.

@@ -62,9 +62,9 @@ def tie_heavy_graphs(draw):
     return Graph(edges=edges, vertices=range(copies * stride))
 
 
-def _check_pruned(graph, k, shards, executor, pool=None, store=None):
+def _check_pruned(graph, k, executor, pool=None, store=None):
     expected = top_entries(all_ego_betweenness_csr(graph), k)
-    with EgoSession(graph, shards=shards) as session:
+    with EgoSession(graph) as session:
         if pool is not None:
             session.runtime(executor, pool=pool, store=store)
         result = session.top_k(k, parallel=2, executor=executor)
@@ -79,8 +79,7 @@ class TestPrunedTopK:
     @given(graph=tie_heavy_graphs(), data=st.data())
     def test_serial_waves_equal_the_full_ranking(self, graph, data):
         k = data.draw(st.integers(1, graph.num_vertices + 2), label="k")
-        shards = data.draw(st.sampled_from([0, 2, 3]), label="shards")
-        _check_pruned(graph, k, shards, "serial")
+        _check_pruned(graph, k, "serial")
 
     @pytest.mark.parallel
     def test_process_waves_equal_the_full_ranking(self):
@@ -91,8 +90,7 @@ class TestPrunedTopK:
         @given(graph=tie_heavy_graphs(), data=st.data())
         def check(graph, data):
             k = data.draw(st.integers(1, graph.num_vertices + 2), label="k")
-            shards = data.draw(st.sampled_from([0, 2, 3]), label="shards")
-            _check_pruned(graph, k, shards, "process", pool, store)
+            _check_pruned(graph, k, "process", pool, store)
 
         try:
             check()
@@ -101,8 +99,7 @@ class TestPrunedTopK:
             pool.release()
             store.close()
 
-    @pytest.mark.parametrize("shards", [0, 2])
-    def test_vertex_at_the_threshold_wins_its_tie(self, shards):
+    def test_vertex_at_the_threshold_wins_its_tie(self):
         # Hub 9 (degree 4, one triangle among its neighbours) scores 3.0 and
         # alone makes wave 1 for k=1.  Star centre 10 has degree 3: its
         # bound 3.0 equals that threshold, it scores 3.0 too, and "10"
@@ -112,7 +109,7 @@ class TestPrunedTopK:
         edges += [(10, 11), (10, 12), (10, 13)]
         graph = Graph(edges=edges)
         assert top_entries(all_ego_betweenness_csr(graph), 1) == [(10, 3.0)]
-        with EgoSession(graph, shards=shards) as session:
+        with EgoSession(graph) as session:
             result = session.top_k(1, parallel=2)
         assert result.entries == [(10, 3.0)]
         # wave 1 is the hub; wave 2 the degree-3 vertices 1, 2, 3 and 10

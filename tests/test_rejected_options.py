@@ -23,6 +23,10 @@ EDGES = [(0, 1), (0, 2), (1, 2), (1, 3)]
         (lambda: EgoSession(EDGES, max_task_retries=0), "max_task_retries"),
         (lambda: EgoSession(EDGES, kernal="numpy"), "kernal"),
         (lambda: EgoSession(EDGES, backend="dynamic", kernal="numpy"), "kernal"),
+        (lambda: EgoSession(EDGES, shards=2), "shards"),
+        (lambda: EgoSession(EDGES, partitioner="community"), "partitioner"),
+        (lambda: WorkerPool(2, worker_cache_limit=16), "worker_cache_limit"),
+        (lambda: WorkerPool(2, neighbor_cache_limit=16), "neighbor_cache_limit"),
         (lambda: ExecutionRuntime(max_task_retries=0), "max_task_retries"),
         (lambda: WorkerPool(respawn_backoff=0.1), "respawn_backoff"),
         (lambda: WorkerPool(max_respawn_backoff=1.0), "max_respawn_backoff"),

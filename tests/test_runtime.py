@@ -14,13 +14,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.csr_kernels import CSRChunkKernel, all_ego_betweenness_csr
+from repro.core import csr_kernels
+from repro.core.csr_kernels import (
+    CSRChunkKernel,
+    all_ego_betweenness_csr,
+    ego_betweenness_from_arrays,
+    set_neighbor_sets_cache_limit,
+)
 from repro.core.ego_betweenness import all_ego_betweenness
 from repro.core.vec_kernels import numpy_available
 from repro.errors import InvalidParameterError
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.graph.graph import Graph
-from repro.parallel.runtime import ExecutionRuntime, ParallelBackend
+from repro.parallel import runtime as runtime_module
+from repro.parallel.runtime import (
+    ExecutionRuntime,
+    ParallelBackend,
+    set_worker_cache_limit,
+)
 from repro.session import EgoSession
 
 WORKER_COUNTS = (1, 2, 4)
@@ -563,3 +574,59 @@ def test_pool_forked_before_first_ship_shares_the_parent_tracker():
     assert "HELD True" in result.stdout
     assert "CORRECT True" in result.stdout
     assert "leaked shared_memory" not in result.stderr
+
+
+class TestCacheLimits:
+    def test_worker_cache_limit_validation_and_env(self, monkeypatch):
+        with pytest.raises(InvalidParameterError):
+            set_worker_cache_limit(0)
+        monkeypatch.setenv("REPRO_WORKER_CACHE_LIMIT", "5")
+        assert set_worker_cache_limit() == 5
+        monkeypatch.setenv("REPRO_WORKER_CACHE_LIMIT", "not-a-number")
+        assert set_worker_cache_limit() == 8  # malformed env -> default
+        monkeypatch.delenv("REPRO_WORKER_CACHE_LIMIT")
+        assert set_worker_cache_limit() == 8
+
+    def test_worker_cache_shrink_evicts_oldest(self):
+        class Attachment:
+            def __init__(self):
+                self.closed = False
+
+            def close(self):
+                self.closed = True
+
+        set_worker_cache_limit(8)
+        entries = {f"payload-{i}": Attachment() for i in range(4)}
+        runtime_module._WORKER_CACHE.update(entries)
+        try:
+            assert set_worker_cache_limit(2) == 2
+            assert len(runtime_module._WORKER_CACHE) <= 2
+            assert sum(1 for a in entries.values() if a.closed) >= 2
+        finally:
+            runtime_module._WORKER_CACHE.clear()
+            set_worker_cache_limit()
+
+    def test_neighbor_sets_limit_validation_env_and_shrink(self, monkeypatch):
+        with pytest.raises(InvalidParameterError):
+            set_neighbor_sets_cache_limit(0)
+        monkeypatch.setenv("REPRO_NBR_SETS_CACHE_LIMIT", "3")
+        assert set_neighbor_sets_cache_limit() == 3
+        monkeypatch.delenv("REPRO_NBR_SETS_CACHE_LIMIT")
+        assert set_neighbor_sets_cache_limit() == 8
+        try:
+            # Keep every compact alive: the memo is keyed by buffer identity,
+            # so freed arrays could alias a recycled id.
+            compacts = [
+                barabasi_albert_graph(12, 2, seed=seed).to_compact()
+                for seed in range(4)
+            ]
+            for compact in compacts:
+                ego_betweenness_from_arrays(
+                    compact.indptr, compact.indices, range(compact.num_vertices)
+                )
+            assert len(csr_kernels._NBR_SETS_CACHE) >= 2
+            set_neighbor_sets_cache_limit(1)
+            assert len(csr_kernels._NBR_SETS_CACHE) <= 1
+        finally:
+            csr_kernels._NBR_SETS_CACHE.clear()
+            set_neighbor_sets_cache_limit()

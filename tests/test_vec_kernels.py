@@ -79,7 +79,8 @@ def _tier_pair(compact: CompactGraph, build_dense: bool = True):
     return python, numpy_
 
 
-def _assert_parity(graph: Graph, build_dense: bool = True, ks=(1, 5)) -> None:
+def _assert_parity(graph: Graph, build_dense: bool = True, ks=(1, 5)) -> CSRChunkKernel:
+    """Assert numpy == python == hash oracle; return the numpy-tier kernel."""
     compact = CompactGraph.from_graph(graph)
     n = compact.num_vertices
     python, numpy_ = _tier_pair(compact, build_dense=build_dense)
@@ -96,6 +97,7 @@ def _assert_parity(graph: Graph, build_dense: bool = True, ks=(1, 5)) -> None:
         assert sorted(numpy_.top_chunk(range(n), k)) == sorted(
             python.top_chunk(range(n), k)
         )
+    return numpy_
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +142,70 @@ def test_registry_dataset_parity(name):
     from repro.datasets.registry import load_dataset
 
     _assert_parity(load_dataset(name, scale=0.05), ks=(1, 16))
+
+
+@requires_numpy
+@pytest.mark.parametrize(
+    "name, scale", [("dblp", 2.4), ("livejournal", 2.0), ("wikitalk", 2.0)]
+)
+def test_packed_bitmap_exact_past_the_byte_bitmap_limit(name, scale):
+    """Graphs past the python tier's 4096-vertex byte bitmap keep the
+    numpy tier's packed bitmap, and stay bit-identical to the oracle."""
+    from repro.datasets.registry import load_dataset
+    from repro.graph.csr import DENSE_ADJACENCY_VERTEX_LIMIT
+
+    graph = load_dataset(name, scale=scale)
+    assert graph.num_vertices > DENSE_ADJACENCY_VERTEX_LIMIT
+    numpy_ = _assert_parity(graph, ks=(16,))
+    assert numpy_._vec.adjacency is not None
+
+
+@requires_numpy
+@pytest.mark.parametrize("extra, packed", [(0, True), (1, False)])
+def test_packed_bitmap_budget_boundary(extra, packed):
+    """A path at the budget's vertex count takes the bitmap; one more
+    vertex takes the sorted-intersection path.  Both equal the oracle."""
+    import math
+
+    limit = math.isqrt(8 * vec_kernels.BITMAP_BYTE_BUDGET)
+    while not vec_kernels._fits_bitmap(limit):
+        limit -= 1
+    n = limit + extra
+    graph = Graph(edges=[(i, i + 1) for i in range(n - 1)])
+    # A triangle keeps some scores non-zero and the histograms non-trivial.
+    graph.add_edge(0, 2)
+    assert graph.num_vertices == n
+    numpy_ = _assert_parity(graph, ks=(3,))
+    assert (numpy_._vec.adjacency is not None) is packed
+    if packed:
+        assert numpy_._vec.adjacency.nbytes <= vec_kernels.BITMAP_BYTE_BUDGET
+
+
+@requires_numpy
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17])
+def test_packed_bitmap_rows_pad_to_whole_bytes(n):
+    """Rows of ``n+1`` bits either side of a byte boundary: the unpacked
+    bitmap is exactly the sentinel-padded adjacency matrix, and every
+    score equals the oracle."""
+    import numpy as np
+
+    # Every second pair of a complete graph, plus a chord to the last
+    # vertex: edges land in every byte of every row, the last bit included.
+    graph = Graph(vertices=range(n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in pairs[::2] + [(0, n - 1)]:
+        graph.add_edge(u, v, exist_ok=True)
+    numpy_ = _assert_parity(graph, ks=(1, n))
+    bits = numpy_._vec.adjacency
+    assert bits.shape == (n + 1, (n + 8) // 8)
+    compact = CompactGraph.from_graph(graph)
+    expected = np.zeros((n + 1, n + 1), dtype=np.uint8)
+    for u in range(n):
+        row = compact.indices[compact.indptr[u] : compact.indptr[u + 1]]
+        expected[u, list(row)] = 1
+    unpacked = np.unpackbits(bits, axis=1, bitorder="little")
+    assert (unpacked[:, : n + 1] == expected).all()
+    assert not unpacked[:, n + 1 :].any()  # the padding bits stay clear
 
 
 @requires_numpy
