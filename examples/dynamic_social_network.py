@@ -11,7 +11,7 @@ from one maintained state:
 * an analytics job that needs *every* user's score after each change
   (``session.scores()``, backed by LocalInsert / LocalDelete), and
 * a dashboard that only shows the current top-10 "bridge" users
-  (``session.maintained_top_k(10, mode="lazy")``, backed by LazyInsert /
+  (``session.maintained_top_k(10)``, backed by LazyInsert /
   LazyDelete, which skips most of the recomputation work).
 
 Run with::
@@ -48,13 +48,13 @@ def main() -> None:
           f"(values reused on promotion: {stats.values_reused_on_promotion})\n")
 
     # Attach the lazy top-10 dashboard, then stream the remaining updates.
-    session.maintained_top_k(10, mode="lazy")
+    session.maintained_top_k(10)
     session.apply(stream[1:])
 
     # The dashboard's lazily maintained answer matches the exhaustive index.
     exact = session.scores()
     rows = []
-    for rank, (vertex, score) in enumerate(session.maintained_top_k(10, mode="lazy").entries, start=1):
+    for rank, (vertex, score) in enumerate(session.maintained_top_k(10).entries, start=1):
         rows.append(
             {
                 "rank": rank,

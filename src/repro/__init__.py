@@ -28,8 +28,8 @@ A from-scratch reproduction of the paper's full system:
   :mod:`repro.experiments`.
 
 The canonical API is the stateful :class:`repro.session.EgoSession` facade:
-one object owns the graph, negotiates the storage backend once
-(``auto | compact | hash | dynamic``), keeps every memoised structure warm
+one object owns the graph, picks the storage backend once
+(``auto | compact | hash``), keeps every memoised structure warm
 across queries, and promotes itself from static search to dynamic
 maintenance the moment the first edge update arrives.  The classic free
 functions (:func:`top_k_ego_betweenness`, :func:`base_b_search`,

@@ -59,12 +59,6 @@ _BACKEND_HELP = (
     "'hash' forces the hash-set oracle; results are identical (default: auto)"
 )
 
-_KERNEL_HELP = (
-    "kernel tier for chunk scoring: 'auto' negotiates numpy when importable "
-    "and python otherwise, 'numpy' pins the vectorized batch kernels, "
-    "'python' pins the interpreted oracle; every tier is bit-identical "
-    "(default: auto)"
-)
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
@@ -110,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="process",
         help="execution backend for --parallel (default: process)",
     )
-    _add_kernel_argument(topk)
     _add_json_argument(topk)
 
     stats = subparsers.add_parser("stats", help="print graph statistics")
@@ -145,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=_BACKEND_HELP,
     )
-    _add_kernel_argument(maintain)
     _add_json_argument(maintain)
 
     serve = subparsers.add_parser(
@@ -253,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="bound on the SIGTERM/SIGINT drain (default 5)",
     )
-    _add_kernel_argument(serve)
     _add_json_argument(serve)
 
     recover = subparsers.add_parser(
@@ -322,15 +313,6 @@ def _add_graph_source_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "python", "numpy"),
-        default="auto",
-        help=_KERNEL_HELP,
-    )
-
-
 def _add_json_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
@@ -350,11 +332,7 @@ def _emit_json(payload: Dict[str, Any]) -> None:
 
 
 def _run_topk(args: argparse.Namespace) -> None:
-    session = EgoSession(
-        _load_graph(args),
-        backend=args.backend,
-        kernel=args.kernel,
-    )
+    session = EgoSession(_load_graph(args), backend=args.backend)
     result = session.top_k(
         args.k,
         algorithm=args.method,
@@ -419,12 +397,12 @@ def _run_maintain(args: argparse.Namespace) -> None:
     # plus topology bookkeeping.  Per-row timings come from each
     # component's own update timer (EgoSession.maintenance_seconds), so the
     # table compares the algorithms, not the combined session wall-clock.
-    session = EgoSession(graph, backend=args.backend, kernel=args.kernel)
+    session = EgoSession(graph, backend=args.backend)
     if args.mode in ("local", "both"):
         session.scores()  # demand full values: the promotion seeds the index
         session.promote()
     if args.mode in ("lazy", "both"):
-        session.maintained_top_k(args.k, mode="lazy")  # attach before the stream
+        session.maintained_top_k(args.k)  # attach before the stream
     applied = apply_stream(session, stream)
     timings = session.maintenance_seconds()
 
@@ -456,7 +434,7 @@ def _run_maintain(args: argparse.Namespace) -> None:
         )
     ranked = []
     if args.mode in ("lazy", "both"):
-        top = session.maintained_top_k(args.k, mode="lazy")
+        top = session.maintained_top_k(args.k)
         ranked = [
             {"rank": rank + 1, "vertex": vertex, "ego_betweenness": score}
             for rank, (vertex, score) in enumerate(top.entries)
@@ -523,7 +501,7 @@ def _run_serve(args: argparse.Namespace) -> None:
             durability_root=args.wal_dir,
             result_cache_size=args.result_cache,
         )
-        session_options: Dict[str, Any] = {"kernel": args.kernel}
+        session_options: Dict[str, Any] = {}
         if args.task_deadline is not None:
             session_options["task_deadline"] = args.task_deadline
         for name, graph in graphs.items():

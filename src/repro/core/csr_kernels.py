@@ -100,20 +100,19 @@ def as_hash_graph(source: GraphLike) -> Graph:
     return source
 
 
-def as_dynamic(source, **kwargs) -> DynamicCompactGraph:
+def as_dynamic(source) -> DynamicCompactGraph:
     """Return an independent :class:`DynamicCompactGraph` built from ``source``.
 
     The result never aliases mutable state of ``source`` — mutating it
     leaves the original graph untouched (the contract of the dynamic
-    maintainers).  Keyword arguments are forwarded to the overlay
-    constructor (rebuild gating knobs).
+    maintainers).
     """
     if isinstance(source, DynamicCompactGraph):
-        return DynamicCompactGraph(source.snapshot(), **kwargs)
+        return DynamicCompactGraph(source.snapshot())
     if isinstance(source, CompactGraph):
-        return DynamicCompactGraph(source, **kwargs)
+        return DynamicCompactGraph(source)
     if isinstance(source, Graph):
-        return DynamicCompactGraph.from_graph(source, **kwargs)
+        return DynamicCompactGraph.from_graph(source)
     raise TypeError(
         f"expected Graph, CompactGraph or DynamicCompactGraph, got {type(source).__name__}"
     )
@@ -121,8 +120,7 @@ def as_dynamic(source, **kwargs) -> DynamicCompactGraph:
 
 #: One-line description per backend name, including the graph type each one
 #: requires — the single copy behind every backend-validation error message
-#: (the legacy three-value entry points here and the four-value
-#: :class:`repro.session.EgoSession` negotiation).
+#: (the free entry points here and :class:`repro.session.EgoSession`).
 BACKEND_DESCRIPTIONS = {
     "auto": "resolves to 'compact'",
     "compact": (
@@ -133,31 +131,23 @@ BACKEND_DESCRIPTIONS = {
         "runs on the mutable hash-set Graph oracle; a CSR graph is "
         "materialised back to a Graph"
     ),
-    "dynamic": (
-        "runs on a mutable DynamicCompactGraph overlay, updates always "
-        "accepted (EgoSession only)"
-    ),
 }
-
-
-def describe_backends(names: Iterable[str]) -> str:
-    """Render ``'name' (description)`` pairs for a backend error message."""
-    return ", ".join(f"'{name}' ({BACKEND_DESCRIPTIONS[name]})" for name in names)
 
 
 def normalize_backend(backend: str) -> str:
     """Validate a backend name and resolve ``"auto"`` to ``"compact"``.
 
     The single copy of the backend-selection contract shared by
-    ``top_k_ego_betweenness``, ``base_b_search`` and ``opt_b_search``.
+    :class:`~repro.session.EgoSession`, the dynamic maintainers, the
+    parallel engines and the free search functions.
     """
     backend = backend.lower()
-    if backend not in ("auto", "compact", "hash"):
+    if backend not in BACKEND_DESCRIPTIONS:
+        accepted = ", ".join(
+            f"'{name}' ({text})" for name, text in BACKEND_DESCRIPTIONS.items()
+        )
         raise InvalidParameterError(
-            f"unknown backend {backend!r}; accepted values are "
-            f"{describe_backends(('auto', 'compact', 'hash'))}.  "
-            "Stateful sessions (repro.session.EgoSession) additionally "
-            f"accept {describe_backends(('dynamic',))}."
+            f"unknown backend {backend!r}; accepted values are {accepted}."
         )
     return "compact" if backend == "auto" else backend
 
@@ -504,13 +494,15 @@ class CSRChunkKernel:
     the per-call cost is the wedge enumeration alone.  A kernel made by
     :meth:`for_compact` uses that snapshot's own cached structures instead.
 
-    ``kernel`` selects the negotiated execution tier
-    (:data:`repro.core.vec_kernels.KERNEL_TIERS`): ``"python"`` runs the
+    ``kernel`` is the execution tier, by default the platform's
+    (:func:`repro.core.vec_kernels.platform_tier`): ``"python"`` runs the
     interpreted wedge loops, ``"numpy"`` scores whole chunks through the
-    vectorized :class:`~repro.core.vec_kernels.VectorizedChunkScorer`, and
-    ``"auto"`` resolves at construction.  A numpy chunk that fails for any
-    reason demotes the kernel to the python tier permanently and counts one
-    ``kernel_fallbacks`` — the answer is recomputed, never lost.
+    vectorized :class:`~repro.core.vec_kernels.VectorizedChunkScorer`.
+    Naming a tier is the one place one can be forced (the tier-parity
+    tests and the kernel benchmark compare the two here).  A numpy chunk
+    that fails for any reason demotes the kernel to the python tier
+    permanently and counts one ``kernel_fallbacks`` — the answer is
+    recomputed, never lost.
     ``chunks_by_tier`` records which tier actually served each chunk.
     ``build_dense=False`` keeps both tiers off the dense bitmap.
 
@@ -546,14 +538,18 @@ class CSRChunkKernel:
         indptr: Sequence[int],
         indices: Sequence[int],
         build_dense: bool = True,
-        kernel: str = "python",
+        kernel: Optional[str] = None,
     ) -> None:
-        from repro.core.vec_kernels import normalize_kernel
+        from repro.core.vec_kernels import platform_tier
 
+        if kernel not in (None, "python", "numpy"):
+            raise InvalidParameterError(
+                f"unknown kernel tier {kernel!r}; use 'python' or 'numpy'"
+            )
         self.indptr = indptr
         self.indices = indices
         self.build_dense = build_dense
-        self.kernel = normalize_kernel(kernel)
+        self.kernel = kernel or platform_tier()
         self.chunks_by_tier: Dict[str, int] = {"python": 0, "numpy": 0}
         self.kernel_fallbacks = 0
         self._compact: Optional[CompactGraph] = None
@@ -563,10 +559,10 @@ class CSRChunkKernel:
         self._vec = None
 
     @classmethod
-    def for_compact(cls, compact: CompactGraph, kernel: str = "python") -> "CSRChunkKernel":
-        """A kernel over ``compact``'s arrays that shares its cached neighbour
-        sets and dense bitmap (the serial transport's kernel)."""
-        chunk_kernel = cls(compact.indptr, compact.indices, kernel=kernel)
+    def for_compact(cls, compact: CompactGraph) -> "CSRChunkKernel":
+        """A platform-tier kernel over ``compact``'s arrays that shares its
+        cached neighbour sets and dense bitmap (the serial transport's kernel)."""
+        chunk_kernel = cls(compact.indptr, compact.indices)
         chunk_kernel._compact = compact
         return chunk_kernel
 

@@ -1,12 +1,10 @@
 """Vectorized (numpy) batch wedge kernels over raw CSR arrays.
 
-This module is the optional **kernel tier** of the chunk-scoring hot path:
-``kernel={auto, python, numpy}``, negotiated exactly like the storage
-backends (:func:`repro.core.csr_kernels.normalize_backend`).  The pure
-Python wedge kernels remain the default-available oracle; when numpy is
-importable (``pip install repro[fast]``) the ``numpy`` tier scores whole
-vertex chunks with batched array operations instead of per-wedge Python
-loops.
+This module is the ``numpy`` **kernel tier** of the chunk-scoring hot
+path.  The tier follows the platform (:func:`platform_tier`): wherever
+numpy imports (``pip install repro[fast]``) chunks are scored whole with
+batched array operations; elsewhere the pure-Python wedge kernels, which
+stay the oracle, serve them.
 
 Bit-identity by construction
 ----------------------------
@@ -53,10 +51,10 @@ the :class:`~repro.parallel.runtime.PayloadStore` shipped, so enabling the
 tier changes no shipping accounting.
 
 numpy stays optional: importing this module never imports numpy; the
-probe (:func:`numpy_available`) happens at negotiation time and the
-callers (:class:`~repro.core.csr_kernels.CSRChunkKernel`,
-:class:`~repro.session.EgoSession`) fall back to the Python tier with a
-counted degradation when it fails.
+probe (:func:`numpy_available`) runs when a kernel is built, and a
+vectorized chunk that fails demotes its
+:class:`~repro.core.csr_kernels.CSRChunkKernel` to the Python tier with a
+counted fallback.
 """
 
 from __future__ import annotations
@@ -64,41 +62,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.ego_betweenness import _sum_from_histogram
-from repro.errors import InvalidParameterError
 
 __all__ = [
-    "KERNEL_TIERS",
-    "KERNEL_DESCRIPTIONS",
-    "describe_kernels",
-    "normalize_kernel",
     "numpy_available",
+    "platform_tier",
     "VectorizedChunkScorer",
     "BITMAP_BYTE_BUDGET",
 ]
-
-#: Accepted ``kernel=`` values, in negotiation order.
-KERNEL_TIERS = ("auto", "python", "numpy")
-
-#: One-line description per kernel tier — the single copy behind every
-#: kernel-validation error message and the CLI ``--kernel`` help, mirroring
-#: :data:`repro.core.csr_kernels.BACKEND_DESCRIPTIONS`.
-KERNEL_DESCRIPTIONS = {
-    "auto": "resolves to 'numpy' when numpy is importable, else 'python'",
-    "python": (
-        "pure-Python wedge kernels — always available, the bit-exact "
-        "oracle tier"
-    ),
-    "numpy": (
-        "vectorized batch wedge kernels over the CSR arrays; requires "
-        "numpy (pip install repro[fast]) and degrades to 'python' with a "
-        "counted fallback when unavailable"
-    ),
-}
-
-
-def describe_kernels(names: Iterable[str]) -> str:
-    """Render ``'name' (description)`` pairs for a kernel error message."""
-    return ", ".join(f"'{name}' ({KERNEL_DESCRIPTIONS[name]})" for name in names)
 
 
 def _numpy_module():
@@ -121,33 +91,10 @@ def numpy_available() -> bool:
     return _numpy_module() is not None
 
 
-def normalize_kernel(kernel: str) -> str:
-    """Validate a kernel tier name and resolve ``"auto"``.
-
-    ``"auto"`` resolves to ``"numpy"`` when numpy is importable and to
-    ``"python"`` otherwise — the same one-shot negotiation contract as
-    :func:`repro.core.csr_kernels.normalize_backend`.  An **explicit**
-    ``"numpy"`` is returned as-is even without numpy installed: whether
-    that is an error or a counted degradation is the caller's policy
-    (:class:`~repro.session.EgoSession` degrades to ``"python"`` and counts
-    it).
-
-    Examples
-    --------
-    >>> normalize_kernel("PYTHON")
-    'python'
-    >>> normalize_kernel("auto") in ("python", "numpy")
-    True
-    """
-    kernel = kernel.lower()
-    if kernel not in KERNEL_TIERS:
-        raise InvalidParameterError(
-            f"unknown kernel tier {kernel!r}; accepted values are "
-            f"{describe_kernels(KERNEL_TIERS)}."
-        )
-    if kernel == "auto":
-        return "numpy" if numpy_available() else "python"
-    return kernel
+def platform_tier() -> str:
+    """The kernel tier this process runs: ``"numpy"`` when numpy imports,
+    else ``"python"``."""
+    return "numpy" if numpy_available() else "python"
 
 
 def as_int64(np, buf):
@@ -208,8 +155,9 @@ class VectorizedChunkScorer:
     Raises
     ------
     ImportError
-        When numpy is not importable — callers negotiate the tier first
-        and count a degradation if construction fails anyway.
+        When numpy is not importable — a numpy-tier
+        :class:`~repro.core.csr_kernels.CSRChunkKernel` then demotes to the
+        python tier and counts the fallback.
     """
 
     __slots__ = ("np", "indptr", "indices", "n", "adjacency")

@@ -183,7 +183,11 @@ def recover(
     report.checkpoint_sequence = int(payload.get("last_sequence", 0))
     snapshot = _rebuild_snapshot(payload, checkpoint_path)
 
-    session_backend = backend or payload.get("backend", "compact")
+    # Checkpoints of overlay-sourced sessions once recorded "dynamic"; any
+    # backend other than the hash oracle recovers as "compact".
+    session_backend = backend or (
+        "hash" if payload.get("backend") == "hash" else "compact"
+    )
     graph_id = session_options.pop("graph_id", None) or payload.get("graph_id")
     session = EgoSession(
         snapshot,

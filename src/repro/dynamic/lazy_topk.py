@@ -46,7 +46,7 @@ skip-when-bounded behaviour that Exp-3 measures.
 
 The canonical owner of these maintainers is
 :class:`repro.session.EgoSession`, which attaches one per requested ``k``
-(``maintained_top_k(k, mode="lazy")``, seeded from the session's exact
+(``maintained_top_k(k)``, seeded from the session's exact
 values) and forwards every applied update to it; direct construction
 remains supported for standalone use.
 """
@@ -110,7 +110,6 @@ class LazyTopKMaintainer:
         k: int,
         backend: str = "auto",
         values: Optional[Dict[Vertex, float]] = None,
-        **overlay_options,
     ) -> None:
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
@@ -118,8 +117,8 @@ class LazyTopKMaintainer:
         if self.backend == "compact":
             # The maintainer's exact recomputations are served from patched
             # ego summaries, so summary maintenance pays for itself here.
-            overlay_options.setdefault("maintain_summaries", True)
-            self._dyn = as_dynamic(graph, **overlay_options)
+            self._dyn = as_dynamic(graph)
+            self._dyn.maintain_summaries = True
             self._graph: Optional[Graph] = None
             self._graph_version = -1
             if values is None:
@@ -130,8 +129,6 @@ class LazyTopKMaintainer:
                     {self._dyn.id_of(label): value for label, value in values.items()}
                 )
         else:
-            if overlay_options:
-                raise TypeError("overlay options are only valid with backend='compact'")
             self._dyn = None
             self._graph = graph.copy()
             self._values = dict(values) if values is not None else all_ego_betweenness(self._graph)

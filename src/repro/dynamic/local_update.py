@@ -36,9 +36,9 @@ Two backends implement the machinery (``backend={"auto", "compact",
 
 The canonical owner of this index is :class:`repro.session.EgoSession`,
 which builds one at its static→dynamic promotion (seeded with the values
-the session already computed) and serves ``scores()`` /
-``maintained_top_k(mode="index")`` from it; direct construction remains
-supported for standalone use.
+the session already computed) and serves ``scores()`` and naive
+``top_k`` from it; direct construction remains supported for standalone
+use.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class EgoBetweennessIndex:
         backend: str = "auto",
         values: Optional[Dict[Vertex, float]] = None,
         copy: bool = True,
-        **overlay_options,
     ) -> None:
         from repro.graph.dynamic_csr import DynamicCompactGraph
 
@@ -127,14 +126,9 @@ class EgoBetweennessIndex:
         self._snapshot_cache: Optional[Tuple[int, "CompactGraph"]] = None
         if self.backend == "compact":
             if not copy and isinstance(graph, DynamicCompactGraph):
-                if overlay_options:
-                    raise TypeError(
-                        "overlay options cannot be combined with copy=False "
-                        "(the adopted overlay was already configured)"
-                    )
                 self._dyn = graph
             else:
-                self._dyn = as_dynamic(graph, **overlay_options)
+                self._dyn = as_dynamic(graph)
             self._graph: Optional[Graph] = None
             self._graph_version = -1
             if values is None:
@@ -145,8 +139,6 @@ class EgoBetweennessIndex:
                     {self._dyn.id_of(label): value for label, value in values.items()}
                 )
         else:
-            if overlay_options:
-                raise TypeError("overlay options are only valid with backend='compact'")
             self._dyn = None
             self._graph = graph if not copy else graph.copy()
             self._scores = dict(values) if values is not None else all_ego_betweenness(self._graph)

@@ -65,13 +65,11 @@ class SelfLoopError(GraphError, ValueError):
 
 
 class BackendCapabilityError(ReproError, RuntimeError):
-    """Raised when an operation is not available on the negotiated backend.
+    """Raised when an operation is not available on the chosen backend.
 
-    Example: calling :meth:`repro.session.EgoSession.apply` on a session that
-    was constructed with ``auto_promote=False`` — the frozen snapshot cannot
-    absorb updates and the session refuses the static→dynamic promotion the
-    caller opted out of.  The message always names the operation, the
-    backend, and the remediation.
+    Example: asking the serial-only ``hash`` oracle to run on worker
+    processes (``executor="process"``).  The message always names the
+    backend and the remediation.
     """
 
 

@@ -46,12 +46,12 @@ __all__ = [
     "DEFAULT_MIN_REBUILD_DELTAS",
 ]
 
-#: Default fraction of the base edge count the accumulated deltas may reach
-#: before the overlay re-compacts itself into a fresh CSR snapshot.
+#: Fraction of the base edge count the accumulated deltas may reach before
+#: the overlay re-compacts itself into a fresh CSR snapshot.
 DEFAULT_REBUILD_RATIO = 0.25
 
-#: Default floor on the delta count before a rebuild is considered at all —
-#: on small graphs the ratio gate alone would trigger a rebuild every few
+#: Floor on the delta count before a rebuild is considered at all — on
+#: small graphs the ratio gate alone would trigger a rebuild every few
 #: updates, which costs more than it saves.
 DEFAULT_MIN_REBUILD_DELTAS = 256
 
@@ -65,14 +65,13 @@ class DynamicCompactGraph:
         The immutable CSR snapshot the overlay starts from.  The snapshot is
         never mutated; its per-row neighbour sets are copied once so the
         overlay owns its working adjacency.
-    rebuild_ratio:
-        Rebuild once the delta count exceeds this fraction of the base edge
-        count (subject to ``min_rebuild_deltas``).
-    min_rebuild_deltas:
-        Never rebuild before this many deltas have accumulated.
-    auto_rebuild:
-        When ``False`` the gate is disabled and :meth:`rebuild` must be
-        called explicitly.
+    maintain_summaries:
+        Whether :func:`~repro.core.csr_kernels.dynamic_ego_score` memoises
+        per-vertex ego summaries (the lazy top-k maintainer's mode).
+
+    The overlay re-compacts itself once the delta count reaches
+    :data:`DEFAULT_REBUILD_RATIO` of the base edge count, and never before
+    :data:`DEFAULT_MIN_REBUILD_DELTAS` deltas.
 
     Examples
     --------
@@ -106,18 +105,12 @@ class DynamicCompactGraph:
         "_summary_cost",
         "maintain_summaries",
         "_version",
-        "rebuild_ratio",
-        "min_rebuild_deltas",
-        "auto_rebuild",
         "rebuilds",
     )
 
     def __init__(
         self,
         base: CompactGraph,
-        rebuild_ratio: float = DEFAULT_REBUILD_RATIO,
-        min_rebuild_deltas: int = DEFAULT_MIN_REBUILD_DELTAS,
-        auto_rebuild: bool = True,
         maintain_summaries: bool = False,
     ) -> None:
         self._base = base
@@ -153,18 +146,15 @@ class DynamicCompactGraph:
         self._summary_cost = 0
         self.maintain_summaries = maintain_summaries
         self._version = 0
-        self.rebuild_ratio = rebuild_ratio
-        self.min_rebuild_deltas = min_rebuild_deltas
-        self.auto_rebuild = auto_rebuild
         self.rebuilds = 0
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, graph: Graph, **kwargs) -> "DynamicCompactGraph":
+    def from_graph(cls, graph: Graph) -> "DynamicCompactGraph":
         """Build an overlay from a hash-set :class:`Graph` (one conversion)."""
-        return cls(CompactGraph.from_graph(graph), **kwargs)
+        return cls(CompactGraph.from_graph(graph))
 
     def to_graph(self) -> Graph:
         """Materialise the *current* state as a hash-set :class:`Graph`."""
@@ -209,11 +199,9 @@ class DynamicCompactGraph:
         self.rebuilds += 1
 
     def _maybe_rebuild(self) -> None:
-        if not self.auto_rebuild:
-            return
         threshold = max(
-            self.min_rebuild_deltas,
-            int(self.rebuild_ratio * max(self._base.num_edges, 1)),
+            DEFAULT_MIN_REBUILD_DELTAS,
+            int(DEFAULT_REBUILD_RATIO * max(self._base.num_edges, 1)),
         )
         if self._delta_records >= threshold:
             self.rebuild()

@@ -14,20 +14,20 @@ Two engines are provided, mirroring the paper's VertexPEBW and EdgePEBW:
 
 Both engines produce exactly the same values as the sequential
 :func:`repro.core.ego_betweenness.all_ego_betweenness` for every worker
-count; only the schedule differs.
+count; only the partition differs, and each engine always executes its
+own.
 
 Execution is owned by the persistent
 :class:`~repro.parallel.runtime.ExecutionRuntime` — a lazily-created,
 reusable worker pool whose workers receive the flat CSR arrays once per
 graph version through a zero-copy shared-memory transport and then execute
-vertex chunks by id range (statically partitioned, or dynamically chunked
-through the pool's shared task queue).  Every graph is one payload, and
-every batch runs one snapshot's ids through one batch core.
-:mod:`repro.parallel.executor` keeps the
-one-shot ``run_chunks`` entry point (the hash oracle runs serially there),
-and :mod:`repro.parallel.load_balance` provides the deterministic speedup
-model used to reproduce the shape of Fig. 10 independently of Python's
-process-start overhead.
+vertex chunks: the caller's chunks when it passes them (the engines pass
+their partition), otherwise weight-balanced id ranges through the pool's
+shared task queue.  Every graph is one payload, and every batch runs one
+snapshot's ids through one batch core.  The hash-set oracle runs serially
+in the engines themselves, and :mod:`repro.parallel.load_balance` provides
+the deterministic speedup model used to reproduce the shape of Fig. 10
+independently of Python's process-start overhead.
 """
 
 from repro.parallel.engines import (
@@ -35,7 +35,6 @@ from repro.parallel.engines import (
     edge_parallel_ego_betweenness,
     vertex_parallel_ego_betweenness,
 )
-from repro.parallel.executor import ParallelBackend, run_chunks
 from repro.parallel.load_balance import LoadBalanceReport, simulate_schedule
 from repro.parallel.partition import (
     balanced_partition,
@@ -46,6 +45,7 @@ from repro.parallel.partition import (
 from repro.parallel.runtime import (
     BatchStats,
     ExecutionRuntime,
+    ParallelBackend,
     PayloadStore,
     RuntimeStats,
     WorkerPool,
@@ -65,7 +65,6 @@ __all__ = [
     "shared_payload_store",
     "RuntimeStats",
     "BatchStats",
-    "run_chunks",
     "block_partition",
     "balanced_partition",
     "vertex_work_estimates",

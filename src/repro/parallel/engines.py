@@ -11,25 +11,25 @@ Execution goes through the persistent
 :class:`~repro.parallel.runtime.ExecutionRuntime` whenever a CSR snapshot
 exists: pass ``runtime=`` to share one pool and one shipped payload across
 many engine calls (an :class:`~repro.session.EgoSession` does this
-automatically); without it each call builds an ephemeral runtime.  The
-deterministic load model is always derived from the static
-:func:`~repro.parallel.partition.balanced_partition` /
-:func:`~repro.parallel.partition.block_partition` schedule — Fig. 10's
-quantity — even when ``schedule="dynamic"`` lets the runtime's shared task
-queue execute weight-balanced oversubscribed chunks instead.
+automatically); without it each call builds an ephemeral runtime.  Each
+engine always executes its own partition —
+:func:`~repro.parallel.partition.block_partition` for VertexPEBW,
+:func:`~repro.parallel.partition.balanced_partition` for EdgePEBW — so the
+measured per-chunk times line up with the deterministic load model
+(Fig. 10's quantity).  The hash-set oracle runs the same chunks serially
+in this process.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import InvalidParameterError
+from repro.errors import BackendCapabilityError, InvalidParameterError
 from repro.graph.csr import CompactGraph
 from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.graph import Graph, Vertex
-from repro.parallel.executor import ParallelBackend, _run_serial_hash
 from repro.parallel.load_balance import LoadBalanceReport, simulate_schedule
 from repro.parallel.partition import (
     balanced_partition,
@@ -37,7 +37,7 @@ from repro.parallel.partition import (
     vertex_work_estimates,
     vertex_work_estimates_csr,
 )
-from repro.parallel.runtime import ExecutionRuntime
+from repro.parallel.runtime import ExecutionRuntime, ParallelBackend
 
 __all__ = ["ParallelRunResult", "vertex_parallel_ego_betweenness", "edge_parallel_ego_betweenness"]
 
@@ -72,12 +72,9 @@ class ParallelRunResult:
         simulated makespan and speedup) — the quantity Fig. 10's speedup
         curves are reproduced from.
     chunk_seconds:
-        Measured kernel seconds per *executed* chunk.  With the default
-        static schedule these align one-to-one with the engine's partition
-        (the chunks the load report models); with ``schedule="dynamic"``
-        they time the runtime's oversubscribed id-range chunks instead, so
-        their count differs from the modelled partition — do not zip them
-        with the static chunks in that case.
+        Measured kernel seconds per chunk of the engine's partition, one
+        per worker — the chunks the load report models (an empty chunk
+        reports 0.0).
     """
 
     scores: Dict[Vertex, float]
@@ -96,7 +93,6 @@ def vertex_parallel_ego_betweenness(
     backend: "ParallelBackend | str" = ParallelBackend.SERIAL,
     graph_backend: str = "auto",
     runtime: Optional[ExecutionRuntime] = None,
-    schedule: str = "static",
     payload_key=None,
 ) -> ParallelRunResult:
     """VertexPEBW: vertex-partitioned parallel ego-betweenness.
@@ -112,18 +108,14 @@ def vertex_parallel_ego_betweenness(
     runs serially (``backend="process"`` raises
     :class:`~repro.errors.BackendCapabilityError`).
     ``runtime`` (CSR path only) reuses a persistent
-    :class:`ExecutionRuntime` across calls; ``schedule="dynamic"`` executes
-    runtime-chunked weight-balanced id ranges through the shared task queue
-    instead of the engine's static chunks (the load report still models the
-    static schedule); ``payload_key`` is the ``(graph_id, version)`` store
-    key forwarded to the runtime's payload store (sessions pass theirs so
-    multi-tenant stores account bytes per graph).  Scores are identical
-    across every combination.
+    :class:`ExecutionRuntime` across calls; ``payload_key`` is the
+    ``(graph_id, version)`` store key forwarded to the runtime's payload
+    store (sessions pass theirs so multi-tenant stores account bytes per
+    graph).  Scores are identical across every combination.
     """
     return _run_engine(
         graph, num_workers, backend, engine="VertexPEBW",
-        graph_backend=graph_backend, runtime=runtime, schedule=schedule,
-        payload_key=payload_key,
+        graph_backend=graph_backend, runtime=runtime, payload_key=payload_key,
     )
 
 
@@ -133,7 +125,6 @@ def edge_parallel_ego_betweenness(
     backend: "ParallelBackend | str" = ParallelBackend.SERIAL,
     graph_backend: str = "auto",
     runtime: Optional[ExecutionRuntime] = None,
-    schedule: str = "static",
     payload_key=None,
 ) -> ParallelRunResult:
     """EdgePEBW: edge-work-balanced parallel ego-betweenness.
@@ -143,12 +134,11 @@ def edge_parallel_ego_betweenness(
     adjacency probes inside the ego networks), which is the Python analogue
     of parallelising over directed edges and restores load balance under
     degree skew.  See :func:`vertex_parallel_ego_betweenness` for
-    ``graph_backend`` / ``runtime`` / ``schedule``.
+    ``graph_backend`` / ``runtime``.
     """
     return _run_engine(
         graph, num_workers, backend, engine="EdgePEBW",
-        graph_backend=graph_backend, runtime=runtime, schedule=schedule,
-        payload_key=payload_key,
+        graph_backend=graph_backend, runtime=runtime, payload_key=payload_key,
     )
 
 
@@ -159,17 +149,12 @@ def _run_engine(
     engine: str,
     graph_backend: str = "auto",
     runtime: Optional[ExecutionRuntime] = None,
-    schedule: str = "static",
     payload_key=None,
 ) -> ParallelRunResult:
     from repro.core.csr_kernels import normalize_backend
 
     if num_workers < 1:
         raise InvalidParameterError("num_workers must be positive")
-    if schedule not in ("static", "dynamic"):
-        raise InvalidParameterError(
-            f"unknown schedule {schedule!r}; use 'static' or 'dynamic'"
-        )
     backend = ParallelBackend(backend)
     graph_backend = normalize_backend(graph_backend)
 
@@ -212,9 +197,8 @@ def _run_engine(
         try:
             id_scores, batch = runtime.execute(
                 compact,
-                chunks=id_chunks if schedule == "static" else None,
+                chunks=id_chunks,
                 num_workers=num_workers,
-                schedule=schedule,
                 payload_key=payload_key,
             )
         finally:
@@ -238,3 +222,27 @@ def _run_engine(
         setup_seconds=setup_seconds,
         compute_seconds=compute_seconds,
     )
+
+
+def _run_serial_hash(
+    graph: Graph,
+    chunks: Sequence[Sequence[Vertex]],
+    backend: ParallelBackend,
+) -> Tuple[Dict[Vertex, float], List[float]]:
+    """Run the chunks on the hash oracle, serially in this process."""
+    from repro.core.ego_betweenness import ego_betweenness
+
+    if backend is not ParallelBackend.SERIAL:
+        raise BackendCapabilityError(
+            "the hash-set oracle runs serially only; convert the graph to "
+            "the 'compact' backend (CSR) to execute on worker processes"
+        )
+
+    merged: Dict[Vertex, float] = {}
+    timings: List[float] = []
+    for chunk in chunks:
+        start = time.perf_counter()
+        for p in chunk:
+            merged[p] = ego_betweenness(graph, p)
+        timings.append(time.perf_counter() - start)
+    return merged, timings

@@ -30,14 +30,16 @@ standalone callers), or it can be constructed with ``pool=`` / ``store=``
 to join shared infrastructure (what the serving gateway does for its
 tenants).
 
-A batch executes one snapshot's dense ids: they are chunked from one
-``workers × oversubscribe`` budget, and all chunks run through one serial
-loop or one supervised submission loop against the snapshot's one payload.
+A batch executes one snapshot's dense ids: the caller's chunks when it
+passes them, otherwise ``workers × DEFAULT_OVERSUBSCRIBE`` weight-balanced
+id ranges; all chunks run through one serial loop or one supervised
+submission loop against the snapshot's one payload.  Chunks are scored at
+the platform's kernel tier (:func:`~repro.core.vec_kernels.platform_tier`).
 Execution offers two reductions:
 
 * :meth:`ExecutionRuntime.execute` — score chunks, merge the full
   ``{id: score}`` map (scores bit-identical to the serial kernels for
-  every executor/schedule/worker count).
+  every executor, chunking and worker count).
 * :meth:`ExecutionRuntime.execute_top_k` — worker-side result reduction:
   every chunk task returns only its entries at or above its k-th score
   instead of every score, and the parent keeps the union's entries that
@@ -106,8 +108,8 @@ __all__ = [
     "DEFAULT_MAX_TASK_RETRIES",
 ]
 
-#: Chunks per worker produced by the dynamic schedule: small enough that an
-#: unlucky worker never sits on more than ``1/oversubscribe`` of the work,
+#: Chunks per worker when the runtime chunks a batch itself: small enough
+#: that an unlucky worker never sits on more than a quarter of its share,
 #: large enough that per-task submission overhead stays negligible.
 DEFAULT_OVERSUBSCRIBE = 4
 
@@ -160,9 +162,6 @@ class BatchStats:
     ----------
     num_tasks:
         Number of (non-empty) chunks executed.
-    schedule:
-        ``"static"`` (caller-provided chunks) or ``"dynamic"`` (runtime
-        chunking + shared-queue self-scheduling).
     shipped:
         Whether this batch had to ship the graph payload (first batch on a
         new ``(graph_id, version)`` key).
@@ -175,16 +174,15 @@ class BatchStats:
     compute_seconds:
         Wall-clock time of the chunk execution itself.
     chunk_seconds:
-        Per-chunk kernel seconds, aligned with the executed chunks (static
-        schedules: aligned with the caller's chunk list, empty chunks
-        report 0.0).
+        Per-chunk kernel seconds, aligned with the executed chunks (with
+        caller-provided chunks: aligned with the caller's chunk list, empty
+        chunks report 0.0).
     kind:
         ``"scores"`` (full merged map) or ``"top_k"`` (worker-side bounded
         reduction).
     """
 
     num_tasks: int
-    schedule: str
     shipped: bool
     pool_started: bool
     setup_seconds: float
@@ -250,14 +248,13 @@ class RuntimeStats:
         Torn/corrupt shared-memory payloads detected on worker attach
         (each one triggers an unlink + re-ship).
     kernel:
-        The kernel tier this runtime asks its chunk kernels to serve
-        (``"python"`` or ``"numpy"`` — already resolved, never
-        ``"auto"``).
+        The platform's kernel tier (``"python"`` or ``"numpy"``), which
+        the chunk kernels serve unless they demote.
     kernel_chunks:
         Chunks actually served per tier.  A ``"numpy"`` runtime whose
         workers demoted (vectorized path failed mid-batch) shows the
-        demoted chunks under ``"python"`` here — the tier *requested* and
-        the tier *served* are reported separately on purpose.
+        demoted chunks under ``"python"`` here — the platform tier and the
+        tier *served* are reported separately on purpose.
     kernel_fallbacks:
         Vectorized-kernel demotions observed across workers: each one is
         a worker-side :class:`~repro.core.csr_kernels.CSRChunkKernel`
@@ -325,7 +322,6 @@ class RuntimeStats:
         if self.last_batch is not None:
             payload["last_batch"] = {
                 "num_tasks": self.last_batch.num_tasks,
-                "schedule": self.last_batch.schedule,
                 "kind": self.last_batch.kind,
                 "shipped": self.last_batch.shipped,
                 "pool_started": self.last_batch.pool_started,
@@ -461,16 +457,14 @@ class _AttachedGraph:
 
     Attaching maps the shared segment and casts the two array regions as
     ``memoryview``\\ s — no deserialisation, no copy of the adjacency — and
-    wraps them in the process-local python-tier
-    :class:`~repro.core.csr_kernels.CSRChunkKernel`.  Higher kernel tiers
-    attach lazily through :meth:`kernel_for` — the numpy tier wraps
-    ``np.frombuffer`` views around the *same* segment bytes, so
-    negotiating a tier ships nothing extra.  ``close``
-    releases the views before closing the mapping, in that order, or
-    ``mmap`` refuses to unmap.
+    wraps them in one process-local platform-tier
+    :class:`~repro.core.csr_kernels.CSRChunkKernel`.  The numpy tier wraps
+    ``np.frombuffer`` views around the *same* segment bytes, so the tier
+    ships nothing extra.  ``close`` releases the views before closing the
+    mapping, in that order, or ``mmap`` refuses to unmap.
     """
 
-    __slots__ = ("shm", "kernel", "tier_kernels", "_views")
+    __slots__ = ("shm", "kernel", "_views")
 
     def __init__(self, meta: Tuple[str, int, int]) -> None:
         from multiprocessing import shared_memory
@@ -498,26 +492,7 @@ class _AttachedGraph:
                 view.release()
             self.shm.close()
             raise
-        self.tier_kernels: Dict[str, Any] = {}
         self._views = (indices, indptr, whole)
-
-    def kernel_for(self, tier: str):
-        """The chunk kernel serving ``tier`` (lazily built per tier).
-
-        Each tier builds only what it uses: the python kernel its neighbour
-        sets and bitmap on its first chunk, the numpy kernel its padded
-        adjacency over ``np.frombuffer`` views of the attached segment
-        (zero-copy).
-        """
-        if tier == "python":
-            return self.kernel
-        kernel = self.tier_kernels.get(tier)
-        if kernel is None:
-            from repro.core.csr_kernels import CSRChunkKernel
-
-            kernel = CSRChunkKernel(self.kernel.indptr, self.kernel.indices, kernel=tier)
-            self.tier_kernels[tier] = kernel
-        return kernel
 
     @staticmethod
     def _verify(whole: memoryview, name: str, ptr_len: int, idx_len: int) -> None:
@@ -552,7 +527,6 @@ class _AttachedGraph:
 
     def close(self) -> None:
         self.kernel = None
-        self.tier_kernels = {}
         for view in self._views:
             view.release()
         self._views = ()
@@ -725,7 +699,6 @@ def _chunk_task(
     spec,
     method: str,
     args: Tuple,
-    tier: str = "python",
     fault=None,
 ):
     """Pool task: run one chunk against the worker's attached graph.
@@ -733,14 +706,13 @@ def _chunk_task(
     ``method`` is the chunk kernel's ``score_chunk`` (every score) or
     ``top_chunk`` (the worker-side top-k reduction: ``k`` candidates plus
     any ties at the chunk threshold); ``args`` are its arguments after the
-    ids.  ``tier`` selects the negotiated kernel
-    tier (resolved parent-side, never ``"auto"``).  ``fault`` is the
+    ids.  ``fault`` is the
     action drawn parent-side by the fault-injection harness (``None``
     outside chaos runs) and is performed before the kernel touches the
     payload.
     """
     _faults.perform(fault)
-    kernel = _attached(meta).kernel_for(tier)
+    kernel = _attached(meta).kernel
     payload, seconds, kinfo = _serve_chunk(kernel, method, _decode_ids(spec), *args)
     return index, payload, seconds, kinfo
 
@@ -1320,16 +1292,14 @@ class ExecutionRuntime:
     ----------
     max_workers:
         Worker-pool size for a *privately created* pool (default
-        ``os.cpu_count()``); also the default parallelism of the dynamic
-        schedule.  Ignored when ``pool=`` is supplied.
+        ``os.cpu_count()``); also the default parallelism of the runtime's
+        own chunking.  Ignored when ``pool=`` is supplied.
     executor:
         ``"process"`` (persistent :class:`WorkerPool` + shared-memory
         transport, the production configuration) or ``"serial"``
         (in-process execution on the snapshot's own cached structures —
         deterministic, dependency-free, used by tests and the schedule
         model).
-    oversubscribe:
-        Chunks per worker produced by the dynamic schedule.
     pool:
         An existing :class:`WorkerPool` to attach to (multi-tenant
         sharing); ``None`` creates a private pool whose processes terminate
@@ -1342,15 +1312,6 @@ class ExecutionRuntime:
         submitted chunk with no result after this long is presumed lost
         and resubmitted (the kernels are pure, so duplicates are
         idempotent).  Default :data:`DEFAULT_TASK_DEADLINE`.
-    kernel:
-        Kernel tier the chunk kernels serve: ``"python"`` (default, the
-        interpreted oracle), ``"numpy"`` (vectorized batch kernels over
-        the same CSR arrays — workers attach ``np.frombuffer`` views onto
-        the already-shipped segments, so the tier changes zero transport
-        bytes) or ``"auto"`` (numpy when importable, else python).
-        Resolved once at construction via
-        :func:`~repro.core.vec_kernels.normalize_kernel`; every tier is
-        bit-identical by construction.
 
     Notes
     -----
@@ -1368,29 +1329,24 @@ class ExecutionRuntime:
         self,
         max_workers: Optional[int] = None,
         executor: "ParallelBackend | str" = ParallelBackend.PROCESS,
-        oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
         pool: Optional[WorkerPool] = None,
         store: Optional[PayloadStore] = None,
         task_deadline: Optional[float] = DEFAULT_TASK_DEADLINE,
-        kernel: str = "python",
     ) -> None:
         import weakref
 
-        from repro.core.vec_kernels import normalize_kernel
+        from repro.core.vec_kernels import platform_tier
 
         if max_workers is not None and max_workers < 1:
             raise InvalidParameterError("max_workers must be positive")
-        if oversubscribe < 1:
-            raise InvalidParameterError("oversubscribe must be positive")
         if task_deadline is not None and task_deadline <= 0:
             raise InvalidParameterError("task_deadline must be positive or None")
         self.task_deadline = task_deadline
-        self.kernel = normalize_kernel(kernel)
+        self.kernel = platform_tier()
         self.executor = ParallelBackend(executor)
         if pool is None:
             pool = WorkerPool(max_workers)
         self.max_workers = max_workers or pool.max_workers
-        self.oversubscribe = oversubscribe
         owns_store = store is None
         if owns_store:
             store = PayloadStore()
@@ -1540,7 +1496,7 @@ class ExecutionRuntime:
         if held.kernel is None:
             from repro.core.csr_kernels import CSRChunkKernel
 
-            held.kernel = CSRChunkKernel.for_compact(held.compact, kernel=self.kernel)
+            held.kernel = CSRChunkKernel.for_compact(held.compact)
         return held.kernel
 
     # ------------------------------------------------------------------
@@ -1635,7 +1591,7 @@ class ExecutionRuntime:
                 try:
                     result = pool.submit(
                         _chunk_task,
-                        (meta, index, specs[index], method, args, self.kernel, fault),
+                        (meta, index, specs[index], method, args, fault),
                     )
                 except PoolStateError:
                     raise
@@ -1722,9 +1678,9 @@ class ExecutionRuntime:
     ) -> List[List[int]]:
         """Split ``ids`` into weight-balanced contiguous id ranges.
 
-        The dynamic schedule's unit of work: ascending id order (cache
-        friendly, range-encodable) cut into ``num_workers × oversubscribe``
-        chunks of approximately equal estimated work, executed via the
+        The runtime's own unit of work: ascending id order (cache
+        friendly, range-encodable) cut into ``num_workers ×``
+        :data:`DEFAULT_OVERSUBSCRIBE` chunks of approximately equal estimated work, executed via the
         pool's shared queue so idle workers steal the next chunk.
         ``estimates`` supplies cached work estimates of ``compact`` by id,
         covering at least ``ids`` (computed for ``ids`` alone when
@@ -1737,7 +1693,7 @@ class ExecutionRuntime:
             from repro.parallel.partition import vertex_work_estimates_csr
 
             estimates = dict(zip(ids, vertex_work_estimates_csr(compact, ids)))
-        target_chunks = max(1, min(len(ids), num_workers * self.oversubscribe))
+        target_chunks = max(1, min(len(ids), num_workers * DEFAULT_OVERSUBSCRIBE))
         total = sum(estimates[i] for i in ids)
         target = total / target_chunks
         chunks: List[List[int]] = []
@@ -1764,7 +1720,6 @@ class ExecutionRuntime:
         *,
         ids: Optional[Iterable[int]] = None,
         num_workers: Optional[int] = None,
-        schedule: str = "dynamic",
         payload_key: Optional[PayloadKey] = None,
     ) -> Tuple[Dict[int, float], BatchStats]:
         """Score ``compact``'s ids; return ``(scores by id, batch)``.
@@ -1777,18 +1732,14 @@ class ExecutionRuntime:
             this runtime or any other tenant of a shared store — reuses the
             shipped arrays.
         chunks:
-            An explicit static schedule (per-worker id chunks).  When
-            omitted, the runtime chunks the ids itself according to
-            ``schedule``.
+            Explicit id chunks, executed as given.  When omitted, the
+            runtime cuts the ids into weight-balanced ranges
+            (:meth:`dynamic_chunks`) run through the shared task queue.
         ids:
             The dense vertex ids to score (default: every vertex).  Ignored
             when ``chunks`` is given.
         num_workers:
             Parallelism used by the chunker (default ``max_workers``).
-        schedule:
-            ``"dynamic"`` (weight-balanced oversubscribed ranges, shared
-            task queue) or ``"static"`` (one chunk per worker in id-range
-            blocks) — only consulted when ``chunks`` is omitted.
         payload_key:
             The store key of the snapshot (sessions pass their
             ``(graph_id, version)``); ``None`` lets the store assign an
@@ -1800,8 +1751,7 @@ class ExecutionRuntime:
         batch's :class:`BatchStats`.
         """
         return self._batch(
-            "scores", compact, ids, payload_key, num_workers,
-            schedule=schedule, chunks=chunks,
+            "scores", compact, ids, payload_key, num_workers, chunks=chunks
         )
 
     def execute_top_k(
@@ -1840,17 +1790,12 @@ class ExecutionRuntime:
         payload_key: Optional[PayloadKey],
         num_workers: Optional[int],
         *,
-        schedule: str = "dynamic",
         chunks: Optional[Sequence[Sequence[int]]] = None,
         k: int = 0,
     ) -> Tuple[Any, BatchStats]:
         """The one batch core: hold, chunk, run, reduce, account."""
         if self._closed:
             raise InvalidParameterError("this ExecutionRuntime has been closed")
-        if schedule not in ("dynamic", "static"):
-            raise InvalidParameterError(
-                f"unknown schedule {schedule!r}; use 'dynamic' or 'static'"
-            )
         ids = range(compact.num_vertices) if ids is None else list(ids)
 
         setup_start = time.perf_counter()
@@ -1862,7 +1807,7 @@ class ExecutionRuntime:
         workers = num_workers or self.max_workers
         cap = min(k, len(ids))
         plan = (
-            self._chunk(held, ids, chunks, workers, schedule)
+            self._chunk(held, ids, chunks, workers)
             if kind == "scores" or cap
             else []
         )
@@ -1921,7 +1866,6 @@ class ExecutionRuntime:
 
         batch = BatchStats(
             num_tasks=len(tasks),
-            schedule="static" if chunks is not None else schedule,
             shipped=shipped,
             pool_started=pool_started,
             setup_seconds=setup_seconds,
@@ -1938,20 +1882,15 @@ class ExecutionRuntime:
         ids: Sequence[int],
         chunks: Optional[Sequence[Sequence[int]]],
         workers: int,
-        schedule: str,
     ) -> List[List[int]]:
-        """Cut ``ids`` into chunks, in order.
+        """The caller's ``chunks``, or ``ids`` cut into weight-balanced ranges.
 
-        The dynamic schedule cuts ``workers × oversubscribe`` chunks by
-        work estimates, computed only for the ids being chunked and
-        memoised on the held payload.
+        The ranges come from :meth:`dynamic_chunks`, on work estimates
+        computed only for the ids being chunked and memoised on the held
+        payload.
         """
         if chunks is not None:
             return [list(chunk) for chunk in chunks]
-        if schedule == "static":
-            from repro.parallel.partition import block_partition
-
-            return block_partition(sorted(ids), workers)
         estimates = held.estimates
         missing = [i for i in ids if i not in estimates]
         if missing:

@@ -4,7 +4,7 @@ The paper's system is one engine — static top-k search (BaseBSearch /
 OptBSearch, Section III), dynamic maintenance (Section IV) and parallel
 all-vertex computation (Section V) all operate over the same graph and the
 same ego-betweenness values.  ``EgoSession`` is the API that matches that
-architecture: **one object owns the graph, negotiates the storage backend
+architecture: **one object owns the graph, picks the storage backend
 once, and keeps every memoised structure warm across queries**, instead of
 a scatter of free functions that each take their own ``backend=`` string
 and rebuild CSR caches per call.
@@ -33,25 +33,18 @@ incrementally.  If values were never demanded — e.g. a session that
 only feeds lazy top-k maintainers — no index exists and updates cost only
 the topology bookkeeping plus the attached maintainers; the index is
 built by the first read of any kind (``score``, ``scores``,
-``scores_batch``, a naive or parallel ``top_k``, or
-``maintained_top_k(mode="index")``).  The promotion happens
-exactly once; a session constructed with ``auto_promote=False`` instead
-raises :class:`~repro.errors.BackendCapabilityError` so frozen read-only
-services cannot be mutated by accident.
+``scores_batch``, or a naive or parallel ``top_k``).  The promotion happens
+exactly once, on every backend.
 
-Backend negotiation
--------------------
-``backend=`` accepts four values, resolved once at construction:
-
-========== ==================================================================
-``auto``   ``compact`` for static sources, ``dynamic`` when the source is
-           already a ``DynamicCompactGraph`` overlay (the default).
-``compact`` frozen ``CompactGraph`` CSR snapshot; promotes on first update.
-``hash``   the hash-set ``Graph`` oracle end to end (the bit-identical
-           reference backend; also promotes, onto the hash maintainers).
-``dynamic`` like ``compact`` but updates are always welcome — the promotion
-           ignores ``auto_promote``.
-========== ==================================================================
+Backends
+--------
+``backend=`` is validated by
+:func:`~repro.core.csr_kernels.normalize_backend`: ``compact`` (the
+default ``auto``) pins a frozen ``CompactGraph`` CSR snapshot — a
+``DynamicCompactGraph`` source is snapshotted — and ``hash`` runs the
+hash-set ``Graph`` oracle end to end (the bit-identical reference backend;
+it promotes onto the hash maintainers).  Chunks are scored at the
+platform's kernel tier (:func:`~repro.core.vec_kernels.platform_tier`).
 
 Every legacy entry point (``top_k_ego_betweenness``, ``base_b_search``,
 ``opt_b_search``, the CLI) is a thin adapter that constructs a throwaway
@@ -86,8 +79,8 @@ from repro.core.csr_kernels import (
     all_ego_betweenness_csr,
     as_hash_graph,
     base_b_search_csr,
-    describe_backends,
     ego_betweenness_csr_cached,
+    normalize_backend,
     opt_b_search_csr,
     static_bound_order,
 )
@@ -123,12 +116,7 @@ from repro.parallel.runtime import (
     WorkerPool,
 )
 
-__all__ = ["EgoSession", "Query", "SessionStats", "SESSION_BACKENDS"]
-
-#: The backend names a session negotiates between (``auto`` resolves to
-#: ``compact`` or ``dynamic`` depending on the source).  Descriptions live
-#: in :data:`repro.core.csr_kernels.BACKEND_DESCRIPTIONS` (one copy).
-SESSION_BACKENDS = ("auto", "compact", "hash", "dynamic")
+__all__ = ["EgoSession", "Query", "SessionStats"]
 
 GraphSource = Union[Graph, CompactGraph, DynamicCompactGraph, str, Iterable]
 
@@ -136,12 +124,6 @@ GraphSource = Union[Graph, CompactGraph, DynamicCompactGraph, str, Iterable]
 #: half of the ``(graph_id, version)`` payload-store key a session stamps
 #: on every runtime execution.
 _GRAPH_IDS = itertools.count()
-
-#: The :class:`DynamicCompactGraph` overlay parameters a compact or dynamic
-#: session accepts as keyword arguments (applied at promotion).
-_OVERLAY_OPTIONS = frozenset(
-    ("rebuild_ratio", "min_rebuild_deltas", "auto_rebuild", "maintain_summaries")
-)
 
 
 @dataclass(frozen=True)
@@ -158,7 +140,7 @@ class Query:
         Session state (``"static"`` / ``"dynamic"``) when the query ran.
     elapsed_seconds:
         Wall-clock time spent answering, including any promotion it caused.
-    k / algorithm / theta / mode / parallel / events / batch:
+    k / algorithm / theta / parallel / events / batch:
         The query parameters that applied (``None`` otherwise); ``batch``
         is the number of queries a ``scores_batch`` call answered.
     """
@@ -169,7 +151,6 @@ class Query:
     k: Optional[int] = None
     algorithm: Optional[str] = None
     theta: Optional[float] = None
-    mode: Optional[str] = None
     parallel: Optional[int] = None
     events: Optional[int] = None
     batch: Optional[int] = None
@@ -182,7 +163,7 @@ class SessionStats:
     Attributes
     ----------
     backend:
-        The negotiated backend (``compact``, ``hash`` or ``dynamic``).
+        The session's backend (``compact`` or ``hash``).
     state:
         ``"static"`` until the first update promotes the session,
         ``"dynamic"`` afterwards.
@@ -217,18 +198,16 @@ class SessionStats:
         parallel path failed (graceful degradation — answers stayed
         bit-identical, only latency degraded).
     kernel:
-        The negotiated kernel tier (``"python"`` or ``"numpy"`` — the
-        ``"auto"`` request resolves at construction, mirroring backend
-        negotiation).
+        The platform's kernel tier (``"numpy"`` when numpy imports, else
+        ``"python"``).
     kernel_chunks:
         Vertex chunks actually served per tier, aggregated over the
         session's serial kernel and every runtime it created.  Answers
         are bit-identical across tiers by construction; this shows which
         tier did the work.
     kernel_fallbacks:
-        Counted kernel degradations: a ``kernel="numpy"`` request without
-        importable numpy, plus every worker/serial chunk kernel that
-        demoted to python after a vectorized failure.
+        Counted kernel demotions: every worker/serial chunk kernel that
+        dropped to python after a vectorized failure.
     worker_deaths / respawns / task_retries / deadline_misses /
     integrity_failures:
         Failure accounting aggregated over the session's runtimes (see
@@ -309,21 +288,6 @@ class SessionStats:
         return payload
 
 
-def _negotiate_backend(backend: str, source: object) -> str:
-    """Resolve ``backend`` against the source type; validate the name."""
-    backend = backend.lower()
-    if backend not in SESSION_BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; accepted values are "
-            f"{describe_backends(SESSION_BACKENDS)} — 'auto' resolves to "
-            "'compact' for static sources and 'dynamic' when the source is "
-            "already a DynamicCompactGraph"
-        )
-    if backend == "auto":
-        return "dynamic" if isinstance(source, DynamicCompactGraph) else "compact"
-    return backend
-
-
 class EgoSession:
     """One stateful entry point for search, scoring, maintenance and parallel
     execution over a single owned graph.
@@ -337,22 +301,10 @@ class EgoSession:
         (:meth:`CompactGraph.from_edges`); only ``backend="hash"`` builds a
         hash :class:`Graph` from them.
     backend:
-        One of :data:`SESSION_BACKENDS`; see the module docstring.
-    kernel:
-        Kernel tier for chunk scoring, negotiated once at construction
-        exactly like the backend: ``"auto"`` (the default) resolves to
-        ``"numpy"`` when numpy is importable and ``"python"`` otherwise;
-        the explicit tiers pin the choice.  An explicit ``"numpy"``
-        without importable numpy degrades to ``"python"`` with a counted
-        ``SessionStats.kernel_fallbacks``.  Every tier is bit-identical;
-        the numpy tier vectorizes the batch wedge kernels over the same
-        CSR arrays.
+        ``"auto"`` (the default, the same as ``"compact"``) or ``"hash"``;
+        see the module docstring.
     scale:
         Dataset scale factor, used only when ``source`` is a dataset name.
-    auto_promote:
-        When ``False``, :meth:`apply` on a static ``compact`` / ``hash``
-        session raises :class:`BackendCapabilityError` instead of promoting
-        (``backend="dynamic"`` always promotes).
     task_deadline:
         Per-task deadline forwarded to the session's execution runtimes
         (see :class:`~repro.parallel.runtime.ExecutionRuntime`).  A
@@ -379,18 +331,13 @@ class EgoSession:
         :class:`~repro.durability.wal.WriteAheadLog` and
         :class:`~repro.durability.manager.DurabilityManager`); only valid
         together with ``durability=``.
-    overlay_options:
-        Forwarded to the :class:`DynamicCompactGraph` overlay created at
-        promotion: ``rebuild_ratio``, ``min_rebuild_deltas``,
-        ``auto_rebuild`` and ``maintain_summaries``.  Any other keyword
-        raises ``TypeError`` at construction.
 
     Notes
     -----
     A static ``hash`` session reads the caller's :class:`Graph` live (no
     copy — matching the legacy free functions it powers); the promotion
-    copies it, after which the session owns its state.  ``compact`` /
-    ``dynamic`` sessions pin an immutable snapshot at construction.
+    copies it, after which the session owns its state.  ``compact``
+    sessions pin an immutable snapshot at construction.
     """
 
     def __init__(
@@ -398,9 +345,7 @@ class EgoSession:
         source: GraphSource,
         backend: str = "auto",
         *,
-        kernel: str = "auto",
         scale: Optional[float] = None,
-        auto_promote: bool = True,
         graph_id: Optional[str] = None,
         task_deadline: Optional[float] = DEFAULT_TASK_DEADLINE,
         durability=None,
@@ -409,38 +354,25 @@ class EgoSession:
         segment_bytes: Optional[int] = None,
         checkpoint_every: Optional[int] = None,
         retain_checkpoints: Optional[int] = None,
-        **overlay_options,
     ) -> None:
-        self.backend = _negotiate_backend(backend, source)
+        from repro.core.vec_kernels import platform_tier
+
+        self.backend = normalize_backend(backend)
         source = self._coerce_source(source, scale, self.backend)
         # The stable half of the session's (graph_id, version) payload key.
         # Auto-assigned ids are unique per session; an explicit graph_id is
         # the opt-in for cross-session payload dedup in a shared store (two
         # tenants naming the same graph_id assert they hold the same graph).
         self.graph_id = graph_id or f"session-{next(_GRAPH_IDS)}"
-        self._auto_promote = auto_promote
         self._task_deadline = task_deadline
         self._fallbacks = 0
         self._kernel_fallbacks = 0
-        self.kernel = self._negotiate_kernel(kernel)
+        self.kernel = platform_tier()
         # Tier-aware serial chunk kernel, memoized per compact snapshot;
         # counters of replaced kernels fold into the retired totals so
         # stats() survives promotions and snapshot rebuilds.
         self._chunk_kernel: Optional[tuple] = None
         self._kernel_chunks_retired: Dict[str, int] = {"python": 0, "numpy": 0}
-        unknown = sorted(set(overlay_options) - _OVERLAY_OPTIONS)
-        if unknown:
-            raise TypeError(
-                f"EgoSession() got unexpected keyword argument(s) {unknown}; "
-                f"overlay options are {sorted(_OVERLAY_OPTIONS)}"
-            )
-        if overlay_options and self.backend == "hash":
-            raise TypeError(
-                "overlay options are only valid with the 'compact' and "
-                "'dynamic' backends (they configure the CSR overlay built "
-                "at promotion)"
-            )
-        self._overlay_options = dict(overlay_options)
         self._state = "static"
 
         self._hash: Optional[Graph] = None
@@ -524,31 +456,6 @@ class EgoSession:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _negotiate_kernel(self, kernel: str) -> str:
-        """Resolve the requested kernel tier (PR-6 degradation idiom).
-
-        ``auto`` resolves silently; an explicit ``numpy`` request without
-        importable numpy is an infrastructure shortfall — degrade to the
-        python oracle with a counted fallback.
-        """
-        from repro.core.vec_kernels import (
-            KERNEL_TIERS,
-            describe_kernels,
-            normalize_kernel,
-            numpy_available,
-        )
-
-        kernel = kernel.lower()
-        if kernel not in KERNEL_TIERS:
-            raise InvalidParameterError(
-                f"unknown kernel {kernel!r}; accepted values are "
-                f"{describe_kernels(KERNEL_TIERS)}"
-            )
-        if kernel == "numpy" and not numpy_available():
-            self._kernel_fallbacks += 1
-            return "python"
-        return normalize_kernel(kernel)
-
     def _serial_chunk_kernel(self, compact: CompactGraph):
         """The session's tier-aware serial chunk kernel over ``compact``.
 
@@ -562,7 +469,7 @@ class EgoSession:
 
         if cached is not None:
             self._retire_chunk_kernel(cached[1])
-        kernel = CSRChunkKernel.for_compact(compact, kernel=self.kernel)
+        kernel = CSRChunkKernel.for_compact(compact)
         self._chunk_kernel = (compact, kernel)
         return kernel
 
@@ -779,7 +686,7 @@ class EgoSession:
             raise BackendCapabilityError(
                 "the 'hash' oracle backend computes serially and has no CSR "
                 "arrays to ship to worker processes; use backend='compact' "
-                "(or 'dynamic') with executor='process'"
+                "with executor='process'"
             )
 
     # ------------------------------------------------------------------
@@ -847,7 +754,6 @@ class EgoSession:
                 pool=pool,
                 store=store,
                 task_deadline=self._task_deadline,
-                kernel=self.kernel,
             )
             self._runtimes[key] = runtime
         return runtime
@@ -906,13 +812,15 @@ class EgoSession:
     # ------------------------------------------------------------------
     # Static / dynamic promotion
     # ------------------------------------------------------------------
-    def _promote(self, operation: str = "apply()") -> None:
-        """One-time static → dynamic promotion.
+    def promote(self) -> None:
+        """One-time static → dynamic promotion (idempotent).
 
-        The session takes ownership of a mutable topology — a
-        :class:`DynamicCompactGraph` overlay sharing the pinned snapshot's
-        arrays (or a private copy of the hash graph).  If the session holds
-        a fresh all-vertex values memo, the exact
+        :meth:`apply` and :meth:`maintained_top_k` promote on their own;
+        calling this pays the cost eagerly — e.g. before timing a stream of
+        :meth:`apply` calls.  The session takes ownership of a mutable
+        topology — a :class:`DynamicCompactGraph` overlay sharing the
+        pinned snapshot's arrays (or a private copy of the hash graph).  If
+        the session holds a fresh all-vertex values memo, the exact
         :class:`EgoBetweennessIndex` is built immediately, seeded with
         those values (skipping its initial all-vertex computation
         entirely); otherwise the index is deferred until full values are
@@ -920,19 +828,11 @@ class EgoSession:
         """
         if self._state == "dynamic":
             return
-        if not self._auto_promote and self.backend != "dynamic":
-            raise BackendCapabilityError(
-                f"{operation} requires the static→dynamic promotion, but "
-                f"this session was opened with auto_promote=False on the "
-                f"frozen {self.backend!r} backend; open the session with "
-                "auto_promote=True (the default) or backend='dynamic' to "
-                "accept maintenance"
-            )
         values = self._fresh_values()
         if self.backend == "hash":
             self._hash = self._hash.copy()  # take ownership; source stays intact
         else:
-            self._dyn = DynamicCompactGraph(self._compact, **self._overlay_options)
+            self._dyn = DynamicCompactGraph(self._compact)
         self._state = "dynamic"
         self._promotions += 1
         self._values = None
@@ -952,16 +852,6 @@ class EgoSession:
             self._index = EgoBetweennessIndex(
                 self._dyn, backend="compact", values=values, copy=False
             )
-
-    def promote(self) -> None:
-        """Promote the session static → dynamic without applying an update.
-
-        Idempotent.  Useful when a caller wants to pay the one-time
-        promotion cost (topology construction and, if a fresh values memo
-        exists, index seeding) eagerly — e.g. before timing a stream of
-        :meth:`apply` calls.
-        """
-        self._promote(operation="promote()")
 
     # ------------------------------------------------------------------
     # Read planning
@@ -1298,7 +1188,7 @@ class EgoSession:
 
         Accepts an :class:`UpdateEvent`, an ``("insert" | "delete", u, v)``
         triple, or any iterable of either.  The first call promotes a static
-        session to the dynamic state (see :meth:`_promote`).  Each update
+        session to the dynamic state (see :meth:`promote`).  Each update
         mutates the session's topology, incrementally patches the exact
         index *if it exists* (it is only built when full values are
         demanded), and is forwarded to every attached lazy maintainer.
@@ -1313,7 +1203,7 @@ class EgoSession:
         """
         start = time.perf_counter()
         coerced = self._coerce_events(events)
-        self._promote()
+        self.promote()
         durability = self._durability
         index = self._index
         maintainers = list(self._lazy.items())
@@ -1390,39 +1280,22 @@ class EgoSession:
             return [one(item) for item in events]
         return [one(events)]
 
-    def maintained_top_k(self, k: int, mode: str = "lazy") -> TopKResult:
+    def maintained_top_k(self, k: int) -> TopKResult:
         """The incrementally-maintained top-k result (promotes if static).
 
-        ``mode="lazy"`` attaches (once per ``k``) a
-        :class:`LazyTopKMaintainer` seeded from the session's exact values;
-        it then receives every subsequent update and answers from its lazily
-        maintained result set — without forcing the session to build or
-        drive the exact all-vertex index.  ``mode="index"`` ranks the
-        demand-built index's exact values directly.  Both modes return the
-        true top-k after every update; they differ in the per-update work
-        they do, which :meth:`lazy_counters` and
+        Attaches (once per ``k``) a :class:`LazyTopKMaintainer` seeded from
+        the session's exact values; it then receives every subsequent
+        update and answers from its lazily maintained result set — without
+        forcing the session to build or drive the exact all-vertex index.
+        It returns the true top-k after every update, as a naive
+        ``top_k`` over the index's values does; the two differ in the
+        per-update work they do, which :meth:`lazy_counters` and
         :meth:`maintenance_seconds` expose.
         """
         start = time.perf_counter()
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
-        mode = mode.lower()
-        if mode not in ("lazy", "index"):
-            raise InvalidParameterError(
-                f"unknown maintenance mode {mode!r}; use 'lazy' "
-                "(LazyTopKMaintainer, bound-gated recomputations) or 'index' "
-                "(EgoBetweennessIndex, exact values for every vertex)"
-            )
-        self._promote(operation="maintained_top_k()")
-        if mode == "index":
-            entries = top_entries(self._read(None, None, "serial"), k, self._sort_key())
-            result = TopKResult(
-                entries=entries,
-                k=k,
-                stats=SearchStats(algorithm="EgoBetweennessIndex"),
-            )
-            self._record("maintained_top_k", start, k=k, mode=mode)
-            return result
+        self.promote()
         maintainer = self._lazy.get(k)
         if maintainer is None:
             # Seed from the index when it exists (free); otherwise compute
@@ -1437,16 +1310,12 @@ class EgoSession:
                 )
             else:
                 maintainer = LazyTopKMaintainer(
-                    self._current_compact(),
-                    k,
-                    backend="compact",
-                    values=values,
-                    **self._overlay_options,
+                    self._current_compact(), k, backend="compact", values=values
                 )
             self._lazy[k] = maintainer
             self._lazy_update_seconds.setdefault(k, 0.0)
         result = maintainer.top_k()
-        self._record("maintained_top_k", start, k=k, mode=mode)
+        self._record("maintained_top_k", start, k=k)
         return result
 
     def maintenance_seconds(self) -> Dict[str, Any]:
@@ -1468,7 +1337,7 @@ class EgoSession:
         if maintainer is None:
             raise InvalidParameterError(
                 f"no lazy maintainer is attached for k={k}; call "
-                "maintained_top_k(k, mode='lazy') first"
+                "maintained_top_k(k) first"
             )
         return {
             "exact_recomputations": maintainer.exact_recomputations,

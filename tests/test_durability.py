@@ -33,6 +33,7 @@ from repro.errors import (
     InvalidParameterError,
     RecoveryError,
 )
+from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.session import EgoSession
 
@@ -177,6 +178,31 @@ class TestRecovery:
         assert recovered.scores() == expected
         assert report.replayed_events + report.skipped_events == len(stream)
         assert recovered.recovery_report is report
+
+    def test_checkpointed_dynamic_backend_recovers_as_compact(self, tmp_path, graph):
+        # Sessions opened on a DynamicCompactGraph once checkpointed the
+        # backend name "dynamic"; such a directory still recovers.
+        source = EgoSession(DynamicCompactGraph.from_graph(graph))
+        snapshot = source.snapshot()
+        CheckpointStore(tmp_path / "d" / "checkpoints").write(
+            {
+                "graph_id": "overlay",
+                "backend": "dynamic",
+                "session_version": 0,
+                "update_events": 0,
+                "labels": list(snapshot.labels),
+                "indptr": list(snapshot.indptr),
+                "indices": list(snapshot.indices),
+                "num_vertices": snapshot.num_vertices,
+                "num_edges": snapshot.num_edges,
+                "values": None,
+            },
+            sequence=0,
+        )
+        recovered, _ = recover(tmp_path / "d", resume=False)
+        assert recovered.backend == "compact"
+        assert recovered.graph_id == "overlay"
+        assert recovered.scores() == source.scores()
 
     def test_values_restored_only_with_empty_tail(self, tmp_path, graph, stream):
         with EgoSession(graph, durability=tmp_path / "d") as session:

@@ -42,6 +42,7 @@ from repro.dynamic.stream import (
     invert_stream,
 )
 from repro.errors import EdgeExistsError, EdgeNotFoundError, SelfLoopError
+from repro.graph import dynamic_csr
 from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -221,16 +222,16 @@ class TestEdgeCases:
 # Rebuild gating
 # ----------------------------------------------------------------------
 class TestRebuildGating:
-    def test_forced_rebuilds_keep_parity(self):
+    def test_forced_rebuilds_keep_parity(self, monkeypatch):
+        # The gate reads its constants at call time: a tiny gate forces
+        # many rebuilds mid-stream.
+        monkeypatch.setattr(dynamic_csr, "DEFAULT_MIN_REBUILD_DELTAS", 4)
+        monkeypatch.setattr(dynamic_csr, "DEFAULT_REBUILD_RATIO", 0.01)
         graph = erdos_renyi_graph(40, 0.12, seed=4)
         stream = generate_update_stream(graph, 120, seed=11)
         hash_index = EgoBetweennessIndex(graph, backend="hash")
-        compact_index = EgoBetweennessIndex(
-            graph, backend="compact", min_rebuild_deltas=4, rebuild_ratio=0.01
-        )
-        compact_lazy = LazyTopKMaintainer(
-            graph, 5, backend="compact", min_rebuild_deltas=4, rebuild_ratio=0.01
-        )
+        compact_index = EgoBetweennessIndex(graph, backend="compact")
+        compact_lazy = LazyTopKMaintainer(graph, 5, backend="compact")
         hash_lazy = LazyTopKMaintainer(graph, 5, backend="hash")
         for event in stream:
             drive(event, hash_index, compact_index, hash_lazy, compact_lazy)
@@ -242,9 +243,11 @@ class TestRebuildGating:
         compact_index._dyn.rebuild()
         assert compact_index._dyn.delta_records == 0
 
-    def test_rebuild_preserves_graph_and_ids(self):
+    def test_rebuild_preserves_graph_and_ids(self, monkeypatch):
+        # A gate no stream reaches: only the explicit rebuild below runs.
+        monkeypatch.setattr(dynamic_csr, "DEFAULT_MIN_REBUILD_DELTAS", 10**9)
         graph = barabasi_albert_graph(30, 2, seed=6)
-        dyn = as_dynamic(graph, auto_rebuild=False)
+        dyn = as_dynamic(graph)
         stream = generate_update_stream(graph, 50, seed=8)
         apply_stream(dyn, stream)
         ids_before = {label: dyn.id_of(label) for label in dyn.labels}
@@ -252,21 +255,22 @@ class TestRebuildGating:
         dyn.rebuild()
         assert dyn.to_graph() == before
         assert dyn.delta_records == 0
+        assert dyn.rebuilds == 1
         assert {label: dyn.id_of(label) for label in dyn.labels} == ids_before
         # Clean overlay: the snapshot is the base itself (free).
         assert dyn.snapshot() is dyn.base
-
-    def test_disabled_auto_rebuild_never_rebuilds(self):
-        graph = erdos_renyi_graph(25, 0.2, seed=2)
-        dyn = as_dynamic(graph, auto_rebuild=False, min_rebuild_deltas=1)
-        apply_stream(dyn, generate_update_stream(graph, 40, seed=3))
-        assert dyn.rebuilds == 0
-        assert dyn.delta_records > 0
 
 
 # ----------------------------------------------------------------------
 # Kernel cross-checks
 # ----------------------------------------------------------------------
+def _summarising(graph):
+    """An overlay of ``graph`` that memoises ego summaries (the lazy mode)."""
+    dyn = as_dynamic(graph)
+    dyn.maintain_summaries = True
+    return dyn
+
+
 class TestCorrectionKernels:
     def test_fast_corrections_match_reference_evaluation(self):
         """The Lemma 4–7 closed-form kernel equals the packed-key
@@ -294,7 +298,7 @@ class TestCorrectionKernels:
     def test_summary_cost_accounting_stays_exact(self):
         """The overlay's summary entry count tracks patches exactly."""
         graph = erdos_renyi_graph(30, 0.15, seed=11)
-        dyn = as_dynamic(graph, maintain_summaries=True)
+        dyn = _summarising(graph)
         for pid in range(dyn.num_vertices):
             dynamic_ego_score(dyn, pid)
         for event in generate_update_stream(graph, 120, seed=23):
@@ -305,11 +309,11 @@ class TestCorrectionKernels:
     def test_patched_summaries_equal_fresh_enumeration(self):
         """A summary patched across many updates matches a from-scratch one."""
         graph = overlapping_cliques_graph(18, (3, 6), overlap=2, seed=7)
-        dyn = as_dynamic(graph, maintain_summaries=True)
+        dyn = _summarising(graph)
         for pid in range(dyn.num_vertices):
             dynamic_ego_score(dyn, pid)  # populate every summary
         apply_stream(dyn, generate_update_stream(graph, 80, seed=19))
-        reference = as_dynamic(dyn.to_graph(), maintain_summaries=True)
+        reference = _summarising(dyn.to_graph())
         for pid in range(dyn.num_vertices):
             label = dyn.label_of(pid)
             assert dynamic_ego_score(dyn, pid) == dynamic_ego_score(

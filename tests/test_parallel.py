@@ -16,7 +16,7 @@ from repro.parallel.engines import (
     edge_parallel_ego_betweenness,
     vertex_parallel_ego_betweenness,
 )
-from repro.parallel.executor import ParallelBackend, run_chunks
+from repro.parallel.runtime import ExecutionRuntime, ParallelBackend
 from repro.parallel.load_balance import simulate_schedule
 from repro.parallel.partition import balanced_partition, block_partition, vertex_work_estimates
 
@@ -119,39 +119,36 @@ class TestEngines:
 
 
 class TestExecutor:
-    def test_run_chunks_serial_merges(self):
+    def test_hash_engine_serial_merges(self):
         g = barabasi_albert_graph(50, 2, seed=6)
-        chunks = block_partition(g.vertices(), 4)
-        scores, timings = run_chunks(g, chunks, backend=ParallelBackend.SERIAL)
-        assert len(scores) == g.num_vertices
-        assert len(timings) == 4
+        run = vertex_parallel_ego_betweenness(
+            g, 4, backend=ParallelBackend.SERIAL, graph_backend="hash"
+        )
+        assert run.scores == all_ego_betweenness(g)
+        assert len(run.chunk_seconds) == 4
 
     def test_unknown_backend_rejected(self):
         g = Graph(edges=[(0, 1)])
         with pytest.raises(ValueError):
-            run_chunks(g, [[0], [1]], backend="quantum")
+            vertex_parallel_ego_betweenness(g, 2, backend="quantum")
 
-    def test_run_chunks_dispatches_on_compact_graph(self):
-        """One entry point: a CSR snapshot takes the runtime path (id keyed)."""
+    @pytest.mark.parametrize(
+        "engine", [vertex_parallel_ego_betweenness, edge_parallel_ego_betweenness]
+    )
+    def test_engine_runs_its_partition_on_compact_graph(self, engine):
+        """A CSR snapshot takes the runtime path, one chunk per worker."""
         g = barabasi_albert_graph(50, 2, seed=6)
-        compact = g.to_compact()
-        id_chunks = block_partition(list(range(compact.num_vertices)), 3)
-        id_scores, timings = run_chunks(compact, id_chunks, backend="serial")
-        assert len(timings) == 3
-        labels = compact.labels
-        expected = all_ego_betweenness(g)
-        assert {labels[i]: s for i, s in id_scores.items()} == expected
+        run = engine(g.to_compact(), 3, backend="serial")
+        assert run.scores == all_ego_betweenness(g)
+        assert len(run.chunk_seconds) == len(run.load_report.worker_loads) == 3
 
-    def test_run_chunks_reuses_a_passed_runtime(self):
-        from repro.parallel.runtime import ExecutionRuntime
-
+    def test_engine_reuses_a_passed_runtime(self):
         g = barabasi_albert_graph(40, 2, seed=9)
         compact = g.to_compact()
-        chunks = block_partition(list(range(compact.num_vertices)), 2)
         with ExecutionRuntime(max_workers=2, executor="serial") as runtime:
-            first, _ = run_chunks(compact, chunks, runtime=runtime)
-            second, _ = run_chunks(compact, chunks, runtime=runtime)
-            assert first == second
+            first = vertex_parallel_ego_betweenness(compact, 2, runtime=runtime)
+            second = edge_parallel_ego_betweenness(compact, 2, runtime=runtime)
+            assert first.scores == second.scores
             assert runtime.stats().payload_ships == 1
             assert not runtime.closed  # caller-owned runtimes stay open
 
@@ -159,9 +156,10 @@ class TestExecutor:
         from repro.errors import BackendCapabilityError
 
         g = barabasi_albert_graph(60, 3, seed=7)
-        chunks = block_partition(g.vertices(), 2)
         with pytest.raises(BackendCapabilityError, match="compact"):
-            run_chunks(g, chunks, backend="process")
+            vertex_parallel_ego_betweenness(
+                g, 2, backend="process", graph_backend="hash"
+            )
         with pytest.raises(BackendCapabilityError, match="compact"):
             edge_parallel_ego_betweenness(
                 g, 2, backend="process", graph_backend="hash"
@@ -176,10 +174,10 @@ class TestExecutor:
     def test_process_backend_matches_serial_csr(self):
         g = barabasi_albert_graph(60, 3, seed=7)
         compact = g.to_compact()
-        chunks = block_partition(list(range(compact.num_vertices)), 2)
-        serial_scores, _ = run_chunks(compact, chunks, backend="serial")
-        process_scores, _ = run_chunks(compact, chunks, backend="process")
-        assert process_scores == serial_scores  # bit-identical, both id keyed
+        for engine in (vertex_parallel_ego_betweenness, edge_parallel_ego_betweenness):
+            serial = engine(compact, 2, backend="serial")
+            process = engine(compact, 2, backend="process")
+            assert process.scores == serial.scores  # bit-identical
 
 
 class TestTimingSplit:
@@ -200,16 +198,20 @@ class TestTimingSplit:
         assert run.setup_seconds > 0.0
         assert run.elapsed_seconds >= run.setup_seconds + run.compute_seconds - 1e-6
 
-    def test_dynamic_schedule_matches_static(self):
-        g = barabasi_albert_graph(90, 3, seed=12)
-        static = edge_parallel_ego_betweenness(g, 3, schedule="static")
-        dynamic = edge_parallel_ego_betweenness(g, 3, schedule="dynamic")
-        assert static.scores == dynamic.scores
-        # the load report always models the deterministic static schedule
-        assert static.load_report.worker_loads == dynamic.load_report.worker_loads
+    def test_chunk_seconds_line_up_with_the_load_report(self):
+        # Each engine executes its own partition, so every measured chunk
+        # is one modelled worker's load, and the two engines' partitions
+        # differ on a skewed graph while their scores agree.
+        g = random_bipartite_expansion_graph(8, 400, 2, seed=4)
+        vertex = vertex_parallel_ego_betweenness(g, 4)
+        edge = edge_parallel_ego_betweenness(g, 4)
+        assert vertex.scores == edge.scores
+        for run in (vertex, edge):
+            assert len(run.chunk_seconds) == len(run.load_report.worker_loads) == 4
+        assert vertex.load_report.worker_loads != edge.load_report.worker_loads
 
     def test_unknown_schedule_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(TypeError, match="schedule"):
             edge_parallel_ego_betweenness(
-                Graph(edges=[(0, 1)]), 1, schedule="sometimes"
+                Graph(edges=[(0, 1)]), 1, schedule="dynamic"
             )

@@ -12,6 +12,8 @@ hangs fail fast instead of wedging the suite).
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core import csr_kernels
@@ -27,7 +29,9 @@ from repro.errors import InvalidParameterError
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.parallel import runtime as runtime_module
+from repro.parallel.partition import block_partition
 from repro.parallel.runtime import (
+    DEFAULT_OVERSUBSCRIBE,
     ExecutionRuntime,
     ParallelBackend,
     set_worker_cache_limit,
@@ -77,9 +81,11 @@ class TestSerialRuntime:
         labels = compact.labels
         with ExecutionRuntime(max_workers=4, executor="serial") as runtime:
             for workers in WORKER_COUNTS:
-                for schedule in ("dynamic", "static"):
+                # The runtime's weight-balanced ranges, then caller chunks.
+                blocks = block_partition(list(range(compact.num_vertices)), workers)
+                for chunks in (None, blocks):
                     scores, batch = runtime.execute(
-                        compact, num_workers=workers, schedule=schedule
+                        compact, chunks, num_workers=workers
                     )
                     assert {labels[i]: s for i, s in scores.items()} == expected
                     assert batch.num_tasks >= 1
@@ -120,13 +126,9 @@ class TestSerialRuntime:
         with pytest.raises(InvalidParameterError):
             ExecutionRuntime(max_workers=0)
         with pytest.raises(InvalidParameterError):
-            ExecutionRuntime(oversubscribe=0)
+            ExecutionRuntime(task_deadline=0)
         with pytest.raises(ValueError):
             ExecutionRuntime(executor="quantum")
-        runtime = ExecutionRuntime(executor="serial")
-        with pytest.raises(InvalidParameterError):
-            runtime.execute(Graph(edges=[(0, 1)]).to_compact(), schedule="sometimes")
-        runtime.close()
 
     def test_dynamic_chunks_cover_ids_in_ranges(self, ba_graph):
         compact = ba_graph.to_compact()
@@ -137,7 +139,7 @@ class TestSerialRuntime:
             )
             flat = [i for chunk in chunks for i in chunk]
             assert flat == list(range(compact.num_vertices))
-            assert 1 <= len(chunks) <= 2 * runtime.oversubscribe
+            assert 1 <= len(chunks) <= 2 * DEFAULT_OVERSUBSCRIBE
 
 
 class TestSessionBatchedQueries:
@@ -307,6 +309,8 @@ class TestWorkerSideTopKReduction:
             return synthetic.get(pid, 0.0)
 
         monkeypatch.setattr(csr_kernels, "_ego_score_id", fake_score)
+        # The fake replaces the python tier's kernel: run on that tier.
+        monkeypatch.setitem(sys.modules, "numpy", None)
         compact = Graph(edges=[(i, i + 1) for i in range(47)]).to_compact()
         with ExecutionRuntime(max_workers=4, executor="serial") as runtime:
             entries, _ = runtime.execute_top_k(compact, 3, num_workers=workers)
@@ -386,9 +390,10 @@ class TestProcessRuntime:
     def test_process_bit_identical_and_ships_once(self, ba_graph, ba_scores):
         compact = ba_graph.to_compact()
         labels = compact.labels
+        blocks = block_partition(list(range(compact.num_vertices)), 2)
         with ExecutionRuntime(max_workers=2, executor="process") as runtime:
-            for schedule in ("dynamic", "static"):
-                scores, _ = runtime.execute(compact, schedule=schedule)
+            for chunks in (None, blocks):
+                scores, _ = runtime.execute(compact, chunks)
                 assert {labels[i]: s for i, s in scores.items()} == ba_scores
             stats = runtime.stats()
             assert stats.payload_ships == 1

@@ -26,11 +26,7 @@ from repro.datasets.registry import load_dataset
 from repro.dynamic.lazy_topk import LazyTopKMaintainer
 from repro.dynamic.local_update import EgoBetweennessIndex
 from repro.dynamic.stream import apply_stream, generate_update_stream
-from repro.errors import (
-    BackendCapabilityError,
-    InvalidParameterError,
-    VertexNotFoundError,
-)
+from repro.errors import InvalidParameterError, VertexNotFoundError
 from repro.graph.csr import CompactGraph
 from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
@@ -55,6 +51,13 @@ GRAPHS = {
 }
 
 
+def _open(graph: Graph, backend: str) -> EgoSession:
+    """A session on ``graph``; ``"dynamic"`` opens it on an overlay source."""
+    if backend == "dynamic":
+        return EgoSession(DynamicCompactGraph.from_graph(graph))
+    return EgoSession(graph, backend=backend)
+
+
 @pytest.fixture(params=sorted(GRAPHS))
 def graph(request) -> Graph:
     return GRAPHS[request.param]()
@@ -65,9 +68,9 @@ class TestBackendNegotiation:
         assert EgoSession(Graph(edges=[(0, 1)])).backend == "compact"
         assert EgoSession(CompactGraph.from_edges([(0, 1)])).backend == "compact"
 
-    def test_auto_resolves_dynamic_for_overlays(self):
+    def test_auto_resolves_compact_for_overlays(self):
         overlay = DynamicCompactGraph.from_graph(Graph(edges=[(0, 1)]))
-        assert EgoSession(overlay).backend == "dynamic"
+        assert EgoSession(overlay).backend == "compact"
 
     def test_edge_list_and_dataset_sources(self):
         assert EgoSession([(0, 1), (1, 2)]).num_edges == 2
@@ -75,7 +78,7 @@ class TestBackendNegotiation:
         assert session.num_vertices > 0
 
     def test_unknown_backend_names_accepted_values(self):
-        with pytest.raises(InvalidParameterError, match="compact.*hash.*dynamic"):
+        with pytest.raises(InvalidParameterError, match="auto.*compact.*hash"):
             EgoSession(Graph(edges=[(0, 1)]), backend="gpu")
 
     def test_normalize_backend_error_lists_values_and_graph_types(self):
@@ -198,7 +201,7 @@ class TestReadPlanner:
     @pytest.mark.parametrize("backend", ("compact", "hash", "dynamic"))
     def test_unknown_vertex_raises_on_every_route(self, backend, state, call, parallel):
         graph = barabasi_albert_graph(30, 2, seed=3)
-        with EgoSession(graph, backend=backend) as session:
+        with _open(graph, backend) as session:
             if state == "memo":
                 session.scores(parallel=parallel)
             elif state == "applied":
@@ -261,19 +264,6 @@ class TestPromotion:
         expected.remove_edge(*graph.edge_list()[0])
         assert session.scores() == all_ego_betweenness(expected)
 
-    def test_auto_promote_false_raises_capability_error(self):
-        session = EgoSession(Graph(edges=[(0, 1), (1, 2)]), auto_promote=False)
-        with pytest.raises(BackendCapabilityError, match="auto_promote"):
-            session.apply(("insert", 0, 2))
-        assert session.stats().state == "static"
-
-    def test_dynamic_backend_ignores_auto_promote(self):
-        session = EgoSession(
-            Graph(edges=[(0, 1), (1, 2)]), backend="dynamic", auto_promote=False
-        )
-        session.apply(("insert", 0, 2))
-        assert session.stats().state == "dynamic"
-
     def test_hash_backend_promotes_too(self):
         graph = erdos_renyi_graph(30, 0.15, seed=4)
         session = EgoSession(graph, backend="hash")
@@ -295,11 +285,11 @@ class TestMaintainedTopK:
         graph = barabasi_albert_graph(60, 3, seed=21)
         stream = self._stream(graph)
         session = EgoSession(graph, backend=backend)
-        session.maintained_top_k(5, mode="lazy")  # attach before the stream
+        session.maintained_top_k(5)  # attach before the stream
         legacy = LazyTopKMaintainer(graph, 5, backend=backend)
         apply_stream(session, stream)
         apply_stream(legacy, stream)
-        assert session.maintained_top_k(5, mode="lazy").entries == legacy.top_k().entries
+        assert session.maintained_top_k(5).entries == legacy.top_k().entries
         counters = session.lazy_counters(5)
         assert counters["exact_recomputations"] == legacy.exact_recomputations
         assert counters["skipped_recomputations"] == legacy.skipped_recomputations
@@ -313,14 +303,14 @@ class TestMaintainedTopK:
         legacy = EgoBetweennessIndex(graph, backend=backend)
         apply_stream(session, stream)
         apply_stream(legacy, stream)
-        assert session.maintained_top_k(6, mode="index").entries == legacy.top_k(6)
+        assert session.top_k(6, "naive").entries == legacy.top_k(6)
         assert session.scores() == legacy.scores()
 
     def test_lazy_only_session_defers_the_index(self):
         graph = barabasi_albert_graph(50, 2, seed=33)
         stream = self._stream(graph, count=20)
         session = EgoSession(graph)
-        session.maintained_top_k(4, mode="lazy")
+        session.maintained_top_k(4)
         apply_stream(session, stream)
         # No full-values consumer has appeared: the exact index was never
         # built, so updates cost only topology + lazy work.
@@ -339,34 +329,32 @@ class TestMaintainedTopK:
     def test_lazy_and_index_modes_agree(self):
         graph = barabasi_albert_graph(50, 2, seed=2)
         session = EgoSession(graph)
-        session.maintained_top_k(4, mode="lazy")
+        session.maintained_top_k(4)
         apply_stream(session, self._stream(graph, count=25))
-        lazy = session.maintained_top_k(4, mode="lazy")
-        index = session.maintained_top_k(4, mode="index")
-        assert [s for _, s in lazy.entries] == pytest.approx(
-            [s for _, s in index.entries], abs=1e-9
-        )
+        lazy = session.maintained_top_k(4)
+        session.promote()
+        assert session.top_k(4, "naive").entries == lazy.entries
 
     @pytest.mark.parametrize("backend", ["compact", "dynamic", "hash"])
     def test_naive_ranking_equals_the_index_after_every_batch(self, backend):
-        # One top-k order: ranking the index's values and the index's own
-        # top_k pick the same tied vertices, whatever order the values
-        # map is in after the updates.
+        # One top-k order: ranking the session index's values and a
+        # standalone index's own top_k pick the same tied vertices,
+        # whatever order the values map is in after the updates.
         graph = erdos_renyi_graph(40, 0.08, seed=3)  # sparse: many tied scores
         stream = self._stream(graph, count=60)
-        session = EgoSession(graph, backend=backend)
+        session = _open(graph, backend)
+        index = EgoBetweennessIndex(graph, backend="hash" if backend == "hash" else "auto")
         for start in range(0, len(stream), 6):
             session.apply(stream[start : start + 6])
+            apply_stream(index, stream[start : start + 6])
             for k in (1, 5, 12):
-                assert session.top_k(k, algorithm="naive").entries == (
-                    session.maintained_top_k(k, mode="index").entries
-                )
+                assert session.top_k(k, algorithm="naive").entries == index.top_k(k)
 
     def test_maintenance_seconds_split_per_component(self):
         graph = barabasi_albert_graph(50, 2, seed=17)
         session = EgoSession(graph)
         session.scores()  # demand values so the index exists and is driven
-        session.maintained_top_k(3, mode="lazy")
+        session.maintained_top_k(3)
         apply_stream(session, self._stream(graph, count=20))
         timings = session.maintenance_seconds()
         assert timings["index"] > 0.0
@@ -374,8 +362,8 @@ class TestMaintainedTopK:
 
     def test_unknown_mode_rejected(self):
         session = EgoSession(Graph(edges=[(0, 1)]))
-        with pytest.raises(InvalidParameterError, match="lazy.*index"):
-            session.maintained_top_k(2, mode="eager")
+        with pytest.raises(TypeError, match="mode"):
+            session.maintained_top_k(2, mode="index")
 
     def test_lazy_counters_require_attached_maintainer(self):
         session = EgoSession(Graph(edges=[(0, 1)]))
@@ -429,11 +417,12 @@ class TestPromotionStreamHypothesis:
         assert fast.entries == slow.entries
         assert fast.stats.exact_computations == slow.stats.exact_computations
 
-        # Both maintained top-k modes return the true top-k score profile
-        # (vertex-level ties may legitimately order by the patched values).
+        # The maintained top-k and a naive ranking of the index return the
+        # true top-k score profile (vertex-level ties may legitimately
+        # order by the patched values).
         expected_scores = [score for _, score in slow.entries]
-        for mode in ("index", "lazy"):
-            got = [score for _, score in session.maintained_top_k(k, mode=mode).entries]
+        for result in (session.top_k(k, "naive"), session.maintained_top_k(k)):
+            got = [score for _, score in result.entries]
             assert got == pytest.approx(expected_scores, abs=1e-9)
 
         stats = session.stats()
@@ -526,15 +515,6 @@ class TestSnapshotsAndStats:
         view = session.to_graph()
         view.remove_edge(0, 2)  # must not corrupt the session topology
         assert session.to_graph().has_edge(0, 2)
-
-    def test_capability_error_names_the_operation(self):
-        session = EgoSession(Graph(edges=[(0, 1)]), auto_promote=False)
-        with pytest.raises(BackendCapabilityError, match=r"maintained_top_k\(\)"):
-            session.maintained_top_k(1, mode="lazy")
-        with pytest.raises(BackendCapabilityError, match=r"promote\(\)"):
-            session.promote()
-        with pytest.raises(BackendCapabilityError, match=r"apply\(\)"):
-            session.apply(("insert", 0, 2))
 
     def test_to_graph_round_trip(self):
         graph = _labelled_graph()

@@ -5,8 +5,9 @@ Every test here enforces the same contract from a different angle: the
 (and therefore to the hash-graph oracle) on every graph shape, every
 internal routing path (dense vs sorted membership, batched vs hub, sparse
 wedge expansion vs row-blocked matmul), and every ``k`` — and when numpy
-is *not* importable, negotiation must degrade to ``python`` cleanly with
-the PR-6 counted-fallback idiom, never a crash.
+is *not* importable, sessions and runtimes must run the ``python`` tier
+cleanly, never crash.  ``CSRChunkKernel(kernel=)`` is the one place a tier
+is named; everywhere else numpy is blocked to reach the python tier.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from hypothesis import strategies as st
 from repro.core import vec_kernels
 from repro.core.csr_kernels import CSRChunkKernel, _neighbor_sets_cached
 from repro.core.ego_betweenness import all_ego_betweenness
-from repro.core.vec_kernels import (
-    KERNEL_TIERS,
-    describe_kernels,
-    normalize_kernel,
-    numpy_available,
-)
+from repro.core.vec_kernels import numpy_available, platform_tier
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CompactGraph
 from repro.graph.generators import star_graph
@@ -101,29 +97,34 @@ def _assert_parity(graph: Graph, build_dense: bool = True, ks=(1, 5)) -> CSRChun
 
 
 # ----------------------------------------------------------------------
-# Negotiation
+# The tier follows the platform
 # ----------------------------------------------------------------------
-def test_normalize_kernel_validates_and_resolves():
-    assert normalize_kernel("PYTHON") == "python"
-    assert normalize_kernel("auto") in ("python", "numpy")
-    assert normalize_kernel("numpy") == "numpy"  # explicit stays explicit
+def _block_numpy(monkeypatch):
+    """Make ``import numpy`` raise ImportError for live imports."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+
+
+def test_chunk_kernel_tier_validates_and_defaults_to_platform(triangle_graph):
+    compact = triangle_graph.to_compact()
+    assert CSRChunkKernel(compact.indptr, compact.indices).kernel == platform_tier()
+    for tier in ("python", "numpy"):
+        assert CSRChunkKernel(compact.indptr, compact.indices, kernel=tier).kernel == tier
     with pytest.raises(InvalidParameterError) as err:
-        normalize_kernel("cuda")
-    # The error names every accepted tier with its description.
-    for tier in KERNEL_TIERS:
-        assert tier in str(err.value)
-
-
-def test_describe_kernels_covers_every_tier():
-    rendered = describe_kernels(KERNEL_TIERS)
-    for tier in KERNEL_TIERS:
-        assert f"'{tier}'" in rendered
+        CSRChunkKernel(compact.indptr, compact.indices, kernel="auto")
+    # The error names both tiers.
+    assert "python" in str(err.value) and "numpy" in str(err.value)
 
 
 @requires_numpy
-def test_auto_resolves_to_numpy_when_available():
-    assert normalize_kernel("auto") == "numpy"
-    assert numpy_available() is True
+def test_auto_resolves_to_numpy_when_available(triangle_graph):
+    from repro.parallel.runtime import ExecutionRuntime
+
+    assert platform_tier() == "numpy"
+    compact = triangle_graph.to_compact()
+    assert CSRChunkKernel(compact.indptr, compact.indices).kernel == "numpy"
+    assert EgoSession(triangle_graph).kernel == "numpy"
+    with ExecutionRuntime(executor="serial") as runtime:
+        assert runtime.kernel == "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -291,15 +292,16 @@ def test_hub_row_blocked_matmul_path(monkeypatch):
 # Labels: the tier works on dense ids; sessions map labels of any type
 # ----------------------------------------------------------------------
 @requires_numpy
-def test_string_and_tuple_labels_parity():
+def test_string_and_tuple_labels_parity(monkeypatch):
     graph = Graph(vertices=["solo", ("t", 9)])
     for u, v in [
         ("a", "b"), ("b", "c"), ("a", "c"), ("c", ("t", 1)),
         (("t", 1), ("t", 2)), (("t", 2), "a"), ("d", "a"),
     ]:
         graph.add_edge(u, v, exist_ok=True)
-    python = EgoSession(graph, kernel="python").scores()
-    numpy_ = EgoSession(graph, kernel="numpy").scores()
+    numpy_ = EgoSession(graph).scores()
+    _block_numpy(monkeypatch)
+    python = EgoSession(graph).scores()
     assert numpy_ == python
     assert numpy_["solo"] == 0.0  # isolated vertices score zero in both
 
@@ -307,42 +309,45 @@ def test_string_and_tuple_labels_parity():
 # ----------------------------------------------------------------------
 # Degradation: no numpy, and mid-flight vectorized failure
 # ----------------------------------------------------------------------
-def _block_numpy(monkeypatch):
-    """Make ``import numpy`` raise ImportError for live imports."""
-    monkeypatch.setitem(sys.modules, "numpy", None)
+def test_negotiation_without_numpy(monkeypatch, triangle_graph):
+    from repro.parallel.runtime import ExecutionRuntime
 
-
-def test_negotiation_without_numpy(monkeypatch):
     _block_numpy(monkeypatch)
     assert numpy_available() is False
-    assert normalize_kernel("auto") == "python"
-    # Explicit "numpy" is still returned as-is: policy is the caller's.
-    assert normalize_kernel("numpy") == "numpy"
+    assert platform_tier() == "python"
+    compact = triangle_graph.to_compact()
+    assert CSRChunkKernel(compact.indptr, compact.indices).kernel == "python"
+    assert EgoSession(triangle_graph).kernel == "python"
+    with ExecutionRuntime(executor="serial") as runtime:
+        assert runtime.kernel == "python"
+        assert runtime.stats().kernel == "python"
 
 
 def test_session_degrades_without_numpy(monkeypatch, social_graph):
+    expected = all_ego_betweenness(social_graph)
     _block_numpy(monkeypatch)
-    session = EgoSession(social_graph, kernel="numpy")
+    session = EgoSession(social_graph)
     assert session.kernel == "python"
-    scores = session.scores()
-    assert scores == EgoSession(social_graph, kernel="python").scores()
+    assert session.scores() == expected
+    session.parallel_scores(2, executor="serial")
     stats = session.stats()
     assert stats.kernel == "python"
-    assert stats.kernel_fallbacks == 1
     assert stats.kernel_chunks["numpy"] == 0
+    assert stats.kernel_chunks["python"] >= 1
 
 
 def test_session_auto_without_numpy_is_not_a_fallback(monkeypatch, triangle_graph):
     _block_numpy(monkeypatch)
-    session = EgoSession(triangle_graph, kernel="auto")
+    session = EgoSession(triangle_graph)
+    session.scores()
     assert session.kernel == "python"
-    assert session.stats().kernel_fallbacks == 0  # auto resolving is not a failure
+    # Running the platform's tier is not a failure; only demotions count.
+    assert session.stats().kernel_fallbacks == 0
 
 
 def test_session_rejects_unknown_kernel(triangle_graph):
-    with pytest.raises(InvalidParameterError) as err:
+    with pytest.raises(TypeError, match="kernel"):
         EgoSession(triangle_graph, kernel="cuda")
-    assert "numpy" in str(err.value)
 
 
 @requires_numpy
@@ -406,7 +411,7 @@ def test_neighbor_sets_memoised_by_buffer_identity(social_graph):
 # ----------------------------------------------------------------------
 @requires_numpy
 def test_session_stats_report_numpy_tier(social_graph):
-    session = EgoSession(social_graph, kernel="numpy")
+    session = EgoSession(social_graph)
     session.scores()
     session.top_k(5)
     stats = session.stats()
@@ -419,8 +424,9 @@ def test_session_stats_report_numpy_tier(social_graph):
     assert payload["kernel_chunks"]["numpy"] >= 1
 
 
-def test_session_stats_report_python_tier(social_graph):
-    session = EgoSession(social_graph, kernel="python")
+def test_session_stats_report_python_tier(monkeypatch, social_graph):
+    _block_numpy(monkeypatch)
+    session = EgoSession(social_graph)
     session.scores()  # serial python path: the canonical sweep, no chunking
     stats = session.stats()
     assert stats.kernel == "python"
@@ -440,13 +446,13 @@ def test_gateway_metrics_carry_kernel_fields(social_graph):
 
     async def drive():
         async with ServingGateway(executor="serial") as gateway:
-            gateway.add_tenant("t", social_graph.to_compact(), kernel="auto")
+            gateway.add_tenant("t", social_graph.to_compact())
             await gateway.scores("t")
             return gateway.stats()
 
     stats = asyncio.run(drive())
     tenant = stats["tenants"]["t"]
-    assert tenant["kernel"] == normalize_kernel("auto")
+    assert tenant["kernel"] == platform_tier()
     assert set(tenant["kernel_chunks"]) == {"python", "numpy"}
     assert tenant["kernel_fallbacks"] == 0
     if tenant["kernel"] == "numpy":
@@ -460,34 +466,41 @@ def test_gateway_metrics_carry_kernel_fields(social_graph):
 # Runtime transport: the numpy tier ships nothing extra
 # ----------------------------------------------------------------------
 @requires_numpy
-def test_runtime_numpy_tier_parity_and_zero_extra_ships(social_graph):
+def test_runtime_numpy_tier_parity_and_zero_extra_ships(monkeypatch, social_graph):
     from repro.parallel.runtime import ExecutionRuntime
 
     compact = social_graph.to_compact()
-    shipped = {}
-    scores = {}
-    for tier in ("python", "numpy"):
-        with ExecutionRuntime(max_workers=2, kernel=tier) as runtime:
-            scores[tier], _ = runtime.execute(compact)
-            stats = runtime.stats()
-            shipped[tier] = (stats.payload_ships, stats.payload_bytes_shipped)
-            assert stats.kernel == tier
-            assert stats.kernel_chunks[tier] >= 1
-            assert stats.kernel_fallbacks == 0
-    assert scores["numpy"] == scores["python"]
-    # np.frombuffer views attach to the already-shipped CSR segments:
-    # identical ship counts and bytes across tiers.
-    assert shipped["numpy"] == shipped["python"]
+    with ExecutionRuntime(max_workers=2) as runtime:
+        scores, _ = runtime.execute(compact)
+        runtime.execute_top_k(compact, 5)
+        stats = runtime.stats()
+    assert stats.kernel == "numpy"
+    assert stats.kernel_chunks["numpy"] >= 1
+    assert stats.kernel_chunks["python"] == 0
+    assert stats.kernel_fallbacks == 0
+    # np.frombuffer views attach to the shipped CSR segment: one ship of
+    # exactly the two int64 arrays, nothing built parent-side rides along.
+    assert stats.payload_ships == 1
+    assert stats.payload_bytes_shipped == 8 * (len(compact.indptr) + len(compact.indices))
+    _block_numpy(monkeypatch)
+    with ExecutionRuntime(max_workers=2) as runtime:
+        python_scores, _ = runtime.execute(compact)
+        assert runtime.stats().kernel_chunks == {
+            "python": runtime.stats().tasks, "numpy": 0
+        }
+    assert scores == python_scores
 
 
 @requires_numpy
-def test_serial_runtime_numpy_parity(social_graph):
+def test_serial_runtime_numpy_parity(monkeypatch, social_graph):
     from repro.parallel.runtime import ExecutionRuntime
 
     compact = social_graph.to_compact()
     results = {}
-    for tier in ("python", "numpy"):
-        with ExecutionRuntime(executor="serial", kernel=tier) as runtime:
+    for tier in ("numpy", "python"):
+        if tier == "python":
+            _block_numpy(monkeypatch)
+        with ExecutionRuntime(executor="serial") as runtime:
             results[tier], _ = runtime.execute(compact)
             top, _ = runtime.execute_top_k(compact, 5)
             results[tier, "top"] = top
@@ -499,20 +512,26 @@ def test_serial_runtime_numpy_parity(social_graph):
 # ----------------------------------------------------------------------
 # Session-level cross-tier parity, serial and parallel
 # ----------------------------------------------------------------------
-@requires_numpy
-@pytest.mark.parametrize("kernel", ["python", "numpy", "auto"])
-def test_session_scores_and_topk_parity(social_graph, kernel):
-    oracle = EgoSession(social_graph, kernel="python")
-    session = EgoSession(social_graph, kernel=kernel)
-    assert session.scores() == oracle.scores()
+@pytest.mark.parametrize(
+    "kernel", ["python", pytest.param("numpy", marks=requires_numpy), "auto"]
+)
+def test_session_scores_and_topk_parity(monkeypatch, social_graph, kernel):
+    """python: numpy blocked; numpy: numpy present; auto: this platform."""
+    oracle = all_ego_betweenness(social_graph)
+    expected = EgoSession(social_graph, backend="hash").top_k(5)
+    if kernel == "python":
+        _block_numpy(monkeypatch)
+    session = EgoSession(social_graph)
+    assert session.kernel == (platform_tier() if kernel == "auto" else kernel)
+    assert session.scores() == oracle
     # TopKResult.__eq__ compares embedded timing stats; compare entries.
-    assert list(session.top_k(5)) == list(oracle.top_k(5))
+    assert list(session.top_k(5)) == list(expected)
 
 
 @requires_numpy
 def test_session_parallel_numpy_parity(social_graph):
-    serial = EgoSession(social_graph, kernel="numpy")
-    parallel = EgoSession(social_graph, kernel="numpy")
+    serial = EgoSession(social_graph)
+    parallel = EgoSession(social_graph)
     try:
         assert (
             parallel.scores(parallel=2, executor="process")
