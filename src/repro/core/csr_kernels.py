@@ -8,7 +8,10 @@ These are the compact-backend twins of the hash-set hot paths:
   identified-information harvesting,
 * :func:`base_b_search_csr` / :func:`opt_b_search_csr` — BaseBSearch and
   OptBSearch running entirely on dense integer ids,
-* :func:`bound_decomposition_csr` — the Lemma 1 decomposition.
+* :func:`bound_decomposition_csr` — the Lemma 1 decomposition,
+* :func:`dynamic_ego_score` — the dynamic maintainers' exact score of a
+  vertex of the mutable overlay, re-summed from the connector-count
+  histogram the overlay holds and patches for it.
 
 Why this is fast in pure Python
 -------------------------------
@@ -51,7 +54,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from repro._ordering import sort_key
 from repro.core.bounds import BoundDecomposition
-from repro.core.ego_betweenness import _sum_from_histogram, _sum_pair_contributions
+from repro.core.ego_betweenness import _sum_from_histogram
 from repro.core.spath_map import IdentifiedInfoCSR
 from repro.core.topk import SearchStats, TopKAccumulator, TopKResult, threshold_cut
 from repro.errors import InvalidParameterError
@@ -76,10 +79,6 @@ __all__ = [
     "opt_b_search_csr",
     "static_bound_order",
     "dynamic_ego_score",
-    "dynamic_update_corrections",
-    "dynamic_affected_pairs",
-    "dynamic_pair_counts",
-    "correction_deltas",
 ]
 
 GraphLike = Union[Graph, CompactGraph]
@@ -953,59 +952,43 @@ def opt_b_search_csr(source: GraphLike, k: int, theta: float = 1.05) -> TopKResu
 
 
 # ----------------------------------------------------------------------
-# Incremental kernels for the mutable CSR overlay (dynamic maintenance)
+# Exact scores on the mutable CSR overlay (dynamic maintenance)
 # ----------------------------------------------------------------------
-
-#: Soft cap on the total number of linker entries held by the memoised ego
-#: summaries of one DynamicCompactGraph (entries are (pair, count) items, so
-#: this bounds the summary memory like EGO_CACHE_MAX_INTS bounds the static
-#: ego cache).  The overlay keeps its entry count (`_summary_cost`) exact as
-#: patches add and remove entries; once the cap is reached new summaries are
-#: not stored until shrinkage frees budget, while existing summaries keep
-#: being patched (they must stay exact), so brief overshoot is possible.
-SUMMARY_CACHE_MAX_ENTRIES = 5_000_000
-
+# The overlay holds one connector-count histogram per scored vertex and
+# patches it with the Lemma 4–7 closed form on every update; a score is a
+# canonical re-sum of that integer state, so it stays exact.
 
 def dynamic_ego_score(dyn: DynamicCompactGraph, pid: int) -> float:
-    """Exact ``CB(pid)`` on the mutable overlay, memoised on the overlay.
+    """Exact ``CB(pid)`` on the mutable overlay, from its held histogram.
 
-    The enumeration runs entirely on the overlay's live int neighbour sets
-    and at C speed: each neighbour's ego-restricted adjacency is one set
-    intersection, every *pair* inside those rows (adjacent or not) is
-    streamed through ``itertools.combinations`` into one ``Counter``, and
-    the few adjacent pairs — the ego's edges — are deleted from the counter
-    afterwards instead of being filtered by a per-pair Python membership
-    probe inside the hot loop.  The final accumulation goes through the
-    canonical sorted histogram, so the result is bit-identical to
-    :func:`repro.core.ego_betweenness.ego_betweenness` on the equivalent
-    hash graph.
+    A vertex that holds a connector-count histogram (see
+    :meth:`DynamicCompactGraph._patch_histograms`) is re-summed from it.
+    Otherwise its ego is enumerated once, entirely on the overlay's live int
+    neighbour sets and at C speed: each neighbour's ego-restricted adjacency
+    is one set intersection, every *pair* inside those rows (adjacent or
+    not) is streamed through ``itertools.combinations`` into one
+    ``Counter``, and the few adjacent pairs — the ego's edges — are deleted
+    from the counter afterwards instead of being filtered by a per-pair
+    Python membership probe inside the hot loop; the histogram is stored.
 
-    Scores are cached per vertex; edge updates invalidate only the
-    Observation-1 affected entries, so a vertex whose ego network no update
-    has touched costs one dict probe.
+    The histogram's key 0 holds the lonely pairs, so a sum started from
+    ``0.0`` equals ``float(lonely)`` plus the rest: the score is
+    bit-identical to the static kernels and to
+    :func:`repro.core.ego_betweenness.ego_betweenness`, which sum the same
+    canonical sorted histogram.
     """
-    cache = dyn._score_cache
-    got = cache.get(pid)
-    if got is not None:
-        return got
-    nbr_sets = dyn.neighbor_sets()
+    hist = dyn._hists.get(pid)
+    if hist is None:
+        hist = dyn._hists[pid] = _overlay_histogram(dyn.neighbor_sets(), pid)
+    return _sum_from_histogram(0, hist)
+
+
+def _overlay_histogram(nbr_sets: List[set], pid: int) -> Dict[int, int]:
+    """Enumerate the connector-count histogram of ``pid``'s ego network."""
     nbrs = nbr_sets[pid]
     d = len(nbrs)
-    summary = dyn._summaries.get(pid)
-    if summary is not None:
-        # The patched integer summary equals a fresh enumeration key for
-        # key, so the canonical sum below is bit-identical to one.
-        edges_in_ego, linker = summary
-        total_pairs = d * (d - 1) // 2
-        lonely_pairs = total_pairs - edges_in_ego - len(linker)
-        score = _sum_from_histogram(lonely_pairs, Counter(linker.values()))
-        cache[pid] = score
-        return score
     if d < 2:
-        if dyn.maintain_summaries:
-            dyn._summaries[pid] = (0, {})
-        cache[pid] = 0.0
-        return 0.0
+        return {}
     # Sorted rows make combinations() emit every pair as an ordered (x, y)
     # tuple, so both orientations of a pair aggregate under one key.
     nbrs_list = list(nbrs)
@@ -1022,241 +1005,17 @@ def dynamic_ego_score(dyn: DynamicCompactGraph, pid: int) -> float:
             for y in row:
                 if x < y:
                     pop((x, y), None)
-    total_pairs = d * (d - 1) // 2
-    lonely_pairs = total_pairs - edge_endpoints // 2 - len(pair_counts)
-    score = _sum_from_histogram(lonely_pairs, Counter(pair_counts.values()))
-    if (
-        dyn.maintain_summaries
-        and dyn._summary_cost + len(pair_counts) <= SUMMARY_CACHE_MAX_ENTRIES
-    ):
-        dyn._summaries[pid] = (edge_endpoints // 2, pair_counts)
-        dyn._summary_cost += len(pair_counts)
-    cache[pid] = score
-    return score
+    hist = Counter(pair_counts.values())
+    lonely_pairs = d * (d - 1) // 2 - edge_endpoints // 2 - len(pair_counts)
+    if lonely_pairs:
+        hist[0] = lonely_pairs
+    return hist
 
 
 def all_dynamic_ego_scores(dyn: DynamicCompactGraph) -> Dict[Vertex, float]:
-    """Exact ego-betweenness of every vertex, filling the overlay's memo.
+    """Exact ego-betweenness of every vertex, storing every histogram.
 
     Returns a label-keyed dict (the shape the dynamic maintainers store).
     """
     labels = dyn.labels
     return {labels[pid]: dynamic_ego_score(dyn, pid) for pid in range(dyn.num_vertices)}
-
-
-def _intersection_size(a: set, b: set, c: set) -> int:
-    """Return ``|a ∩ b ∩ c|``, intersecting the two smallest sets first."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) > len(c):
-        a, c = c, a
-    joint = a & b
-    return len(joint & c) if joint else 0
-
-
-def dynamic_update_corrections(
-    dyn: DynamicCompactGraph, uid: int, vid: int, inserting: bool
-) -> Tuple[set, Dict[int, float]]:
-    """Lemma 4–7 score corrections for an update of edge ``(uid, vid)``.
-
-    Must be called *before* the topological change is applied.  Returns
-    ``(common, deltas)`` where ``common`` is ``N(u) ∩ N(v)`` and ``deltas``
-    maps every Observation-1 affected vertex id to the exact change of its
-    ego-betweenness.
-
-    This is the incremental fast path: instead of evaluating every affected
-    pair's connector count in both the before and the after state (the
-    reference implementation — :func:`dynamic_affected_pairs` /
-    :func:`dynamic_pair_counts`), it exploits the closed form of the
-    lemmas.  With ``L = N(u) ∩ N(v)`` and all sets read from the *current*
-    state:
-
-    * endpoint ``e``, pairs among ``L``: both endpoints of the update edge
-      are connectors-elect of every such pair, so the count moves by
-      exactly ±1 — one triple intersection yields both states;
-    * endpoint ``e``, pairs ``(other, x)``: the pair exists only in the
-      with-edge state and its count ``|N(other) ∩ N(x) ∩ N(e)|`` collapses
-      to ``|L ∩ N(x)|`` — an intersection with the *small* set ``L`` (and
-      when ``L`` is empty every such pair counts 0, no per-pair work at
-      all);
-    * common neighbour ``w``, pair ``(u, v)``: count ``|L ∩ N(w)|``,
-      contributing only in the without-edge state;
-    * common neighbour ``w``, pairs ``(x, v)`` / ``(x, u)`` with
-      ``x ∈ N(w) ∩ N(u)`` / ``N(w) ∩ N(v)``: the other update endpoint is
-      again a connector-elect, so one intersection with the small set
-      ``N(w) ∩ N(other endpoint)`` yields both states (±1).
-
-    Old and new contribution sums are accumulated through the canonical
-    sorted histogram, so the deltas are bit-identical to the hash oracle's
-    (which evaluates both states explicitly).
-    """
-    nbr_sets = dyn.neighbor_sets()
-    nu = nbr_sets[uid]
-    nv = nbr_sets[vid]
-    common = nu & nv if len(nu) <= len(nv) else nv & nu
-    common_list = list(common)
-    # Count shift of a pair whose connector set gains/loses an update
-    # endpoint: +1 when inserting, -1 when deleting.
-    shift = 1 if inserting else -1
-    deltas: Dict[int, float] = {}
-
-    # ------------------------------------------------------------------
-    # Endpoints (Lemmas 4 and 6)
-    # ------------------------------------------------------------------
-    for endpoint, other in ((uid, vid), (vid, uid)):
-        ne = nbr_sets[endpoint]
-        old_hist: Dict[int, int] = {}
-        new_hist: Dict[int, int] = {}
-        # Pairs among the common neighbours: the count moves by `shift`.
-        for i, x in enumerate(common_list):
-            sx = nbr_sets[x]
-            for y in common_list[i + 1 :]:
-                if y in sx:
-                    continue
-                count = _intersection_size(sx, nbr_sets[y], ne)
-                old_hist[count] = old_hist.get(count, 0) + 1
-                count += shift
-                new_hist[count] = new_hist.get(count, 0) + 1
-        # Appearing/vanishing pairs (other, x): contribute only in the
-        # with-edge state, with the state-independent count |L ∩ N(x)|.
-        with_edge_hist = old_hist if not inserting else new_hist
-        if not common:
-            bulk = len(ne) - (0 if inserting else 1)  # minus `other` itself
-            if bulk:
-                with_edge_hist[0] = with_edge_hist.get(0, 0) + bulk
-        else:
-            for x in ne:
-                if x == other or x in common:
-                    continue
-                count = len(common & nbr_sets[x])
-                with_edge_hist[count] = with_edge_hist.get(count, 0) + 1
-        delta = _sum_from_histogram(0, new_hist) - _sum_from_histogram(0, old_hist)
-        deltas[endpoint] = delta
-
-    # ------------------------------------------------------------------
-    # Common neighbours (Lemmas 5 and 7)
-    # ------------------------------------------------------------------
-    for w in common_list:
-        nw = nbr_sets[w]
-        old_hist = {}
-        new_hist = {}
-        # The pair (u, v) itself: non-adjacent (count |L ∩ N(w)|) in the
-        # without-edge state, adjacent (contribution 0) in the other.
-        count = len(common & nw) if len(common) <= len(nw) else len(nw & common)
-        without_edge_hist = old_hist if inserting else new_hist
-        without_edge_hist[count] = without_edge_hist.get(count, 0) + 1
-        # Pairs (x, v) / (x, u): the other endpoint is a connector-elect.
-        cw_u = nw & nu if len(nw) <= len(nu) else nu & nw
-        cw_v = nw & nv if len(nw) <= len(nv) else nv & nw
-        for members, anchor_set, other_side in ((cw_u, nv, cw_v), (cw_v, nu, cw_u)):
-            for x in members:
-                if x == uid or x == vid or x in anchor_set:
-                    continue
-                count = len(other_side & nbr_sets[x])
-                old_hist[count] = old_hist.get(count, 0) + 1
-                count += shift
-                new_hist[count] = new_hist.get(count, 0) + 1
-        deltas[w] = _sum_from_histogram(0, new_hist) - _sum_from_histogram(0, old_hist)
-
-    return common, deltas
-
-
-def dynamic_affected_pairs(
-    dyn: DynamicCompactGraph, uid: int, vid: int
-) -> Tuple[set, Dict[int, set]]:
-    """Enumerate the Lemma 4–7 affected pairs of an update of ``(uid, vid)``.
-
-    Must be called *before* the topological change is applied (for an
-    insertion the edge is still absent, for a deletion still present —
-    either way ``N(u) ∩ N(v)`` and the enumerated pair set match the hash
-    oracle's enumeration exactly).  Returns ``(common, pair_map)`` where
-    ``pair_map`` maps each affected vertex id to the set of packed pair
-    keys ``min·n + max`` whose contribution the update may change:
-
-    * for each endpoint: the pairs among the common neighbours ``L`` plus
-      the appearing/vanishing pairs ``(other endpoint, x)``,
-    * for each common neighbour ``w``: the pair ``(u, v)`` plus the pairs
-      ``(x, v)`` / ``(x, u)`` with ``x ∈ N(w)`` adjacent to the other
-      endpoint.
-    """
-    nbr_sets = dyn.neighbor_sets()
-    n = dyn.num_vertices
-    nbr_u = nbr_sets[uid]
-    nbr_v = nbr_sets[vid]
-    common = dyn.common_neighbor_ids(uid, vid)
-    common_list = list(common)
-    pair_map: Dict[int, set] = {uid: set(), vid: set()}
-
-    for endpoint, other in ((uid, vid), (vid, uid)):
-        bucket = pair_map[endpoint]
-        add = bucket.add
-        for i, x in enumerate(common_list):
-            base = x * n
-            for y in common_list[i + 1 :]:
-                add(base + y if x < y else y * n + x)
-        for x in nbr_sets[endpoint]:
-            if x != other:
-                add(other * n + x if other < x else x * n + other)
-
-    uv_key = uid * n + vid if uid < vid else vid * n + uid
-    for w in common_list:
-        bucket = pair_map.setdefault(w, set())
-        add = bucket.add
-        add(uv_key)
-        for x in nbr_sets[w]:
-            if x == uid or x == vid:
-                continue
-            if x in nbr_u:
-                add(x * n + vid if x < vid else vid * n + x)
-            if x in nbr_v:
-                add(x * n + uid if x < uid else uid * n + x)
-    return common, pair_map
-
-
-def dynamic_pair_counts(
-    dyn: DynamicCompactGraph, pair_map: Dict[int, set]
-) -> Dict[int, Dict[int, int]]:
-    """Evaluate the connector counts of the affected pairs in the current state.
-
-    For every affected vertex ``p`` and packed pair ``(x, y)`` the result
-    stores ``|N(x) ∩ N(y) ∩ N(p)|`` — the ``S_p`` value of the paper — for
-    exactly the pairs that currently *contribute* to ``CB(p)`` (both members
-    in ``N(p)`` and non-adjacent).  Adjacent or vanished pairs contribute 0
-    and are simply omitted, which is what lets the before/after difference
-    handle appearing and vanishing pairs uniformly.
-    """
-    nbr_sets = dyn.neighbor_sets()
-    n = dyn.num_vertices
-    counts: Dict[int, Dict[int, int]] = {}
-    for pid, keys in pair_map.items():
-        nbr_p = nbr_sets[pid]
-        per: Dict[int, int] = {}
-        for key in keys:
-            x, y = divmod(key, n)
-            if x not in nbr_p or y not in nbr_p:
-                continue
-            sx = nbr_sets[x]
-            if y in sx:
-                continue
-            # |N(x) ∩ N(y) ∩ N(p)|; p itself is never a member of N(p), so
-            # no explicit "w != p" filter is needed.
-            per[key] = _intersection_size(nbr_p, sx, nbr_sets[y])
-        counts[pid] = per
-    return counts
-
-
-def correction_deltas(
-    old: Dict[int, Dict[int, int]], new: Dict[int, Dict[int, int]]
-) -> Dict[int, float]:
-    """Per-vertex score corrections from before/after connector counts.
-
-    Each vertex's old and new contribution sums are accumulated through the
-    canonical sorted histogram (:func:`_sum_pair_contributions`), exactly as
-    the hash oracle does, so the resulting deltas — and therefore the
-    maintained scores — are bit-identical across backends.
-    """
-    return {
-        pid: _sum_pair_contributions(0, new[pid].values())
-        - _sum_pair_contributions(0, old_counts.values())
-        for pid, old_counts in old.items()
-    }

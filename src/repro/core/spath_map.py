@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, FrozenSet, Set
 
-from repro.core.bounds import dynamic_upper_bound, static_upper_bound
+from repro.core.bounds import dynamic_upper_bound
 from repro.graph.graph import Graph, Vertex
 
 __all__ = ["SPathMap", "IdentifiedInfo", "IdentifiedInfoCSR", "pair_key"]
@@ -126,10 +126,6 @@ class IdentifiedInfo:
         """Drop the stored facts for ``p`` (called after its exact computation)."""
         self._edges.pop(p, None)
         self._links.pop(p, None)
-
-    def static_bound(self, degree: int) -> float:
-        """Convenience passthrough of the static bound (Lemma 2)."""
-        return static_upper_bound(degree)
 
 
 class IdentifiedInfoCSR:

@@ -13,9 +13,10 @@
 
 Both maintainers take ``backend={"auto", "compact", "hash"}``: the default
 compact backend runs on the mutable CSR overlay
-(:class:`~repro.graph.dynamic_csr.DynamicCompactGraph`) with the
-incremental delta kernels of :mod:`repro.core.csr_kernels`; the hash
-backend is the bit-identical parity oracle.
+(:class:`~repro.graph.dynamic_csr.DynamicCompactGraph`), which patches a
+connector-count histogram per scored vertex with the Lemma 4–7 closed form;
+the hash backend recomputes the Observation-1 affected vertices by
+definition.  Both keep values bit-identical to a fresh recomputation.
 """
 
 from repro.dynamic.local_update import EgoBetweennessIndex, affected_vertices

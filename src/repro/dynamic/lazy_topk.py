@@ -24,15 +24,19 @@ get the static bound; endpoints shrink their bound).
 Like :class:`~repro.dynamic.local_update.EgoBetweennessIndex`, the
 maintainer runs on one of two backends (``backend={"auto", "compact",
 "hash"}``, auto = compact).  The compact backend keeps the graph in a
-:class:`~repro.graph.dynamic_csr.DynamicCompactGraph` overlay whose
-memoised ego scores are invalidated only for the Observation-1 affected
-set, so the exact recomputations the laziness cannot avoid are served from
-int-set kernels — and repeated probes of untouched outsiders cost a dict
-lookup.  The decision sequence (which vertices are recomputed, skipped,
-swapped) is deterministic and identical across backends, so the
-``exact_recomputations`` / ``skipped_recomputations`` counters and the
-maintained values agree exactly; the hash backend remains the parity
-oracle.
+:class:`~repro.graph.dynamic_csr.DynamicCompactGraph` overlay, which patches
+the connector-count histogram of every vertex it has scored once, so an
+exact recomputation the laziness cannot avoid is a re-sum of that
+histogram.  The hash backend recomputes by definition.  The decision
+sequence (which vertices are recomputed, skipped, swapped) is deterministic
+and identical across backends, so the ``exact_recomputations`` /
+``skipped_recomputations`` counters and the maintained values agree
+exactly.
+
+Ties follow the one top-k order (score descending, then
+:func:`~repro._ordering.sort_key` ascending): the outsider heap is keyed on
+``(-priority, sort_key)``, the threshold is the result member ranked last,
+and an outsider enters only when it ranks strictly above it.
 
 Implementation note.  The paper's Algorithm 6 keeps the *outdated
 ego-betweenness* as the stale priority of a skipped endpoint.  Because an
@@ -54,7 +58,6 @@ remains supported for standalone use.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -85,8 +88,8 @@ class LazyTopKMaintainer:
         Size of the maintained result set.
     backend:
         ``"auto"`` (default, resolves to ``"compact"``) runs on the mutable
-        CSR overlay with memoised, selectively-invalidated ego scores;
-        ``"hash"`` forces the label-level oracle.  Values, result sets and
+        CSR overlay with patched connector-count histograms; ``"hash"``
+        recomputes by definition.  Values, result sets and
         counters are identical either way.
     values:
         Optional precomputed exact ego-betweenness map for ``graph``; skips
@@ -115,19 +118,13 @@ class LazyTopKMaintainer:
             raise InvalidParameterError("k must be a positive integer")
         self.backend = normalize_backend(backend)
         if self.backend == "compact":
-            # The maintainer's exact recomputations are served from patched
-            # ego summaries, so summary maintenance pays for itself here.
             self._dyn = as_dynamic(graph)
-            self._dyn.maintain_summaries = True
             self._graph: Optional[Graph] = None
             self._graph_version = -1
             if values is None:
                 self._values: Dict[Vertex, float] = all_dynamic_ego_scores(self._dyn)
             else:
                 self._values = dict(values)
-                self._dyn.seed_scores(
-                    {self._dyn.id_of(label): value for label, value in values.items()}
-                )
         else:
             self._dyn = None
             self._graph = graph.copy()
@@ -135,8 +132,7 @@ class LazyTopKMaintainer:
         self._k = k
         self._exact: Set[Vertex] = set(self._values)
         self._result: Set[Vertex] = set()
-        self._counter = itertools.count()
-        self._heap: List[Tuple[float, int, Vertex]] = []
+        self._heap: List[Tuple[float, tuple, Vertex]] = []
         self.exact_recomputations = 0
         self.skipped_recomputations = 0
         self.last_update_seconds = 0.0
@@ -336,8 +332,8 @@ class LazyTopKMaintainer:
                 continue
             threshold_vertex = self._threshold_vertex()
             threshold = self._values[threshold_vertex]
-            if priority <= threshold:
-                # No outsider can beat the current k-th best: done.  Put the
+            if (-priority, sort_key(vertex)) >= (-threshold, sort_key(threshold_vertex)):
+                # No outsider ranks above the k-th entry: done.  Put the
                 # candidate back so future updates still see it.
                 self._push(vertex, priority)
                 return probes
@@ -346,7 +342,7 @@ class LazyTopKMaintainer:
                 probes += 1
                 self._push(vertex, score)
                 continue
-            # Exact outsider strictly better than the k-th best: swap.
+            # Exact outsider ranked above the k-th entry: swap.
             self._result.discard(threshold_vertex)
             self._result.add(vertex)
             self._push(threshold_vertex, self._values[threshold_vertex])
@@ -362,11 +358,9 @@ class LazyTopKMaintainer:
             self._push(vertex, value)
 
     def _threshold_vertex(self) -> Vertex:
-        """Return the result member with the smallest (exact) score."""
-        return min(
-            self._result,
-            key=lambda p: (self._values[p], sort_key(p)),
-        )
+        """Return the result member ranked last in the top-k order."""
+        values = self._values
+        return max(self._result, key=lambda p: (-values[p], sort_key(p)))
 
     def _recompute(self, vertex: Vertex) -> float:
         if self._dyn is not None:
@@ -385,7 +379,7 @@ class LazyTopKMaintainer:
         self._push(vertex, self._values[vertex])
 
     def _push(self, vertex: Vertex, priority: float) -> None:
-        heapq.heappush(self._heap, (-priority, next(self._counter), vertex))
+        heapq.heappush(self._heap, (-priority, sort_key(vertex), vertex))
 
     def _pop_best_candidate(self) -> Optional[Tuple[Vertex, float, bool]]:
         """Pop the highest-priority valid outsider entry from the heap.

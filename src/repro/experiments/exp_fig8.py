@@ -10,7 +10,8 @@ number of exact recomputations the lazy maintainer skipped — the mechanism
 behind its advantage.
 
 Both maintainers accept a ``backend`` (``auto`` = the compact CSR overlay
-with incremental delta kernels, ``hash`` = the label-level oracle); the
+with patched connector-count histograms, ``hash`` = the label-level oracle,
+which recomputes every Observation-1 affected vertex by definition); the
 choice is plumbed through here so the experiment can measure either.  The
 initial all-vertex ego-betweenness map is computed once per dataset and
 shared by both maintainers via their ``values=`` parameter.

@@ -19,16 +19,19 @@ kernels — **stable across rebuilds**: new vertices are appended, existing
 ids never move, so memoised per-vertex results survive a rebuild (a rebuild
 changes the storage layout, never the graph).
 
-The overlay also hosts the memoised per-vertex ego-betweenness scores used
-by the incremental maintenance kernels
-(:func:`repro.core.csr_kernels.dynamic_ego_score`): an edge update
-``(u, v)`` invalidates exactly the entries of ``{u, v} ∪ N(u) ∩ N(v)``
-(Observation 1 of the paper) and leaves every other memoised score valid.
+The overlay also holds the dynamic maintainers' exact state: one
+connector-count histogram per scored vertex (``{count: non-adjacent pairs}``,
+count 0 being the lonely pairs), filled by
+:func:`repro.core.csr_kernels.dynamic_ego_score`.  An edge update ``(u, v)``
+changes only the histograms of ``{u, v} ∪ N(u) ∩ N(v)`` (Observation 1 of
+the paper), and :meth:`DynamicCompactGraph._patch_histograms` moves exactly
+the pairs Lemmas 4–7 name between buckets, so every held histogram stays
+equal to a fresh enumeration of its ego network.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from repro._ordering import sort_key
 from repro.errors import (
@@ -65,9 +68,6 @@ class DynamicCompactGraph:
         The immutable CSR snapshot the overlay starts from.  The snapshot is
         never mutated; its per-row neighbour sets are copied once so the
         overlay owns its working adjacency.
-    maintain_summaries:
-        Whether :func:`~repro.core.csr_kernels.dynamic_ego_score` memoises
-        per-vertex ego summaries (the lazy top-k maintainer's mode).
 
     The overlay re-compacts itself once the delta count reaches
     :data:`DEFAULT_REBUILD_RATIO` of the base edge count, and never before
@@ -100,19 +100,12 @@ class DynamicCompactGraph:
         "_removed",
         "_delta_records",
         "_num_edges",
-        "_score_cache",
-        "_summaries",
-        "_summary_cost",
-        "maintain_summaries",
+        "_hists",
         "_version",
         "rebuilds",
     )
 
-    def __init__(
-        self,
-        base: CompactGraph,
-        maintain_summaries: bool = False,
-    ) -> None:
+    def __init__(self, base: CompactGraph) -> None:
         self._base = base
         self._base_n = base.num_vertices
         self._labels: List[Vertex] = list(base.labels)
@@ -128,23 +121,9 @@ class DynamicCompactGraph:
         self._removed: Dict[int, Set[int]] = {}
         self._delta_records = 0
         self._num_edges = base.num_edges
-        # Memoised exact ego-betweenness per id, maintained by
-        # repro.core.csr_kernels.dynamic_ego_score; updates invalidate only
-        # the affected entries and a rebuild keeps the cache (the graph is
-        # unchanged, only its storage is).
-        self._score_cache: Dict[int, float] = {}
-        # Memoised ego summaries: id -> (edges_in_ego, linker) where
-        # ``linker`` maps the sorted pair ``(x, y)`` of non-adjacent
-        # neighbours to its in-ego connector count.  All-integer state:
-        # every edge update patches the affected entries exactly (see
-        # _patch_summaries), so the canonical float score re-derived from a
-        # patched summary is bit-identical to a fresh enumeration.  Entries
-        # are created by dynamic_ego_score when ``maintain_summaries`` is
-        # set (the lazy maintainer's mode); patching always honours
-        # whatever entries exist.
-        self._summaries: Dict[int, Tuple[int, Dict[Tuple[int, int], int]]] = {}
-        self._summary_cost = 0
-        self.maintain_summaries = maintain_summaries
+        # Connector-count histogram per scored id (see _patch_histograms);
+        # a rebuild keeps them (the graph is unchanged, only its storage is).
+        self._hists: Dict[int, Dict[int, int]] = {}
         self._version = 0
         self.rebuilds = 0
 
@@ -189,7 +168,7 @@ class DynamicCompactGraph:
 
         The graph itself is unchanged — only the storage layout: every row
         becomes a contiguous sorted array slice again, the delta sets are
-        cleared and the memoised ego scores survive.
+        cleared and the held histograms survive.
         """
         self._base = self.snapshot()
         self._base_n = len(self._labels)
@@ -339,13 +318,12 @@ class DynamicCompactGraph:
         self._version += 1
         return vid
 
-    def insert_edge_ids(self, u: int, v: int, common: Optional[Set[int]] = None) -> Set[int]:
+    def insert_edge_ids(self, u: int, v: int) -> Set[int]:
         """Insert the edge ``(u, v)`` (ids); return ``N(u) ∩ N(v)``.
 
         The returned common-neighbour set is exactly the rest of the
         Observation-1 affected set ``{u, v} ∪ N(u) ∩ N(v)`` — computed
-        anyway for score-cache invalidation, so callers get it for free
-        (or may pass it in via ``common`` when they already hold it).
+        anyway for the histogram patch, so callers get it for free.
         """
         if u == v:
             raise SelfLoopError(self._labels[u])
@@ -353,37 +331,35 @@ class DynamicCompactGraph:
         nbr_v = self._nbr_sets[v]
         if v in nbr_u:
             raise EdgeExistsError(self._labels[u], self._labels[v])
-        if common is None:
-            common = nbr_u & nbr_v if len(nbr_u) <= len(nbr_v) else nbr_v & nbr_u
-        if self._summaries:
-            self._patch_summaries(u, v, common, inserting=True)
+        common = nbr_u & nbr_v
+        if self._hists:
+            self._patch_histograms(u, v, common, inserting=True)
         nbr_u.add(v)
         nbr_v.add(u)
         self._degrees[u] += 1
         self._degrees[v] += 1
         self._num_edges += 1
         self._record_delta(u, v, inserting=True)
-        self._invalidate(u, v, common)
+        self._version += 1
         self._maybe_rebuild()
         return common
 
-    def delete_edge_ids(self, u: int, v: int, common: Optional[Set[int]] = None) -> Set[int]:
+    def delete_edge_ids(self, u: int, v: int) -> Set[int]:
         """Delete the edge ``(u, v)`` (ids); return ``N(u) ∩ N(v)``."""
         nbr_u = self._nbr_sets[u]
         nbr_v = self._nbr_sets[v]
         if v not in nbr_u:
             raise EdgeNotFoundError(self._labels[u], self._labels[v])
-        if common is None:
-            common = nbr_u & nbr_v if len(nbr_u) <= len(nbr_v) else nbr_v & nbr_u
-        if self._summaries:
-            self._patch_summaries(u, v, common, inserting=False)
+        common = nbr_u & nbr_v
+        if self._hists:
+            self._patch_histograms(u, v, common, inserting=False)
         nbr_u.discard(v)
         nbr_v.discard(u)
         self._degrees[u] -= 1
         self._degrees[v] -= 1
         self._num_edges -= 1
         self._record_delta(u, v, inserting=False)
-        self._invalidate(u, v, common)
+        self._version += 1
         self._maybe_rebuild()
         return common
 
@@ -411,148 +387,75 @@ class DynamicCompactGraph:
         return {u, v} | {labels[w] for w in common}
 
     # ------------------------------------------------------------------
-    # Memoised ego scores
+    # Connector-count histograms (exact integer state, Lemmas 4–7)
     # ------------------------------------------------------------------
-    def seed_scores(self, scores: Dict[int, float]) -> None:
-        """Prime the memoised ego-score cache with known-exact values."""
-        self._score_cache.update(scores)
-
-    def cached_score_ids(self) -> Set[int]:
-        """Return the ids whose memoised ego score is currently valid."""
-        return set(self._score_cache)
-
-    def _invalidate(self, u: int, v: int, common: Iterable[int]) -> None:
-        """Drop the memoised scores of the Observation-1 affected set."""
-        self._version += 1
-        cache = self._score_cache
-        if not cache:
-            return
-        cache.pop(u, None)
-        cache.pop(v, None)
-        for w in common:
-            cache.pop(w, None)
-
-    # ------------------------------------------------------------------
-    # Incremental ego-summary patching (exact integer state)
-    # ------------------------------------------------------------------
-    def _patch_summaries(
+    def _patch_histograms(
         self, u: int, v: int, common: Set[int], inserting: bool
     ) -> None:
-        """Patch the memoised ego summaries of the affected vertices.
+        """Move the affected pairs of the held histograms to their new counts.
 
         Called *before* the adjacency sets change, with ``common`` the
-        pre-update ``N(u) ∩ N(v)``.  Applies the Lemma 4–7 case analysis as
-        exact integer edits to each affected vertex's ``(edges_in_ego,
-        linker)`` summary, so a summary stays equal — key for key, count
-        for count — to what a fresh enumeration of the post-update ego
-        network would produce:
+        pre-update ``L = N(u) ∩ N(v)``; only affected vertices that hold a
+        histogram are patched.  The Lemma 4–7 closed form, with every set
+        read from the current state:
 
-        * endpoint ``e``: the other endpoint ``o`` joins/leaves ``N(e)``;
-          the pairs ``(o, x)`` appear with connector count
-          ``|common ∩ N(x)|`` (or vanish), the adjacent ones — ``x ∈
-          common`` — move ``edges_in_ego`` by ``|common|``, and every
-          non-adjacent pair inside ``common`` gains/loses the connector
-          ``o``;
-        * common neighbour ``w``: the pair ``(u, v)`` flips between edge
-          and non-adjacent pair (count ``|common ∩ N(w)|``), and the pairs
-          ``(x, v)`` / ``(x, u)`` with ``x`` adjacent to the other endpoint
-          gain/lose the connector ``u`` / ``v``.
+        * endpoint ``e`` (other endpoint ``o``), non-adjacent pairs among
+          ``L``: ``o`` joins/leaves their connectors, so each count moves
+          by ±1 — one triple intersection gives the old count;
+        * endpoint ``e``, pairs ``(o, x)`` with ``x ∈ N(e) \\ L``: they
+          exist only with the edge, with count ``|L ∩ N(x)|`` (all 0 when
+          ``L`` is empty, one bulk move of the lonely bucket);
+        * common neighbour ``w``, pair ``(u, v)``: non-adjacent only
+          without the edge, with count ``|L ∩ N(w)|``;
+        * common neighbour ``w``, pairs ``(x, v)`` / ``(x, u)`` with ``x``
+          in ``N(w) ∩ N(u)`` / ``N(w) ∩ N(v)`` and not adjacent to the
+          other endpoint: that endpoint joins/leaves their connectors (±1).
 
-        When ``common`` is empty every case degenerates to a no-op for the
-        common-neighbour loop and to pure pair-appearance/vanishing with
-        zero connectors for the endpoints — no stored state changes at all.
+        A patched histogram equals a fresh enumeration's key for key, so
+        the score re-summed from it is bit-identical to a recomputation.
         """
-        summaries = self._summaries
+        hists = self._hists
         nbr_sets = self._nbr_sets
-        nbr_u, nbr_v = nbr_sets[u], nbr_sets[v]
-        common_list = list(common) if common else ()
-        cost = self._summary_cost
+        nu, nv = nbr_sets[u], nbr_sets[v]
+        shift = 1 if inserting else -1
+        common_list = list(common)
 
         # Endpoints (Lemmas 4 and 6).
-        for e, o, ne in ((u, v, nbr_u), (v, u, nbr_v)):
-            entry = summaries.get(e)
-            if entry is None:
+        for e, o in ((u, v), (v, u)):
+            hist = hists.get(e)
+            if hist is None:
                 continue
-            edges, linker = entry
+            ne = nbr_sets[e]
             for i, x in enumerate(common_list):
                 sx = nbr_sets[x]
                 for y in common_list[i + 1 :]:
-                    if y in sx:
-                        continue
-                    key = (x, y) if x < y else (y, x)
-                    if inserting:
-                        count = linker.get(key, 0)
-                        if count == 0:
-                            cost += 1
-                        linker[key] = count + 1
-                    else:
-                        count = linker[key]  # >= 1: o is a connector
-                        if count == 1:
-                            del linker[key]
-                            cost -= 1
-                        else:
-                            linker[key] = count - 1
-            if common:
-                if inserting:
-                    for x in ne:
-                        if x in common:
-                            continue
-                        count = len(common & nbr_sets[x])
-                        if count:
-                            linker[(o, x) if o < x else (x, o)] = count
-                            cost += 1
-                    summaries[e] = (edges + len(common), linker)
-                else:
-                    pop = linker.pop
-                    for x in ne:
-                        if x == o or x in common:
-                            continue
-                        if pop((o, x) if o < x else (x, o), None) is not None:
-                            cost -= 1
-                    summaries[e] = (edges - len(common), linker)
+                    if y not in sx:
+                        count = _intersection_size(sx, nbr_sets[y], ne)
+                        _bump(hist, count, -1)
+                        _bump(hist, count + shift, 1)
+            if not common:
+                _bump(hist, 0, len(ne) if inserting else 1 - len(ne))
+                continue
+            for x in ne:
+                if x != o and x not in common:
+                    _bump(hist, len(common & nbr_sets[x]), shift)
 
         # Common neighbours (Lemmas 5 and 7).
-        if not common:
-            self._summary_cost = cost
-            return
-        uv_key = (u, v) if u < v else (v, u)
         for w in common_list:
-            entry = summaries.get(w)
-            if entry is None:
+            hist = hists.get(w)
+            if hist is None:
                 continue
-            edges, linker = entry
             nw = nbr_sets[w]
-            if inserting:
-                if linker.pop(uv_key, None) is not None:
-                    cost -= 1  # present iff |common ∩ N(w)| > 0
-                edges += 1
-            else:
-                count = len(common & nw)
-                if count:
-                    linker[uv_key] = count
-                    cost += 1
-                edges -= 1
-            cw_u = nw & nbr_u if len(nw) <= len(nbr_u) else nbr_u & nw
-            cw_v = nw & nbr_v if len(nw) <= len(nbr_v) else nbr_v & nw
-            for members, anchor_set, other in ((cw_u, nbr_v, v), (cw_v, nbr_u, u)):
+            _bump(hist, len(common & nw), -shift)
+            cw_u = nw & nu
+            cw_v = nw & nv
+            for members, anchor, other_side in ((cw_u, nv, cw_v), (cw_v, nu, cw_u)):
                 for x in members:
-                    if x == u or x == v or x in anchor_set:
+                    if x == u or x == v or x in anchor:
                         continue
-                    key = (x, other) if x < other else (other, x)
-                    if inserting:
-                        count = linker.get(key, 0)
-                        if count == 0:
-                            cost += 1
-                        linker[key] = count + 1
-                    else:
-                        count = linker[key]  # >= 1: the other endpoint connects
-                        if count == 1:
-                            del linker[key]
-                            cost -= 1
-                        else:
-                            linker[key] = count - 1
-            summaries[w] = (edges, linker)
-        self._summary_cost = cost
+                    count = len(other_side & nbr_sets[x])
+                    _bump(hist, count, -1)
+                    _bump(hist, count + shift, 1)
 
     # ------------------------------------------------------------------
     # Delta bookkeeping
@@ -575,3 +478,22 @@ class DynamicCompactGraph:
         record.setdefault(u, set()).add(v)
         record.setdefault(v, set()).add(u)
         self._delta_records += 1
+
+
+def _intersection_size(a: Set[int], b: Set[int], c: Set[int]) -> int:
+    """Return ``|a ∩ b ∩ c|``, intersecting the two smallest sets first."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) > len(c):
+        a, c = c, a
+    joint = a & b
+    return len(joint & c) if joint else 0
+
+
+def _bump(hist: Dict[int, int], count: int, by: int) -> None:
+    """Add ``by`` pairs to bucket ``count``, dropping a bucket that empties."""
+    total = hist.get(count, 0) + by
+    if total:
+        hist[count] = total
+    else:
+        hist.pop(count, None)

@@ -50,10 +50,6 @@ class DegreeOrder:
         """Return ``True`` iff ``u ≺ v``."""
         return self.rank(u) < self.rank(v)
 
-    def ordered_vertices(self) -> List[Vertex]:
-        """Return all vertices from highest to lowest rank."""
-        return list(self._ordered)
-
     def __len__(self) -> int:
         return len(self._ordered)
 

@@ -865,12 +865,6 @@ class WorkerPool:
             if proc.exitcode is None
         }
 
-    def worker_pids(self) -> set:
-        """Pids of the currently live worker processes (empty if not started)."""
-        with self._lock:
-            pool = self._state["pool"]
-            return self._live_pids(pool) if pool is not None else set()
-
     def check_workers(self) -> int:
         """Count workers that vanished since the last check.
 

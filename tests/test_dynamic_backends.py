@@ -14,8 +14,10 @@ event for event.  The suite drives both backends in lock-step over
 * overlay configurations that force frequent ``rebuild()``\\ s mid-stream,
 
 plus hypothesis round-trips (apply a stream, apply its inversion, recover
-the original graph and values) and a cross-check of the fast Lemma 4–7
-correction kernel against the packed-key reference evaluation.
+the original graph and values), a key-for-key check of the overlay's
+patched connector-count histograms against fresh enumerations, and an
+exactness check on a dataset stand-in: the maintained values equal a fresh
+recomputation after every batch.
 """
 
 from __future__ import annotations
@@ -24,15 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.csr_kernels import (
-    as_dynamic,
-    correction_deltas,
-    dynamic_affected_pairs,
-    dynamic_ego_score,
-    dynamic_pair_counts,
-    dynamic_update_corrections,
-)
+from repro.core.csr_kernels import as_dynamic, dynamic_ego_score
 from repro.core.ego_betweenness import all_ego_betweenness
+from repro.datasets.registry import load_dataset
 from repro.dynamic.lazy_topk import LazyTopKMaintainer
 from repro.dynamic.local_update import EgoBetweennessIndex
 from repro.dynamic.stream import (
@@ -121,8 +117,7 @@ class TestMixedStreamParity:
             assert_lazy_parity(hash_lazy, compact_lazy)
         # End state also matches a from-scratch recomputation.
         fresh = all_ego_betweenness(hash_index.graph)
-        for vertex, value in fresh.items():
-            assert compact_index.score(vertex) == pytest.approx(value, abs=1e-9)
+        assert compact_index.scores() == fresh
 
     def test_thousand_event_stream(self):
         """The Exp-3 scale: ≥1,000 mixed events, exact parity throughout."""
@@ -262,63 +257,36 @@ class TestRebuildGating:
 
 
 # ----------------------------------------------------------------------
-# Kernel cross-checks
+# Exact integer state
 # ----------------------------------------------------------------------
-def _summarising(graph):
-    """An overlay of ``graph`` that memoises ego summaries (the lazy mode)."""
-    dyn = as_dynamic(graph)
-    dyn.maintain_summaries = True
-    return dyn
-
-
 class TestCorrectionKernels:
-    def test_fast_corrections_match_reference_evaluation(self):
-        """The Lemma 4–7 closed-form kernel equals the packed-key
-        before/after evaluation bit for bit on every update of a stream."""
-        graph = erdos_renyi_graph(35, 0.15, seed=3)
-        dyn = as_dynamic(graph)
-        for event in generate_update_stream(graph, 120, seed=9):
-            for label in (event.u, event.v):
-                if not dyn.has_vertex(label):
-                    dyn.add_vertex(label)
-            uid, vid = dyn.id_of(event.u), dyn.id_of(event.v)
-            inserting = event.operation == "insert"
-            common_fast, fast = dynamic_update_corrections(dyn, uid, vid, inserting)
-            common_ref, pair_map = dynamic_affected_pairs(dyn, uid, vid)
-            old = dynamic_pair_counts(dyn, pair_map)
-            if inserting:
-                dyn.insert_edge_ids(uid, vid)
-            else:
-                dyn.delete_edge_ids(uid, vid)
-            new = dynamic_pair_counts(dyn, pair_map)
-            reference = correction_deltas(old, new)
-            assert common_fast == common_ref
-            assert fast == reference
-
-    def test_summary_cost_accounting_stays_exact(self):
-        """The overlay's summary entry count tracks patches exactly."""
-        graph = erdos_renyi_graph(30, 0.15, seed=11)
-        dyn = _summarising(graph)
-        for pid in range(dyn.num_vertices):
-            dynamic_ego_score(dyn, pid)
-        for event in generate_update_stream(graph, 120, seed=23):
-            apply_stream(dyn, [event])
-            actual = sum(len(linker) for _, linker in dyn._summaries.values())
-            assert dyn._summary_cost == actual
-
     def test_patched_summaries_equal_fresh_enumeration(self):
-        """A summary patched across many updates matches a from-scratch one."""
+        """Histograms patched across many updates match fresh ones key for key."""
         graph = overlapping_cliques_graph(18, (3, 6), overlap=2, seed=7)
-        dyn = _summarising(graph)
+        dyn = as_dynamic(graph)
         for pid in range(dyn.num_vertices):
-            dynamic_ego_score(dyn, pid)  # populate every summary
+            dynamic_ego_score(dyn, pid)  # hold every histogram
         apply_stream(dyn, generate_update_stream(graph, 80, seed=19))
-        reference = _summarising(dyn.to_graph())
+        reference = as_dynamic(dyn.to_graph())
         for pid in range(dyn.num_vertices):
-            label = dyn.label_of(pid)
-            assert dynamic_ego_score(dyn, pid) == dynamic_ego_score(
-                reference, reference.id_of(label)
-            )
+            rid = reference.id_of(dyn.label_of(pid))
+            dynamic_ego_score(reference, rid)
+            assert dict(dyn._hists[pid]) == dict(reference._hists[rid])
+
+
+class TestExactMaintenance:
+    @pytest.mark.parametrize("backend", ["compact", "hash"])
+    def test_maintained_scores_equal_fresh_recomputation(self, backend):
+        """Every batch leaves the served values equal (==) to a recomputation."""
+        from repro.session import EgoSession
+
+        graph = load_dataset("dblp", scale=0.2)
+        stream = generate_update_stream(graph, 200, seed=3)
+        session = EgoSession(graph, backend=backend)
+        session.scores()  # promotion reuses these values
+        for start in range(0, len(stream), 20):
+            session.apply(stream[start : start + 20])
+            assert session.scores() == all_ego_betweenness(session.to_graph())
 
 
 # ----------------------------------------------------------------------
@@ -346,8 +314,7 @@ class TestHypothesisRoundTrip:
         apply_stream(compact_index, undo)
         assert_index_parity(hash_index, compact_index)
         assert compact_index.graph == graph
-        for vertex, value in original.items():
-            assert compact_index.score(vertex) == pytest.approx(value, abs=1e-9)
+        assert compact_index.scores() == original
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -365,7 +332,7 @@ class TestHypothesisRoundTrip:
         # The maintained set equals the true top-k of the final graph.
         truth = sorted(all_ego_betweenness(compact_lazy.graph).values(), reverse=True)
         got = [score for _, score in compact_lazy.top_k().entries]
-        assert got == pytest.approx(truth[: len(got)], abs=1e-9)
+        assert got == truth[: len(got)]
 
 
 # ----------------------------------------------------------------------

@@ -466,9 +466,7 @@ class TestHotKeyCache:
                 return stale, fresh, expected, stats
 
         stale, fresh, expected, stats = asyncio.run(run())
-        # approx: incremental maintenance and a fresh recompute may differ
-        # in the last float bit (different summation order).
-        assert fresh == pytest.approx(expected)
+        assert fresh == expected
         assert fresh != stale
         assert stats["gateway"]["cache_invalidations"] >= 1
 
@@ -845,8 +843,7 @@ class TestVersionListeners:
                 return stale, fresh, expected, stats
 
         stale, fresh, expected, stats = asyncio.run(run())
-        # approx: incremental maintenance vs fresh recompute, last-bit drift.
-        assert fresh == pytest.approx(expected) and fresh != stale
+        assert fresh == expected and fresh != stale
         assert stats["cache_hits"] == 1
         assert stats["cache_invalidations"] >= 1
 

@@ -14,6 +14,7 @@ from repro.dynamic.lazy_topk import LazyTopKMaintainer
 from repro.dynamic.local_update import EgoBetweennessIndex
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CompactGraph
+from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.parallel.engines import (
     edge_parallel_ego_betweenness,
     vertex_parallel_ego_betweenness,
@@ -61,6 +62,8 @@ def _execute_with_schedule():
         (lambda: edge_parallel_ego_betweenness(COMPACT, 2, schedule="dynamic"), "schedule"),
         (lambda: EgoBetweennessIndex(COMPACT, rebuild_ratio=0.5), "rebuild_ratio"),
         (lambda: LazyTopKMaintainer(COMPACT, 2, auto_rebuild=False), "auto_rebuild"),
+        # Every scored overlay vertex holds its histogram: no summary mode.
+        (lambda: DynamicCompactGraph(COMPACT, maintain_summaries=True), "maintain_summaries"),
     ],
 )
 def test_removed_or_misspelled_option_is_rejected(build, keyword):
