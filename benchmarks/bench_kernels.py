@@ -12,6 +12,13 @@ full-sweep cost on dblp at scales 2.4 and 2.8 (n = 4,630 and 5,364, past
 the python tier's 4,096-vertex byte bitmap) stays within
 ``CLIFF_BOUND`` × that of dblp at scale 2.1 (n = 4,081).
 
+Two more gates cover graphs past the packed bitmap's budget, which take
+the edge-key membership test: on wikitalk@2.0 a sweep with edge keys costs
+at most ``MEMBERSHIP_BOUND`` × the bitmap sweep of the same graph, and a
+serial sweep of wikitalk@5.0 (n = 12,300, past the budget) in a fresh
+process grows peak RSS by at most ``RSS_BOUND_MB``.  Both graphs score
+``==`` the python tier.
+
 Plain pytest — no pytest-benchmark fixtures — so the dedicated CI job can
 run it with only ``pytest`` (plus numpy) installed::
 
@@ -52,6 +59,22 @@ CLIFF_SCALES: Tuple[float, ...] = (2.1, 2.4, 2.8)
 #: A membership path that falls off the bitmap costs ~2.8x; the bitmap
 #: path measures 0.76-1.31x on a shared 2-vCPU machine.
 CLIFF_BOUND = 1.5
+
+
+#: The edge-key gate's graph: star-heavy, with hubs past the singleton cut,
+#: and small enough for the bitmap, so both membership paths sweep it.
+MEMBERSHIP_DATASET: Tuple[str, float] = ("wikitalk", 2.0)
+
+#: Largest allowed edge-key / bitmap sweep cost ratio; 2.0-2.4x measured
+#: on a shared 2-vCPU machine (the sorted-row gather it replaced: 4.7-5.2x).
+MEMBERSHIP_BOUND = 3.0
+
+#: The memory gate's graph: past the bitmap budget, largest hub d = 3,494.
+RSS_DATASET: Tuple[str, float] = ("wikitalk", 5.0)
+
+#: Largest allowed peak-RSS growth of that sweep; ~25 MB measured (the
+#: sorted-row gather it replaced: 1,344 MB).
+RSS_BOUND_MB = 64.0
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -153,6 +176,26 @@ def run_kernel_benchmark(
     return payload
 
 
+def _numpy_sweep(compact, bitmap: bool = True):
+    """Build a numpy-tier kernel and score every vertex; return both."""
+    from repro.core.csr_kernels import CSRChunkKernel
+
+    kernel = CSRChunkKernel(
+        compact.indptr, compact.indices, build_dense=bitmap, kernel="numpy"
+    )
+    scores = kernel.score_chunk(range(compact.num_vertices))
+    if kernel.kernel_fallbacks:
+        raise AssertionError("numpy kernel demoted to python mid-benchmark")
+    return kernel, scores
+
+
+def _python_tier(compact) -> Dict[int, float]:
+    from repro.core.csr_kernels import CSRChunkKernel
+
+    kernel = CSRChunkKernel(compact.indptr, compact.indices, kernel="python")
+    return kernel.score_chunk(range(compact.num_vertices))
+
+
 def run_cliff_benchmark(repeats: int = 7) -> Dict[str, Any]:
     """Per-vertex numpy full-sweep cost of dblp at :data:`CLIFF_SCALES`.
 
@@ -162,31 +205,23 @@ def run_cliff_benchmark(repeats: int = 7) -> Dict[str, Any]:
     of them alike; every graph's scores are first checked bit-identical to
     the CSR python kernels.
     """
-    from repro.core.csr_kernels import CSRChunkKernel, all_ego_betweenness_csr
+    from repro.core.csr_kernels import all_ego_betweenness_csr
     from repro.datasets.registry import load_dataset
 
     compacts = {
         scale: load_dataset("dblp", scale=scale).to_compact()
         for scale in CLIFF_SCALES
     }
-
-    def sweep(compact):
-        kernel = CSRChunkKernel(compact.indptr, compact.indices, kernel="numpy")
-        scores = kernel.score_chunk(range(compact.num_vertices))
-        if kernel.kernel_fallbacks:
-            raise AssertionError("numpy kernel demoted to python mid-benchmark")
-        return scores
-
     for scale, compact in compacts.items():
         labels = compact.labels
-        scores = {labels[i]: s for i, s in sweep(compact).items()}
+        scores = {labels[i]: s for i, s in _numpy_sweep(compact)[1].items()}
         if scores != all_ego_betweenness_csr(compact):
             raise AssertionError(f"numpy kernel diverged on dblp@{scale}")
     best = {scale: float("inf") for scale in CLIFF_SCALES}
     for _ in range(repeats):
         for scale, compact in compacts.items():
             start = time.perf_counter()
-            sweep(compact)
+            _numpy_sweep(compact)
             best[scale] = min(best[scale], time.perf_counter() - start)
     per_vertex = {
         scale: best[scale] / compacts[scale].num_vertices for scale in CLIFF_SCALES
@@ -205,6 +240,123 @@ def run_cliff_benchmark(repeats: int = 7) -> Dict[str, Any]:
             }
             for scale in CLIFF_SCALES
         },
+    }
+
+
+def run_membership_benchmark(repeats: int = 5) -> Dict[str, Any]:
+    """Bitmap vs edge-key full sweeps of :data:`MEMBERSHIP_DATASET`.
+
+    Each sweep builds a fresh kernel (its bitmap or edge keys included)
+    and scores every vertex; the two paths are measured interleaved, best
+    of ``repeats``, after both are checked ``==`` the python tier.
+    """
+    from repro.datasets.registry import load_dataset
+
+    name, scale = MEMBERSHIP_DATASET
+    compact = load_dataset(name, scale=scale).to_compact()
+    expected = _python_tier(compact)
+    for bitmap in (True, False):
+        kernel, scores = _numpy_sweep(compact, bitmap)
+        if (kernel._vec.adjacency is not None) is not bitmap:
+            raise AssertionError(f"bitmap={bitmap} took the other membership path")
+        if scores != expected:
+            raise AssertionError(
+                f"numpy kernel (bitmap={bitmap}) diverged on {name}@{scale}"
+            )
+    best = {True: float("inf"), False: float("inf")}
+    for _ in range(repeats):
+        for bitmap in best:
+            start = time.perf_counter()
+            _numpy_sweep(compact, bitmap)
+            best[bitmap] = min(best[bitmap], time.perf_counter() - start)
+    return {
+        "bench": "kernels_membership",
+        "dataset": f"{name}@{scale}",
+        "vertices": compact.num_vertices,
+        "repeats": repeats,
+        "bitmap_s": best[True],
+        "edge_keys_s": best[False],
+        "ratio": best[False] / best[True],
+        "bound": MEMBERSHIP_BOUND,
+    }
+
+
+#: Runs in a fresh process on CSR arrays saved as ``.npy`` files, so no
+#: graph build sits in the process: one serial numpy sweep, its growth
+#: from the current RSS before (``/proc/self/statm``; the peak so far
+#: where there is no ``/proc``) to the peak RSS after, and the scores in
+#: id order.
+_RSS_PROBE = """
+import json, os, resource, sys
+import numpy as np
+from repro.core.csr_kernels import CSRChunkKernel
+
+def peak():
+    unit = 1 if sys.platform == "darwin" else 1024  # bytes on macOS, else KiB
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+
+def current():
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        return peak()
+
+indptr, indices = (np.load(path) for path in sys.argv[1:3])
+before = current()
+kernel = CSRChunkKernel(indptr, indices, kernel="numpy")
+scores = kernel.score_chunk(range(len(indptr) - 1))
+after = peak()
+print(json.dumps({
+    "growth_mb": (after - before) / 2**20,
+    "bitmap": kernel._vec.adjacency is not None,
+    "fallbacks": kernel.kernel_fallbacks,
+    "scores": [scores[i] for i in range(len(indptr) - 1)],
+}))
+"""
+
+
+def run_rss_benchmark() -> Dict[str, Any]:
+    """Peak-RSS growth of a fresh-process sweep of :data:`RSS_DATASET`.
+
+    The child's scores (JSON floats round-trip exactly) are checked ``==``
+    the python tier's.
+    """
+    import subprocess
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    import numpy as np
+
+    import repro
+    from repro.datasets.registry import load_dataset
+
+    name, scale = RSS_DATASET
+    compact = load_dataset(name, scale=scale).to_compact()
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / f"{part}.npy") for part in ("indptr", "indices")]
+        np.save(paths[0], np.asarray(compact.indptr, dtype=np.int64))
+        np.save(paths[1], np.asarray(compact.indices, dtype=np.int64))
+        done = subprocess.run(
+            [sys.executable, "-c", _RSS_PROBE, *paths],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    expected = _python_tier(compact)
+    if report["fallbacks"] or report["bitmap"]:
+        raise AssertionError(f"{name}@{scale} did not sweep on edge keys: {report}")
+    if report["scores"] != [expected[i] for i in range(compact.num_vertices)]:
+        raise AssertionError(f"numpy kernel diverged on {name}@{scale}")
+    return {
+        "bench": "kernels_rss",
+        "dataset": f"{name}@{scale}",
+        "vertices": compact.num_vertices,
+        "rss_growth_mb": report["growth_mb"],
+        "bound_mb": RSS_BOUND_MB,
     }
 
 
@@ -233,6 +385,30 @@ def test_kernels_numpy_no_size_cliff(results_dir):
     )
     for name, entry in payload["datasets"].items():
         assert entry["ratio"] <= CLIFF_BOUND, (name, payload)
+
+
+def test_kernels_edge_keys_within_bound_of_the_bitmap(results_dir):
+    """Past the bitmap budget a sweep costs at most MEMBERSHIP_BOUND x."""
+    pytest.importorskip("numpy")
+    from benchmarks.conftest import save_report
+
+    payload = run_membership_benchmark()
+    save_report(
+        results_dir, "kernels_membership", json.dumps(payload, indent=2, sort_keys=True)
+    )
+    assert payload["ratio"] <= MEMBERSHIP_BOUND, payload
+
+
+def test_kernels_sweep_past_the_bitmap_memory_bound(results_dir):
+    """A fresh-process sweep past the budget grows RSS by <= RSS_BOUND_MB."""
+    pytest.importorskip("numpy")
+    from benchmarks.conftest import save_report
+
+    payload = run_rss_benchmark()
+    save_report(
+        results_dir, "kernels_rss", json.dumps(payload, indent=2, sort_keys=True)
+    )
+    assert payload["rss_growth_mb"] <= RSS_BOUND_MB, payload
 
 
 def test_kernels_numpy_tier_ships_nothing_extra(results_dir, monkeypatch):

@@ -31,18 +31,28 @@ one of two paths:
   one gather ``(bits[i, j >> 3] >> (j & 7)) & 1`` from a sentinel-padded
   bitmap scattered once from the CSR rows (hub vertices with thousands of
   neighbours pay a single vectorized gather instead of ``d²`` probes);
-* **sorted-intersection** — otherwise membership is resolved against the
-  sorted CSR rows themselves: every neighbour's adjacency row is gathered
-  flat, offset per ego, and located with one global ``searchsorted`` (the
-  per-row sort order of ``indices`` is what makes a single binary search
-  over the offset union valid).
+* **edge keys** — past the budget every edge is one int64 key
+  ``row · (n+1) + col``; the CSR arrays are already sorted, so the keys
+  are too, and a cell is a member when
+  ``keys[searchsorted(keys, q)] == q`` for its query key ``q``.  Queries
+  are built in blocks of :data:`_KEY_BLOCK_CELLS`, so the test's memory is
+  bounded whatever the degrees.  A full sweep of wikitalk@2.0 costs about
+  2–2.5× its bitmap sweep.
 
 Connector counts come from a batched ``M @ M`` in float32 (0.0/1.0
 entries, every count and partial sum an integer ``<= D`` — BLAS sgemm is
 exact in that range); masking to non-adjacent pairs and one ``bincount``
 per batch produces the integer histograms.  Oversized egos take the
-single-hub path instead: a sparse star resolves its wedge pairs with one
-sort-based ``unique`` and a dense hub streams a row-blocked matmul.
+single-hub path instead: the hub's membership matrix is built in row
+blocks of at most :data:`_BATCH_CELL_BUDGET` cells, then a sparse star
+resolves its wedge pairs block by block with sort-based ``unique`` and a
+dense hub streams a row-blocked matmul.
+
+BLAS runs on one thread while a chunk is scored (:func:`one_blas_thread`):
+the parallelism of a sweep is the worker count, the sgemm blocks here are
+small, and OpenBLAS's own threads made in-process sweeps several times
+slower.  The caller's thread count is restored afterwards, so a host
+application's numpy keeps its threads.
 
 Buffers are attached **zero-copy**: ``memoryview`` casts of shared-memory
 segments, ``array('l')`` payloads and numpy arrays all go through
@@ -59,13 +69,18 @@ counted fallback.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import os
+import sys
+import threading
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.ego_betweenness import _sum_from_histogram
 
 __all__ = [
     "numpy_available",
     "platform_tier",
+    "one_blas_thread",
     "VectorizedChunkScorer",
     "BITMAP_BYTE_BUDGET",
 ]
@@ -97,6 +112,86 @@ def platform_tier() -> str:
     return "numpy" if numpy_available() else "python"
 
 
+#: The ``(get, set)`` thread-count pair of every OpenBLAS mapped into this
+#: process, and the state of :func:`one_blas_thread` (a forked child starts
+#: outside any scope, with a fresh lock).
+_OPENBLAS_CALLS: Optional[List[Tuple[Callable, Callable]]] = None
+_BLAS_SCOPE: Dict = {"lock": threading.Lock(), "depth": 0, "saved": []}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        after_in_child=lambda: _BLAS_SCOPE.update(lock=threading.Lock(), depth=0)
+    )
+
+
+def _openblas_thread_calls() -> List[Tuple[Callable, Callable]]:
+    """``openblas_get/set_num_threads`` of every OpenBLAS mapped into this process.
+
+    Looks the libraries up in ``/proc/self/maps`` (empty where there is
+    none) and tries the symbols under each known export prefix and the
+    64-bit-integer suffix.  The lookup runs once per process, once numpy
+    is imported (before that no BLAS is mapped); a forked child inherits
+    the result, valid in its copy of the address space.
+    """
+    global _OPENBLAS_CALLS
+    if _OPENBLAS_CALLS is None and sys.modules.get("numpy") is not None:
+        import ctypes
+
+        _OPENBLAS_CALLS = []
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as maps:
+                paths = sorted({
+                    path for path in (line.split()[-1] for line in maps)
+                    if path.startswith("/") and "openblas" in path.lower()
+                })
+        except OSError:
+            paths = []
+        for path in paths:
+            try:
+                library = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for name in (
+                f"{prefix}_%s_num_threads{suffix}"
+                for prefix in ("scipy_openblas", "openblas")
+                for suffix in ("64_", "")
+            ):
+                get = getattr(library, name % "get", None)
+                set_ = getattr(library, name % "set", None)
+                if get is not None and set_ is not None:
+                    _OPENBLAS_CALLS.append((get, set_))
+                    break
+    return _OPENBLAS_CALLS or []
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block with OpenBLAS capped at one thread.
+
+    The first scope to enter saves each library's thread count and caps it;
+    the last to leave restores it, so scopes nest and overlap across
+    threads, and the caller's own numpy keeps its threads outside them.
+    A no-op where no OpenBLAS is mapped.
+    """
+    scope = _BLAS_SCOPE
+    with scope["lock"]:
+        if not scope["depth"]:
+            calls = _openblas_thread_calls()
+            scope["saved"] = [get() for get, _ in calls]
+            for _, set_threads in calls:
+                set_threads(1)
+        scope["depth"] += 1
+    try:
+        yield
+    finally:
+        with scope["lock"]:
+            scope["depth"] -= 1
+            if not scope["depth"]:
+                for (_, set_threads), count in zip(
+                    _openblas_thread_calls(), scope["saved"]
+                ):
+                    set_threads(count)
+
+
 def as_int64(np, buf):
     """Attach ``buf`` as an int64 array — zero-copy whenever possible."""
     if isinstance(buf, np.ndarray):
@@ -113,7 +208,7 @@ def as_int64(np, buf):
 
 #: Byte budget of the packed adjacency bitmap: ``n+1`` rows of ``n+1``
 #: bits, each row padded to whole bytes, fit it up to n = 11,583.  Larger
-#: graphs resolve membership against the sorted CSR rows instead.
+#: graphs resolve membership against sorted edge keys instead.
 BITMAP_BYTE_BUDGET = 1 << 24
 
 
@@ -121,14 +216,15 @@ def _fits_bitmap(n: int) -> bool:
     """Whether the packed adjacency bitmap of ``n`` vertices fits the budget."""
     return (n + 1) * ((n + 8) >> 3) <= BITMAP_BYTE_BUDGET
 
+
 #: Cell budget (``B · D²``) of one padded batch: bounds the boolean tensor
-#: at ~2 MB and its float64 matmul operands at ~16 MB each.
+#: at ~2 MB and its float32 matmul operands at ~8 MB each.
 _BATCH_CELL_BUDGET = 1 << 21
 
-#: Row-block size of the single-hub path: a vertex whose ``d²`` alone
-#: overflows the batch budget is scored in row blocks so the connector
-#: matrix never materialises whole.
-_HUB_ROW_BLOCK = 2048
+#: Cells per block of the edge-key membership test and of the sparse hub
+#: route's pair expansion: each int64 array they build holds at most
+#: this many entries (2 MiB).
+_KEY_BLOCK_CELLS = 1 << 18
 
 #: A vertex whose ``d²`` exceeds this many cells is scored alone through
 #: the hub path, which can pick the sparse wedge route for star-like egos
@@ -149,8 +245,8 @@ class VectorizedChunkScorer:
         When true (the default) and the graph's ``(n+1) × (n+1)`` bit
         matrix fits :data:`BITMAP_BYTE_BUDGET`, the membership tensor is
         gathered from a packed adjacency bitmap built from the CSR arrays
-        (``adjacency``); otherwise the sorted-intersection path runs
-        against the CSR rows.
+        (``adjacency``); otherwise membership is a search of the sorted
+        edge keys (``edge_keys``).
 
     Raises
     ------
@@ -160,7 +256,7 @@ class VectorizedChunkScorer:
         python tier and counts the fallback.
     """
 
-    __slots__ = ("np", "indptr", "indices", "n", "adjacency")
+    __slots__ = ("np", "indptr", "indices", "n", "adjacency", "edge_keys")
 
     def __init__(
         self,
@@ -177,6 +273,9 @@ class VectorizedChunkScorer:
         self.indptr = as_int64(np, indptr)
         self.indices = as_int64(np, indices)
         self.n = n = len(self.indptr) - 1
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        cols = self.indices
+        self.adjacency = self.edge_keys = None
         if dense and n > 0 and _fits_bitmap(n):
             # Sentinel-padded adjacency bits (row/column ``n`` all zero):
             # bit ``col & 7`` of byte ``[row, col >> 3]``, each row packed
@@ -185,14 +284,15 @@ class VectorizedChunkScorer:
             # scatter from the CSR rows per kernel; the CSR payload arrays
             # stay zero-copy views.
             bits = np.zeros((n + 1, (n + 8) >> 3), dtype=np.uint8)
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-            cols = self.indices
             np.bitwise_or.at(
                 bits, (rows, cols >> 3), np.left_shift(1, cols & 7).astype(np.uint8)
             )
             self.adjacency = bits
         else:
-            self.adjacency = None
+            # Row-major over sorted rows: the keys come out sorted.
+            rows *= n + 1
+            rows += cols
+            self.edge_keys = rows
 
     # ------------------------------------------------------------------
     # Public API
@@ -213,8 +313,9 @@ class VectorizedChunkScorer:
             else:
                 work.append((pid, d))
         work.sort(key=lambda t: t[1])
-        for batch in self._batches(work):
-            self._score_batch(batch, scores)
+        with one_blas_thread():
+            for batch in self._batches(work):
+                self._score_batch(batch, scores)
         return {pid: scores[pid] for pid in order}
 
     # ------------------------------------------------------------------
@@ -267,49 +368,41 @@ class VectorizedChunkScorer:
             nbrs[np.repeat(np.arange(B), deg_arr), col] = flat
         return nbrs
 
-    def _membership_dense(self, nbrs):
-        """``M[b, i, j]`` via one gather from the packed adjacency bitmap."""
-        # The sentinel id ``n`` indexes the all-zero padding row/column, so
-        # the gather needs no validity masking at all.
-        # The index arrays broadcast, so the only ``B·D²`` array is the
-        # gathered bytes, shifted and masked in place.
-        np = self.np
-        cols = nbrs[:, None, :]
-        M = self.adjacency[nbrs[:, :, None], cols >> 3]
-        M >>= (cols & 7).astype(np.uint8)
-        M &= 1
-        return M.view(np.bool_)
+    def _membership(self, left, right):
+        """``M[b, i, j]``: is ``left[b, i]`` adjacent to ``right[b, j]``.
 
-    def _membership_sorted(self, nbrs):
-        """``M[b, i, j]`` via flat CSR-row gather + one global searchsorted.
-
-        Each ego's sorted neighbour row is offset by ``b · (n + 1)`` so the
-        concatenation stays globally sorted (sentinel padding compares
-        above every real id); membership of every gathered adjacency entry
-        is then a single ``searchsorted`` against the union.
+        ``left`` is ``(B, R)`` and ``right`` ``(B, D)`` padded neighbour
+        ids; the sentinel ``n`` is adjacent to nothing.
         """
         np = self.np
-        B, D = nbrs.shape
-        M = np.zeros((B, D, D), dtype=bool)
-        targets = nbrs.ravel()
-        tvalid = targets < self.n
-        safe = np.where(tvalid, targets, 0)
-        lens = np.where(tvalid, self.indptr[safe + 1] - self.indptr[safe], 0)
-        total = int(lens.sum())
-        if not total:
-            return M
-        ends = np.cumsum(lens)
-        col = np.arange(total, dtype=np.int64) - np.repeat(ends - lens, lens)
-        gathered = self.indices[np.repeat(np.where(tvalid, self.indptr[safe], 0), lens) + col]
-        cell = np.repeat(np.arange(B * D, dtype=np.int64), lens)
-        owner = cell // D
-        stride = self.n + 1
-        union = (np.arange(B, dtype=np.int64)[:, None] * stride + nbrs).ravel()
-        keys = owner * stride + gathered
-        pos = np.searchsorted(union, keys)
-        found = union[np.minimum(pos, union.size - 1)] == keys
-        M[owner[found], (cell - owner * D)[found], (pos - owner * D)[found]] = True
-        return M
+        if self.adjacency is not None:
+            # The sentinel id ``n`` indexes the all-zero padding row/column,
+            # so the gather needs no validity masking at all.  The index
+            # arrays broadcast, so the only ``B·R·D`` array is the gathered
+            # bytes, shifted and masked in place.
+            cols = right[:, None, :]
+            M = self.adjacency[left[:, :, None], cols >> 3]
+            M >>= (cols & 7).astype(np.uint8)
+            M &= 1
+            return M.view(np.bool_)
+        # Edge keys: cell ``(b, i, j)`` queries ``left · (n+1) + right``,
+        # in blocks of whole rows that keep every int64 array at most
+        # ``_KEY_BLOCK_CELLS`` entries.  Within an ego the queries ascend
+        # (neighbour rows are sorted, the sentinel last), which numpy's
+        # binary search exploits; ``mode="clip"`` turns a query past the
+        # last key into a mismatch.
+        B, R = left.shape
+        D = right.shape[1]
+        keys = self.edge_keys
+        row_keys = left.reshape(-1) * (self.n + 1)
+        M = np.empty((B * R, D), dtype=np.bool_)
+        step = max(1, _KEY_BLOCK_CELLS // D)
+        for r0 in range(0, B * R, step):
+            q = right[np.arange(r0, min(r0 + step, B * R)) // R]
+            q += row_keys[r0 : r0 + step, None]
+            found = keys.take(np.searchsorted(keys, q), mode="clip")
+            np.equal(found, q, out=M[r0 : r0 + step])
+        return M.reshape(B, R, D)
 
     # ------------------------------------------------------------------
     # Scoring
@@ -324,10 +417,7 @@ class VectorizedChunkScorer:
         pid_arr = np.asarray([pid for pid, _ in batch], dtype=np.int64)
         deg_arr = np.asarray([d for _, d in batch], dtype=np.int64)
         nbrs = self._gather_neighbors(pid_arr, deg_arr, D)
-        if self.adjacency is not None:
-            M = self._membership_dense(nbrs)
-        else:
-            M = self._membership_sorted(nbrs)
+        M = self._membership(nbrs, nbrs)
         B = len(batch)
         rowsums = np.count_nonzero(M, axis=2)
         # Exact in float32: entries are 0/1, every count and partial sum is
@@ -366,74 +456,72 @@ class VectorizedChunkScorer:
     def _score_hub(self, pid: int, d: int) -> float:
         """Scoring of one ego too large for the batched tensor.
 
-        Builds the ``d × d`` membership matrix once; a sparse ego (a star
-        hub — few intra-ego edges) resolves its wedge pairs with one
-        sort-based ``unique`` so the connector matrix never materialises,
-        while a dense hub streams the matmul in row blocks of at most
-        ``block · d`` float cells.
+        Builds the ``d × d`` membership matrix in row blocks of at most
+        :data:`_BATCH_CELL_BUDGET` cells.  A sparse ego (a star hub — few
+        intra-ego edges) then counts its wedge pairs with sort-based
+        ``unique`` so the connector matrix never materialises, while a
+        dense hub streams the matmul in row blocks of the same size.
         """
         np = self.np
-        pid_arr = np.asarray([pid], dtype=np.int64)
-        deg_arr = np.asarray([d], dtype=np.int64)
-        nbrs = self._gather_neighbors(pid_arr, deg_arr, d)
-        if self.adjacency is not None:
-            M = self._membership_dense(nbrs)[0]
-        else:
-            M = self._membership_sorted(nbrs)[0]
+        nbrs = self.indices[self.indptr[pid] : self.indptr[pid + 1]][None, :]
+        step = max(1, _BATCH_CELL_BUDGET // d)
+        M = np.empty((d, d), dtype=np.bool_)
+        for row0 in range(0, d, step):
+            rows = nbrs[:, row0 : row0 + step]
+            M[row0 : row0 + step] = self._membership(rows, nbrs)[0]
         total_pairs = d * (d - 1) // 2
         rowsums = M.sum(axis=1, dtype=np.int64)
         edges = int(rowsums.sum()) // 2
         wedge_work = int((rowsums * rowsums).sum())
+        linked_pairs = 0
+        histogram: Dict[int, int] = {}
         # Sparse route only when the ego really is star-like: the pair
         # expansion + sort costs orders of magnitude more per unit of work
-        # than BLAS, and its transient arrays are bounded by the budget.
+        # than BLAS.
         if wedge_work <= _BATCH_CELL_BUDGET and wedge_work * 4096 <= d * d * d:
+            # Every two-path a–w–b with a < b inside the ego, expanded from
+            # the a side in blocks of rows: a pair's key ``a·d + b`` only
+            # arises in its own block, so each block's ``unique`` counts
+            # are final and every array stays about _KEY_BLOCK_CELLS long.
             lens = rowsums
             zi = np.nonzero(M)[1]
-            pair_counts = lens * lens
-            starts = np.cumsum(lens) - lens
-            pair_starts = np.cumsum(pair_counts) - pair_counts
-            grp = np.repeat(np.arange(d, dtype=np.int64), pair_counts)
-            within = np.arange(wedge_work, dtype=np.int64) - pair_starts[grp]
-            lg = lens[grp]
-            left = zi[starts[grp] + within // lg]
-            right = zi[starts[grp] + within % lg]
-            upper = left < right
-            keys, counts = np.unique(
-                left[upper] * d + right[upper], return_counts=True
-            )
-            adj = M[keys // d, keys % d]
-            linked_pairs = int(keys.size - adj.sum())
-            histogram: Dict[int, int] = {}
-            vals = counts[~adj]
-            if vals.size:
-                for count, multiplicity in zip(*self._unique_counts(vals)):
-                    histogram[count] = multiplicity
-            lonely = total_pairs - edges - linked_pairs
-            return _sum_from_histogram(lonely, histogram)
-        Mf = M.astype(np.float32 if d < (1 << 20) else np.float64)
-        linked_pairs = 0
-        histogram = {}
-        block = max(1, min(d, _HUB_ROW_BLOCK))
-        for row0 in range(0, d - 1, block):
-            row1 = min(row0 + block, d)
-            counts = np.matmul(Mf[row0:row1], Mf)
-            local_i, local_j = np.nonzero(
-                np.arange(d)[None, :] > np.arange(row0, row1)[:, None]
-            )
-            adj = M[row0:row1][local_i, local_j]
-            cnt = counts[local_i, local_j]
-            link_mask = (~adj) & (cnt > 0.5)
-            linked_pairs += int(link_mask.sum())
-            vals = cnt[link_mask].astype(np.int64)
-            if vals.size:
-                for count, multiplicity in zip(*self._unique_counts(vals)):
-                    histogram[count] = histogram.get(count, 0) + multiplicity
+            ends = np.cumsum(lens)
+            starts = ends - lens
+            reach = np.concatenate(([0], np.cumsum(lens[zi])))
+            paths = np.cumsum(reach[ends] - reach[starts])
+            a0 = 0
+            while a0 < d:
+                done = int(paths[a0 - 1]) if a0 else 0
+                a1 = int(np.searchsorted(paths, done + _KEY_BLOCK_CELLS, side="right"))
+                a1 = max(a1, a0 + 1)
+                w = zi[starts[a0] : ends[a1 - 1]]
+                wl = lens[w]
+                a = np.repeat(np.repeat(np.arange(a0, a1), lens[a0:a1]), wl)
+                offsets = np.cumsum(wl) - wl
+                b = zi[np.repeat(starts[w] - offsets, wl) + np.arange(a.size)]
+                keep = b > a
+                keys, counts = np.unique(a[keep] * d + b[keep], return_counts=True)
+                adj = M[keys // d, keys % d]
+                linked_pairs += int(keys.size - np.count_nonzero(adj))
+                self._add_counts(histogram, counts[~adj])
+                a0 = a1
+        else:
+            Mf = M.astype(np.float32 if d < (1 << 20) else np.float64)
+            cols = np.arange(d)
+            for row0 in range(0, d - 1, step):
+                row1 = min(row0 + step, d)
+                counts = np.matmul(Mf[row0:row1], Mf)
+                link = counts > 0.5
+                link &= ~M[row0:row1]
+                link &= cols[None, :] > np.arange(row0, row1)[:, None]
+                linked_pairs += int(np.count_nonzero(link))
+                self._add_counts(histogram, counts[link].astype(np.int64))
         lonely = total_pairs - edges - linked_pairs
         return _sum_from_histogram(lonely, histogram)
 
-    def _unique_counts(self, vals):
-        """``(values, multiplicities)`` of an int array, as Python ints."""
-        np = self.np
-        uniq, mult = np.unique(vals, return_counts=True)
-        return [int(v) for v in uniq], [int(m) for m in mult]
+    def _add_counts(self, histogram: Dict[int, int], vals) -> None:
+        """Add an int array's ``{value: multiplicity}`` into ``histogram``."""
+        if vals.size:
+            uniq, mult = self.np.unique(vals, return_counts=True)
+            for count, multiplicity in zip(uniq.tolist(), mult.tolist()):
+                histogram[count] = histogram.get(count, 0) + multiplicity

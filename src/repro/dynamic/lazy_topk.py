@@ -373,13 +373,32 @@ class LazyTopKMaintainer:
         return score
 
     def _stale(self, vertex: Vertex, priority: float) -> None:
-        """Mark ``vertex`` stale with ``priority`` as its upper-bound score."""
+        """Mark ``vertex`` stale with ``priority`` as its upper-bound score.
+
+        An outsider already has a heap entry at its stored value, so only a
+        raised value is pushed.
+        """
         self._exact.discard(vertex)
-        self._values[vertex] = max(self._values.get(vertex, 0.0), priority)
-        self._push(vertex, self._values[vertex])
+        stored = self._values.get(vertex)
+        value = priority if stored is None else max(stored, priority)
+        if value != stored:
+            self._values[vertex] = value
+            self._push(vertex, value)
 
     def _push(self, vertex: Vertex, priority: float) -> None:
+        """Push an outsider's entry; compact the heap once it passes ``2n``.
+
+        Every outsider holds an entry at its stored value, so the rebuilt
+        heap pops the same valid entries in the same order, without the
+        superseded ones.
+        """
         heapq.heappush(self._heap, (-priority, sort_key(vertex), vertex))
+        if len(self._heap) > 2 * len(self._values):
+            values, result = self._values, self._result
+            self._heap = [
+                (-values[v], sort_key(v), v) for v in values if v not in result
+            ]
+            heapq.heapify(self._heap)
 
     def _pop_best_candidate(self) -> Optional[Tuple[Vertex, float, bool]]:
         """Pop the highest-priority valid outsider entry from the heap.

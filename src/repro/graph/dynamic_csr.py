@@ -294,13 +294,6 @@ class DynamicCompactGraph:
             return False
         return iv in self._nbr_sets[iu]
 
-    def common_neighbor_ids(self, u: int, v: int) -> Set[int]:
-        """Return ``N(u) ∩ N(v)`` as a set of ids (one C-level intersection)."""
-        a, b = self._nbr_sets[u], self._nbr_sets[v]
-        if len(a) > len(b):
-            a, b = b, a
-        return a & b
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

@@ -31,8 +31,8 @@ to join shared infrastructure (what the serving gateway does for its
 tenants).
 
 A batch executes one snapshot's dense ids: the caller's chunks when it
-passes them, otherwise ``workers × DEFAULT_OVERSUBSCRIBE`` weight-balanced
-id ranges; all chunks run through one serial loop or one supervised
+passes them, otherwise one weight-balanced id range per worker; all
+chunks run through one serial loop or one supervised
 submission loop against the snapshot's one payload.  Chunks are scored at
 the platform's kernel tier (:func:`~repro.core.vec_kernels.platform_tier`).
 Execution offers two reductions:
@@ -76,10 +76,10 @@ import time
 import warnings
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults as _faults
 from repro.errors import (
@@ -103,15 +103,9 @@ __all__ = [
     "shared_worker_pool",
     "shared_payload_store",
     "set_worker_cache_limit",
-    "DEFAULT_OVERSUBSCRIBE",
     "DEFAULT_TASK_DEADLINE",
     "DEFAULT_MAX_TASK_RETRIES",
 ]
-
-#: Chunks per worker when the runtime chunks a batch itself: small enough
-#: that an unlucky worker never sits on more than a quarter of its share,
-#: large enough that per-task submission overhead stays negligible.
-DEFAULT_OVERSUBSCRIBE = 4
 
 #: Default per-task deadline (seconds).  A chunk task that has not produced
 #: a result this long after submission is presumed lost (hung worker,
@@ -214,7 +208,8 @@ class RuntimeStats:
         planning: transport traffic caused by this runtime).
     resident_payloads / resident_bytes:
         Point-in-time size of the backing :class:`PayloadStore` (all
-        tenants' entries, refreshed on every batch and ``stats()`` call).
+        tenants' entries, refreshed on every ``stats()`` call and at
+        ``close()``).
     payload_evictions:
         Entries the backing store has evicted (refcount reached zero).
     payloads:
@@ -293,41 +288,9 @@ class RuntimeStats:
 
     def as_dict(self) -> Dict[str, Any]:
         """Return a JSON-friendly dict (the CLI/benchmark payload shape)."""
-        payload: Dict[str, Any] = {
-            "executor": self.executor,
-            "max_workers": self.max_workers,
-            "payload_ships": self.payload_ships,
-            "payload_bytes": self.payload_bytes,
-            "payload_bytes_shipped": self.payload_bytes_shipped,
-            "resident_payloads": self.resident_payloads,
-            "resident_bytes": self.resident_bytes,
-            "payload_evictions": self.payload_evictions,
-            "payloads": dict(self.payloads),
-            "pool_launches": self.pool_launches,
-            "pool_reuses": self.pool_reuses,
-            "batches": self.batches,
-            "tasks": self.tasks,
-            "setup_seconds": self.setup_seconds,
-            "compute_seconds": self.compute_seconds,
-            "worker_deaths": self.worker_deaths,
-            "respawns": self.respawns,
-            "task_retries": self.task_retries,
-            "deadline_misses": self.deadline_misses,
-            "quarantined_tasks": self.quarantined_tasks,
-            "integrity_failures": self.integrity_failures,
-            "kernel": self.kernel,
-            "kernel_chunks": dict(self.kernel_chunks),
-            "kernel_fallbacks": self.kernel_fallbacks,
-        }
-        if self.last_batch is not None:
-            payload["last_batch"] = {
-                "num_tasks": self.last_batch.num_tasks,
-                "kind": self.last_batch.kind,
-                "shipped": self.last_batch.shipped,
-                "pool_started": self.last_batch.pool_started,
-                "setup_seconds": self.last_batch.setup_seconds,
-                "compute_seconds": self.last_batch.compute_seconds,
-            }
+        payload = asdict(self)
+        if self.last_batch is None:
+            del payload["last_batch"]
         return payload
 
 
@@ -590,62 +553,23 @@ def set_worker_cache_limit(limit: Optional[int] = None) -> int:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _openblas_thread_calls(verb: str) -> List[Callable]:
-    """``openblas_<verb>_num_threads`` of every OpenBLAS mapped into this process.
+def _init_worker() -> None:
+    """Pool initializer: one BLAS thread per worker process.
 
-    Looks the libraries up in ``/proc/self/maps`` (empty where there is
-    none) and tries the symbol under each known export prefix and the
-    64-bit-integer suffix.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({
-                path for path in (line.split()[-1] for line in maps)
-                if path.startswith("/") and "openblas" in path.lower()
-            })
-    except OSError:
-        return []
-    calls = []
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in (
-            f"{prefix}_{verb}_num_threads{suffix}"
-            for prefix in ("scipy_openblas", "openblas")
-            for suffix in ("64_", "")
-        ):
-            call = getattr(library, name, None)
-            if call is not None:
-                calls.append(call)
-                break
-    return calls
-
-
-def _one_blas_thread() -> None:
-    """Cap BLAS at one thread in this process: the pool size is the parallelism.
-
-    The environment covers a numpy imported after the fork; a numpy the
-    parent had already loaded (as opening an ``int`` edge list does, so any
-    pool forked after a session opened) is capped through its OpenBLAS
-    directly, where the environment is read too late.
+    The pool size is the parallelism.  The environment covers a numpy
+    imported after the fork; a numpy the parent had already loaded (as
+    opening an ``int`` edge list does, so any pool forked after a session
+    opened) is capped through its OpenBLAS directly, where the environment
+    is read too late.
     """
     import os
-    import sys
+
+    from repro.core.vec_kernels import _openblas_thread_calls
 
     for name in _BLAS_THREAD_VARS:
         os.environ[name] = "1"
-    if "numpy" in sys.modules:
-        for call in _openblas_thread_calls("set"):
-            call(1)
-
-
-def _init_worker() -> None:
-    """Pool initializer: one BLAS thread per worker process."""
-    _one_blas_thread()
+    for _, set_threads in _openblas_thread_calls():
+        set_threads(1)
 
 
 def _attached(meta: Tuple[str, int, int]) -> _AttachedGraph:
@@ -996,12 +920,6 @@ def shared_payload_store() -> "PayloadStore":
 # ----------------------------------------------------------------------
 # PayloadStore: the multi-entry shared-memory table
 # ----------------------------------------------------------------------
-def _render_key(key: PayloadKey) -> str:
-    """Render a store key for stats: ``gid@vN``."""
-    graph_id, version = key
-    return f"{graph_id}@v{version}"
-
-
 class _StoreEntry:
     """One resident ``(graph_id, version)`` payload.
 
@@ -1014,10 +932,13 @@ class _StoreEntry:
     short-lived session on a long-lived shared key.
     """
 
-    __slots__ = ("key", "compact", "payload", "nbytes", "refs")
+    __slots__ = ("key", "name", "compact", "payload", "nbytes", "refs")
 
     def __init__(self, key: PayloadKey, compact: CompactGraph) -> None:
+        graph_id, version = key
         self.key = key
+        #: The key as the stats ledger renders it: ``gid@vN``.
+        self.name = f"{graph_id}@v{version}"
         self.compact = compact
         self.payload: Optional[_ShippedPayload] = None
         self.nbytes = (len(compact.indptr) + len(compact.indices)) * _ITEMSIZE
@@ -1078,9 +999,10 @@ class PayloadStore:
         self.ships = 0
         self.evictions = 0
         self.bytes_shipped = 0
-        #: Cumulative bytes shipped per key (survives eviction — the
-        #: capacity-planning ledger, not the residency table).
-        self.shipped_by_key: Dict[PayloadKey, int] = {}
+        #: Cumulative bytes shipped per rendered key (``gid@vN``; survives
+        #: eviction — the capacity-planning ledger, not the residency
+        #: table).  A key is rendered once, when it first ships.
+        self.shipped_by_key: Dict[str, int] = {}
         self._finalizer = weakref.finalize(self, _close_store_entries, self._entries)
 
     @property
@@ -1157,9 +1079,8 @@ class PayloadStore:
     def _account_ship_locked(self, entry: _StoreEntry) -> None:
         self.ships += 1
         self.bytes_shipped += entry.nbytes
-        self.shipped_by_key[entry.key] = (
-            self.shipped_by_key.get(entry.key, 0) + entry.nbytes
-        )
+        name = entry.name
+        self.shipped_by_key[name] = self.shipped_by_key.get(name, 0) + entry.nbytes
 
     def acquire(self, key: PayloadKey) -> _StoreEntry:
         """Take an extra reference on a resident key.
@@ -1218,10 +1139,7 @@ class PayloadStore:
                 "resident_payloads": len(self._entries),
                 "resident_bytes": sum(e.nbytes for e in self._entries.values()),
                 "bytes_shipped": self.bytes_shipped,
-                "by_key": {
-                    _render_key(key): bytes_shipped
-                    for key, bytes_shipped in self.shipped_by_key.items()
-                },
+                "by_key": dict(self.shipped_by_key),
             }
 
     def close(self) -> None:
@@ -1396,6 +1314,7 @@ class ExecutionRuntime:
         """
         if self._closed:
             return
+        self._refresh_store_stats()  # what stats() reports once detached
         self._closed = True
         self._finalizer.detach()
         _release_runtime_state(self._state)
@@ -1662,48 +1581,6 @@ class ExecutionRuntime:
         pool.reset_backoff()
         return outputs
 
-    def dynamic_chunks(
-        self,
-        compact: CompactGraph,
-        ids: Sequence[int],
-        num_workers: int,
-        *,
-        estimates: Optional[Mapping[int, float]] = None,
-    ) -> List[List[int]]:
-        """Split ``ids`` into weight-balanced contiguous id ranges.
-
-        The runtime's own unit of work: ascending id order (cache
-        friendly, range-encodable) cut into ``num_workers ×``
-        :data:`DEFAULT_OVERSUBSCRIBE` chunks of approximately equal estimated work, executed via the
-        pool's shared queue so idle workers steal the next chunk.
-        ``estimates`` supplies cached work estimates of ``compact`` by id,
-        covering at least ``ids`` (computed for ``ids`` alone when
-        omitted).
-        """
-        ids = sorted(ids)
-        if not ids:
-            return []
-        if estimates is None:
-            from repro.parallel.partition import vertex_work_estimates_csr
-
-            estimates = dict(zip(ids, vertex_work_estimates_csr(compact, ids)))
-        target_chunks = max(1, min(len(ids), num_workers * DEFAULT_OVERSUBSCRIBE))
-        total = sum(estimates[i] for i in ids)
-        target = total / target_chunks
-        chunks: List[List[int]] = []
-        current: List[int] = []
-        acc = 0.0
-        for i in ids:
-            current.append(i)
-            acc += estimates[i]
-            if acc >= target and len(chunks) < target_chunks - 1:
-                chunks.append(current)
-                current = []
-                acc = 0.0
-        if current:
-            chunks.append(current)
-        return chunks
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -1727,8 +1604,8 @@ class ExecutionRuntime:
             shipped arrays.
         chunks:
             Explicit id chunks, executed as given.  When omitted, the
-            runtime cuts the ids into weight-balanced ranges
-            (:meth:`dynamic_chunks`) run through the shared task queue.
+            runtime cuts the ids into one weight-balanced range per
+            worker.
         ids:
             The dense vertex ids to score (default: every vertex).  Ignored
             when ``chunks`` is given.
@@ -1877,14 +1754,17 @@ class ExecutionRuntime:
         chunks: Optional[Sequence[Sequence[int]]],
         workers: int,
     ) -> List[List[int]]:
-        """The caller's ``chunks``, or ``ids`` cut into weight-balanced ranges.
+        """The caller's ``chunks``, or ``ids`` cut into ``workers`` ranges.
 
-        The ranges come from :meth:`dynamic_chunks`, on work estimates
+        The runtime's own unit of work: ascending id order (cache
+        friendly, range-encodable) cut into chunks of approximately equal
+        estimated work, one task per worker.  The work estimates are
         computed only for the ids being chunked and memoised on the held
         payload.
         """
         if chunks is not None:
             return [list(chunk) for chunk in chunks]
+        ids = sorted(ids)
         estimates = held.estimates
         missing = [i for i in ids if i not in estimates]
         if missing:
@@ -1893,9 +1773,21 @@ class ExecutionRuntime:
             estimates.update(
                 zip(missing, vertex_work_estimates_csr(held.compact, missing))
             )
-        return self.dynamic_chunks(
-            held.compact, ids, workers, estimates=estimates
-        )
+        target_chunks = max(1, min(len(ids), workers))
+        target = sum(estimates[i] for i in ids) / target_chunks
+        plan: List[List[int]] = []
+        current: List[int] = []
+        acc = 0.0
+        for i in ids:
+            current.append(i)
+            acc += estimates[i]
+            if acc >= target and len(plan) < target_chunks - 1:
+                plan.append(current)
+                current = []
+                acc = 0.0
+        if current:
+            plan.append(current)
+        return plan
 
     def _account_batch(self, batch: BatchStats) -> None:
         stats = self._stats
@@ -1906,4 +1798,3 @@ class ExecutionRuntime:
         if self.executor is ParallelBackend.PROCESS and not batch.pool_started:
             stats.pool_reuses += 1
         stats.last_batch = batch
-        self._refresh_store_stats()

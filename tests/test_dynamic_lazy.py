@@ -165,3 +165,53 @@ class TestMixedStreamsAndLaziness:
         fresh = all_ego_betweenness(maintainer.graph)
         for vertex, score in maintainer.top_k().entries:
             assert score == fresh[vertex]
+
+
+def _replay(maintainer: LazyTopKMaintainer, stream) -> None:
+    for event in stream:
+        if event.operation == "insert":
+            maintainer.insert_edge(event.u, event.v)
+        else:
+            maintainer.delete_edge(event.u, event.v)
+
+
+class TestHeapBound:
+    def test_heap_stays_within_twice_the_vertices(self):
+        # A star-heavy graph under a long stream: endpoints are staled at
+        # their degree bound over and over, mostly at an unchanged value.
+        from repro.datasets.registry import load_dataset
+
+        g = load_dataset("wikitalk", scale=0.3)
+        values = all_ego_betweenness(g)
+        stream = generate_update_stream(g, 600, seed=3)
+        runs = {}
+        for backend in ("compact", "hash"):
+            maintainer = LazyTopKMaintainer(g, 10, backend=backend, values=values)
+            for event in stream:
+                _replay(maintainer, [event])
+                assert len(maintainer._heap) <= 2 * len(maintainer._values)
+            runs[backend] = (
+                maintainer.exact_recomputations,
+                maintainer.skipped_recomputations,
+                maintainer.top_k().entries,
+            )
+        assert runs["compact"] == runs["hash"]
+        assert runs["compact"][2] == LazyTopKMaintainer(
+            maintainer.graph, 10, backend="hash"
+        ).top_k().entries
+
+    def test_compaction_keeps_every_decision(self):
+        g = barabasi_albert_graph(120, 3, seed=4)
+        stream = generate_update_stream(g, 150, seed=5)
+        plain = LazyTopKMaintainer(g, 5)
+        crowded = LazyTopKMaintainer(g, 5)
+        # Duplicate every outsider's entry until the heap compacts.
+        outsiders = [v for v in crowded._values if v not in crowded._result]
+        for vertex in outsiders * 3:
+            crowded._push(vertex, crowded._values[vertex])
+        assert len(crowded._heap) <= 2 * len(crowded._values)
+        _replay(plain, stream)
+        _replay(crowded, stream)
+        assert crowded.top_k().entries == plain.top_k().entries
+        assert crowded.exact_recomputations == plain.exact_recomputations
+        assert crowded.skipped_recomputations == plain.skipped_recomputations

@@ -31,7 +31,6 @@ from repro.graph.graph import Graph
 from repro.parallel import runtime as runtime_module
 from repro.parallel.partition import block_partition
 from repro.parallel.runtime import (
-    DEFAULT_OVERSUBSCRIBE,
     ExecutionRuntime,
     ParallelBackend,
     set_worker_cache_limit,
@@ -133,13 +132,13 @@ class TestSerialRuntime:
     def test_dynamic_chunks_cover_ids_in_ranges(self, ba_graph):
         compact = ba_graph.to_compact()
         with ExecutionRuntime(max_workers=2, executor="serial") as runtime:
-            runtime.execute(compact)  # ship (estimates cache follows)
-            chunks = runtime.dynamic_chunks(
-                compact, list(range(compact.num_vertices)), 2
-            )
+            _, batch = runtime.execute(compact)  # ship (estimates cache follows)
+            assert batch.num_tasks == 2  # one weight-balanced range per worker
+            ids = list(range(compact.num_vertices))
+            chunks = runtime._chunk(runtime._held, ids[::-1], None, 2)
             flat = [i for chunk in chunks for i in chunk]
-            assert flat == list(range(compact.num_vertices))
-            assert 1 <= len(chunks) <= 2 * DEFAULT_OVERSUBSCRIBE
+            assert flat == ids
+            assert len(chunks) == 2
 
 
 class TestSessionBatchedQueries:
@@ -500,13 +499,14 @@ import json, os, sys
 if sys.argv[1] == "before":
     import numpy
 assert ("numpy" in sys.modules) == (sys.argv[1] == "before")
-from repro.parallel.runtime import WorkerPool, _openblas_thread_calls
+from repro.core.vec_kernels import _openblas_thread_calls
+from repro.parallel.runtime import WorkerPool
 
 def probe():
     import numpy
     return {
         "env": os.environ["OPENBLAS_NUM_THREADS"],
-        "openblas": [get() for get in _openblas_thread_calls("get")],
+        "openblas": [get() for get, _ in _openblas_thread_calls()],
     }
 
 pool = WorkerPool(2).acquire()

@@ -258,7 +258,7 @@ def test_random_graph_parity_sorted_membership(graph, dense):
 @pytest.mark.parametrize(
     "budget, singleton, block",
     [
-        (64, 4, 2),  # tiny batches, every non-leaf a "hub", 2-row blocks
+        (64, 4, 2),  # tiny batches, every non-leaf a "hub", 2-cell key blocks
         (1 << 30, 4, 2048),  # hubs everywhere but sparse wedge route wins
         (64, 1 << 30, 2048),  # hubs disabled: pure batched path, tiny budget
     ],
@@ -268,9 +268,10 @@ def test_forced_routing_paths_stay_bit_identical(
 ):
     monkeypatch.setattr(vec_kernels, "_BATCH_CELL_BUDGET", budget)
     monkeypatch.setattr(vec_kernels, "_SINGLETON_CELLS", singleton)
-    monkeypatch.setattr(vec_kernels, "_HUB_ROW_BLOCK", block)
-    _assert_parity(social_graph, ks=(5,))
-    _assert_parity(star_graph(64), ks=(1,))
+    monkeypatch.setattr(vec_kernels, "_KEY_BLOCK_CELLS", block)
+    for build_dense in (True, False):
+        _assert_parity(social_graph, build_dense=build_dense, ks=(5,))
+        _assert_parity(star_graph(64), build_dense=build_dense, ks=(1,))
 
 
 @requires_numpy
@@ -281,11 +282,104 @@ def test_hub_row_blocked_matmul_path(monkeypatch):
 
     monkeypatch.setattr(vec_kernels, "_SINGLETON_CELLS", 4)
     monkeypatch.setattr(vec_kernels, "_BATCH_CELL_BUDGET", 1)
-    monkeypatch.setattr(vec_kernels, "_HUB_ROW_BLOCK", 3)
+    monkeypatch.setattr(vec_kernels, "_KEY_BLOCK_CELLS", 3)
     graph = overlapping_cliques_graph(
         30, clique_size_range=(4, 7), overlap=2, seed=11
     )
     _assert_parity(graph, ks=(4,))
+    _assert_parity(graph, build_dense=False, ks=(4,))
+
+
+# ----------------------------------------------------------------------
+# Past the bitmap budget: the edge-key membership test
+# ----------------------------------------------------------------------
+def _past_the_bitmap(mp) -> None:
+    """Patch the bitmap budget so every graph takes the edge-key test."""
+    mp.setattr(vec_kernels, "BITMAP_BYTE_BUDGET", 0)
+
+
+@requires_numpy
+@given(graph=random_graphs())
+@COMMON_SETTINGS
+def test_random_graph_parity_past_the_bitmap_budget(graph):
+    with pytest.MonkeyPatch.context() as mp:
+        _past_the_bitmap(mp)
+        numpy_ = _assert_parity(graph, ks=(1, 3))
+        assert numpy_._vec is None or numpy_._vec.adjacency is None
+
+
+def _hub_graph(leaves: int, leaf_edge_p: float, seed: int) -> Graph:
+    """Vertex 0 adjacent to every leaf, plus random leaf–leaf edges."""
+    import random
+
+    rng = random.Random(seed)
+    graph = Graph(edges=[(0, leaf) for leaf in range(1, leaves + 1)])
+    for u in range(1, leaves + 1):
+        for v in range(u + 1, leaves + 1):
+            if rng.random() < leaf_edge_p:
+                graph.add_edge(u, v)
+    return graph
+
+
+@requires_numpy
+@pytest.mark.parametrize(
+    "leaf_edge_p",
+    [
+        0.005,  # a star: few wedges, the sparse route
+        0.15,  # a dense hub: the row-blocked matmul route
+    ],
+)
+def test_hub_routes_past_the_bitmap_budget(monkeypatch, leaf_edge_p):
+    leaves = 190
+    assert leaves * leaves > vec_kernels._SINGLETON_CELLS  # the hub path
+    graph = _hub_graph(leaves, leaf_edge_p, seed=7)
+    _past_the_bitmap(monkeypatch)
+    numpy_ = _assert_parity(graph, ks=(1, 8))
+    assert numpy_._vec.adjacency is None and numpy_._vec.edge_keys is not None
+    # Small key and row blocks split the hub across many blocks.
+    monkeypatch.setattr(vec_kernels, "_KEY_BLOCK_CELLS", 64)
+    monkeypatch.setattr(vec_kernels, "_BATCH_CELL_BUDGET", 4 * leaves)
+    compact = CompactGraph.from_graph(graph)
+    python, blocked = _tier_pair(compact)
+    ids = range(compact.num_vertices)
+    assert blocked.score_chunk(ids) == python.score_chunk(ids)
+    assert blocked.kernel_fallbacks == 0
+
+
+@requires_numpy
+def test_score_ids_runs_one_blas_thread_and_restores_the_callers(
+    monkeypatch, social_graph
+):
+    calls = vec_kernels._openblas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS mapped into this process")
+    get_threads, set_threads = calls[0]
+    saved = get_threads()
+    inside = []
+    score_batch = vec_kernels.VectorizedChunkScorer._score_batch
+
+    def spy(self, batch, scores):
+        inside.append(get_threads())
+        return score_batch(self, batch, scores)
+
+    monkeypatch.setattr(vec_kernels.VectorizedChunkScorer, "_score_batch", spy)
+    compact = social_graph.to_compact()
+    scorer = vec_kernels.VectorizedChunkScorer(compact.indptr, compact.indices)
+    try:
+        set_threads(2)  # OpenBLAS clamps this to the threads it has
+        caller = get_threads()
+        scorer.score_ids(range(compact.num_vertices))
+        after = get_threads()
+        with vec_kernels.one_blas_thread():  # scopes nest
+            with vec_kernels.one_blas_thread():
+                nested = get_threads()
+            still = get_threads()
+        outer = get_threads()
+    finally:
+        set_threads(saved)
+    assert inside and set(inside) == {1}
+    assert after == caller and outer == caller
+    assert nested == still == 1
 
 
 # ----------------------------------------------------------------------
