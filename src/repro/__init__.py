@@ -36,6 +36,11 @@ functions (:func:`top_k_ego_betweenness`, :func:`base_b_search`,
 :func:`opt_b_search`) remain as documented compatibility wrappers — each
 call runs through a throwaway session and returns bit-identical results.
 
+``import repro`` loads no subpackage.  Each name in ``__all__`` imports its
+module on first access, so ``from repro import EgoSession`` loads the
+session and what it runs (graph, core, dynamic, parallel) but not the
+serving, network, durability or baseline layers.
+
 Quickstart
 ----------
 >>> from repro import EgoSession
@@ -48,76 +53,60 @@ Quickstart
 'dynamic'
 """
 
-from repro.baselines import top_k_betweenness
-from repro.durability import (
-    CheckpointStore,
-    DurabilityManager,
-    RecoveryReport,
-    WriteAheadLog,
-)
-from repro.core import (
-    SearchStats,
-    TopKResult,
-    all_ego_betweenness,
-    base_b_search,
-    ego_betweenness,
-    opt_b_search,
-    static_upper_bound,
-    top_k_ego_betweenness,
-)
-from repro.dynamic import EgoBetweennessIndex, LazyTopKMaintainer
-from repro.errors import BackendCapabilityError, ReproError
-from repro.graph import Graph
-from repro.parallel import (
-    ExecutionRuntime,
-    PayloadStore,
-    RuntimeStats,
-    WorkerPool,
-    edge_parallel_ego_betweenness,
-    shared_payload_store,
-    shared_worker_pool,
-    vertex_parallel_ego_betweenness,
-)
-from repro.net import EgoClient, EgoServer, ServerStats
-from repro.serving import GatewayStats, ServingGateway
-from repro.session import EgoSession, Query, SessionStats
+from importlib import import_module as _import_module
 
 __version__ = "1.6.0"
 
-__all__ = [
-    "__version__",
-    "EgoSession",
-    "Query",
-    "SessionStats",
-    "Graph",
-    "ReproError",
-    "BackendCapabilityError",
-    "ego_betweenness",
-    "all_ego_betweenness",
-    "static_upper_bound",
-    "base_b_search",
-    "opt_b_search",
-    "top_k_ego_betweenness",
-    "TopKResult",
-    "SearchStats",
-    "EgoBetweennessIndex",
-    "LazyTopKMaintainer",
-    "vertex_parallel_ego_betweenness",
-    "edge_parallel_ego_betweenness",
-    "ExecutionRuntime",
-    "WorkerPool",
-    "PayloadStore",
-    "shared_worker_pool",
-    "shared_payload_store",
-    "RuntimeStats",
-    "ServingGateway",
-    "GatewayStats",
-    "EgoServer",
-    "ServerStats",
-    "EgoClient",
-    "WriteAheadLog",
-    "CheckpointStore",
-    "DurabilityManager",
-    "RecoveryReport",
-    "top_k_betweenness",
-]
+#: Each public name, grouped by the module that holds it; a name's module
+#: is imported on its first access (PEP 562 ``__getattr__``).
+_EXPORTS = {
+    "repro.session": ("EgoSession", "Query", "SessionStats"),
+    "repro.graph": ("Graph",),
+    "repro.errors": ("ReproError", "BackendCapabilityError"),
+    "repro.core": (
+        "ego_betweenness",
+        "all_ego_betweenness",
+        "static_upper_bound",
+        "base_b_search",
+        "opt_b_search",
+        "top_k_ego_betweenness",
+        "TopKResult",
+        "SearchStats",
+    ),
+    "repro.dynamic": ("EgoBetweennessIndex", "LazyTopKMaintainer"),
+    "repro.parallel": (
+        "vertex_parallel_ego_betweenness",
+        "edge_parallel_ego_betweenness",
+        "ExecutionRuntime",
+        "WorkerPool",
+        "PayloadStore",
+        "shared_worker_pool",
+        "shared_payload_store",
+        "RuntimeStats",
+    ),
+    "repro.serving": ("ServingGateway", "GatewayStats"),
+    "repro.net": ("EgoServer", "ServerStats", "EgoClient"),
+    "repro.durability": (
+        "WriteAheadLog",
+        "CheckpointStore",
+        "DurabilityManager",
+        "RecoveryReport",
+    ),
+    "repro.baselines": ("top_k_betweenness",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

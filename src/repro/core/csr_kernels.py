@@ -47,6 +47,7 @@ the parity suite (``tests/test_csr_backend.py``) checks exact equality.
 from __future__ import annotations
 
 import heapq
+import os
 import time
 from collections import Counter, OrderedDict
 from itertools import chain, combinations
@@ -162,21 +163,21 @@ _NBR_SETS_CACHE: "OrderedDict[Tuple[int, int], tuple]" = OrderedDict()
 _DEFAULT_NBR_SETS_CACHE_LIMIT = 8
 
 
-def _env_nbr_sets_limit(default: int = _DEFAULT_NBR_SETS_CACHE_LIMIT) -> int:
-    """Read ``REPRO_NBR_SETS_CACHE_LIMIT`` (positive int) or the default."""
-    import os
+def _env_limit(name: str, default: int) -> int:
+    """Read a positive integer limit from environment variable ``name``.
 
-    raw = os.environ.get("REPRO_NBR_SETS_CACHE_LIMIT")
-    if raw is None:
-        return default
+    An unset, non-integer or non-positive value reads as ``default``.
+    """
     try:
-        value = int(raw)
+        value = int(os.environ.get(name, default))
     except ValueError:
         return default
     return value if value >= 1 else default
 
 
-_NBR_SETS_CACHE_LIMIT = _env_nbr_sets_limit()
+_NBR_SETS_CACHE_LIMIT = _env_limit(
+    "REPRO_NBR_SETS_CACHE_LIMIT", _DEFAULT_NBR_SETS_CACHE_LIMIT
+)
 
 
 def set_neighbor_sets_cache_limit(limit: "Optional[int]" = None) -> int:
@@ -192,7 +193,7 @@ def set_neighbor_sets_cache_limit(limit: "Optional[int]" = None) -> int:
     """
     global _NBR_SETS_CACHE_LIMIT
     if limit is None:
-        limit = _env_nbr_sets_limit()
+        limit = _env_limit("REPRO_NBR_SETS_CACHE_LIMIT", _DEFAULT_NBR_SETS_CACHE_LIMIT)
     if limit < 1:
         raise InvalidParameterError("neighbour-set cache limit must be >= 1")
     _NBR_SETS_CACHE_LIMIT = limit

@@ -128,9 +128,10 @@ def _openblas_thread_calls() -> List[Tuple[Callable, Callable]]:
 
     Looks the libraries up in ``/proc/self/maps`` (empty where there is
     none) and tries the symbols under each known export prefix and the
-    64-bit-integer suffix.  The lookup runs once per process, once numpy
-    is imported (before that no BLAS is mapped); a forked child inherits
-    the result, valid in its copy of the address space.
+    64-bit-integer suffix.  The lookup runs once, once numpy is imported
+    (before that no BLAS is mapped).  A worker pool runs it before it
+    forks, so its workers inherit the result, valid in their copy of the
+    address space.
     """
     global _OPENBLAS_CALLS
     if _OPENBLAS_CALLS is None and sys.modules.get("numpy") is not None:

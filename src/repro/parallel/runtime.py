@@ -71,9 +71,11 @@ True
 from __future__ import annotations
 
 import atexit
+import os
 import threading
 import time
 import warnings
+import weakref
 import zlib
 from array import array
 from dataclasses import asdict, dataclass, field
@@ -82,6 +84,14 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults as _faults
+from repro.core.csr_kernels import (
+    CSRChunkKernel,
+    _env_limit,
+    ego_betweenness_from_arrays,
+    top_k_entries_from_arrays,
+)
+from repro.core.topk import threshold_cut
+from repro.core.vec_kernels import _openblas_thread_calls, numpy_available, platform_tier
 from repro.errors import (
     InjectedFaultError,
     InvalidParameterError,
@@ -91,6 +101,7 @@ from repro.errors import (
     PoolStateError,
 )
 from repro.graph.csr import CompactGraph
+from repro.parallel.partition import vertex_work_estimates_csr
 
 __all__ = [
     "ParallelBackend",
@@ -366,7 +377,6 @@ class _ShippedPayload:
     __slots__ = ("shm", "meta", "nbytes", "_finalizer", "__weakref__")
 
     def __init__(self, compact: CompactGraph) -> None:
-        import weakref
         from multiprocessing import shared_memory
 
         indptr = array(_TYPECODE, compact.indptr)
@@ -431,8 +441,6 @@ class _AttachedGraph:
 
     def __init__(self, meta: Tuple[str, int, int]) -> None:
         from multiprocessing import shared_memory
-
-        from repro.core.csr_kernels import CSRChunkKernel
 
         name, ptr_len, idx_len = meta
         self.shm = shared_memory.SharedMemory(name=name)
@@ -508,23 +516,7 @@ _WORKER_CACHE: Dict[str, _AttachedGraph] = {}
 _DEFAULT_WORKER_CACHE_LIMIT = 8
 
 
-def _env_cache_limit(name: str, default: int) -> int:
-    """Read a positive integer cache limit from the environment."""
-    import os
-
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
-
-
-_WORKER_CACHE_LIMIT = _env_cache_limit(
-    "REPRO_WORKER_CACHE_LIMIT", _DEFAULT_WORKER_CACHE_LIMIT
-)
+_WORKER_CACHE_LIMIT = _env_limit("REPRO_WORKER_CACHE_LIMIT", _DEFAULT_WORKER_CACHE_LIMIT)
 
 
 def set_worker_cache_limit(limit: Optional[int] = None) -> int:
@@ -538,9 +530,7 @@ def set_worker_cache_limit(limit: Optional[int] = None) -> int:
     """
     global _WORKER_CACHE_LIMIT
     if limit is None:
-        limit = _env_cache_limit(
-            "REPRO_WORKER_CACHE_LIMIT", _DEFAULT_WORKER_CACHE_LIMIT
-        )
+        limit = _env_limit("REPRO_WORKER_CACHE_LIMIT", _DEFAULT_WORKER_CACHE_LIMIT)
     if limit < 1:
         raise InvalidParameterError("worker cache limit must be >= 1")
     _WORKER_CACHE_LIMIT = limit
@@ -556,16 +546,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 def _init_worker() -> None:
     """Pool initializer: one BLAS thread per worker process.
 
-    The pool size is the parallelism.  The environment covers a numpy
-    imported after the fork; a numpy the parent had already loaded (as
-    opening an ``int`` edge list does, so any pool forked after a session
-    opened) is capped through its OpenBLAS directly, where the environment
-    is read too late.
+    The pool size is the parallelism.  The pool forks after the parent has
+    loaded numpy and looked its OpenBLAS up (:meth:`WorkerPool._fork_locked`),
+    so the worker caps the OpenBLAS it inherited directly, where the
+    environment is read too late; the environment covers any other BLAS or
+    OpenMP runtime a task loads later.
     """
-    import os
-
-    from repro.core.vec_kernels import _openblas_thread_calls
-
     for name in _BLAS_THREAD_VARS:
         os.environ[name] = "1"
     for _, set_threads in _openblas_thread_calls():
@@ -675,10 +661,13 @@ class WorkerPool:
     broken pool wholesale with bounded exponential backoff between
     consecutive respawns.
 
-    Every worker runs BLAS on one thread (see :func:`_init_worker`): the
-    process count is the parallelism, and ``N`` workers each starting one
-    BLAS thread per core would oversubscribe the cores the pool already
-    fills.
+    The pool forks after the parent has loaded what every worker loads:
+    numpy where it imports, the OpenBLAS lookup and
+    :mod:`multiprocessing.shared_memory`, so the workers share those pages
+    instead of each importing numpy on its first chunk.  Every worker runs
+    BLAS on one thread (see :func:`_init_worker`): the process count is
+    the parallelism, and ``N`` workers each starting one BLAS thread per
+    core would oversubscribe the cores the pool already fills.
 
     Parameters
     ----------
@@ -693,9 +682,6 @@ class WorkerPool:
         max_workers: Optional[int] = None,
         keep_alive: bool = False,
     ) -> None:
-        import os
-        import weakref
-
         if max_workers is not None and max_workers < 1:
             raise InvalidParameterError("max_workers must be positive")
         self.max_workers = max_workers or os.cpu_count() or 1
@@ -762,7 +748,7 @@ class WorkerPool:
 
     def _fork_locked(self) -> None:
         import multiprocessing
-        from multiprocessing import resource_tracker
+        from multiprocessing import resource_tracker, shared_memory  # noqa: F401
 
         try:
             context = multiprocessing.get_context("fork")
@@ -773,6 +759,13 @@ class WorkerPool:
         # tracker, which warns at exit and unlinks, when the worker dies,
         # segments the parent still holds.
         resource_tracker.ensure_running()
+        # Load what every worker loads before forking, so the workers share
+        # it instead of each paying for it on its first chunk: numpy where
+        # it imports (the platform tier), the OpenBLAS lookup over it and,
+        # imported above, ``shared_memory``.  A process that never forks (a
+        # serial server) never loads ``multiprocessing``.
+        numpy_available()
+        _openblas_thread_calls()
         pool = context.Pool(
             processes=self.max_workers,
             initializer=_init_worker,
@@ -989,8 +982,6 @@ class PayloadStore:
     """
 
     def __init__(self) -> None:
-        import weakref
-
         self._entries: Dict[PayloadKey, _StoreEntry] = {}
         self._by_identity: Dict[int, PayloadKey] = {}
         self._lock = threading.Lock()
@@ -1245,10 +1236,6 @@ class ExecutionRuntime:
         store: Optional[PayloadStore] = None,
         task_deadline: Optional[float] = DEFAULT_TASK_DEADLINE,
     ) -> None:
-        import weakref
-
-        from repro.core.vec_kernels import platform_tier
-
         if max_workers is not None and max_workers < 1:
             raise InvalidParameterError("max_workers must be positive")
         if task_deadline is not None and task_deadline <= 0:
@@ -1407,8 +1394,6 @@ class ExecutionRuntime:
         tier, one attached scorer).
         """
         if held.kernel is None:
-            from repro.core.csr_kernels import CSRChunkKernel
-
             held.kernel = CSRChunkKernel.for_compact(held.compact)
         return held.kernel
 
@@ -1695,11 +1680,6 @@ class ExecutionRuntime:
                 i: _serve_chunk(kernel, method, chunk, *args) for i, chunk in tasks
             }
         else:
-            from repro.core.csr_kernels import (
-                ego_betweenness_from_arrays,
-                top_k_entries_from_arrays,
-            )
-
             # Quarantined chunks run the in-parent python oracle.
             oracle = (
                 ego_betweenness_from_arrays
@@ -1729,8 +1709,6 @@ class ExecutionRuntime:
         if kind == "scores":
             result: Any = dict(pairs)
         else:
-            from repro.core.topk import threshold_cut
-
             result = threshold_cut(pairs, cap)
             result.sort(key=itemgetter(1), reverse=True)
         compute_seconds = time.perf_counter() - compute_start
@@ -1768,8 +1746,6 @@ class ExecutionRuntime:
         estimates = held.estimates
         missing = [i for i in ids if i not in estimates]
         if missing:
-            from repro.parallel.partition import vertex_work_estimates_csr
-
             estimates.update(
                 zip(missing, vertex_work_estimates_csr(held.compact, missing))
             )

@@ -27,6 +27,30 @@ class TestPublicAPISurface:
 
         for name in repro.__all__:
             assert hasattr(repro, name), name
+        assert set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError):
+            repro.no_such_name
+
+    @pytest.mark.parametrize("module", ["repro", "repro.session"])
+    def test_import_loads_only_what_the_process_runs(self, module):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        unused = [
+            "repro.net", "repro.serving", "repro.durability",
+            "repro.baselines", "repro.experiments", "asyncio",
+        ]
+        script = f"import sys, {module}; print([m for m in {unused!r} if m in sys.modules])"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_quickstart_docstring_flow(self):
         g = Graph(edges=[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])

@@ -532,6 +532,53 @@ class TestWorkerBlasThreads:
         assert all(threads == 1 for threads in report["openblas"])
 
 
+PRELOAD_PROBE = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from repro.graph.csr import CompactGraph
+from repro.parallel.runtime import ExecutionRuntime, WorkerPool
+
+def probe():
+    vec = sys.modules.get("repro.core.vec_kernels")
+    return {
+        "numpy": sys.modules.get("numpy") is not None,
+        "shared_memory": "multiprocessing.shared_memory" in sys.modules,
+        "openblas_looked_up": vec is not None and vec._OPENBLAS_CALLS is not None,
+    }
+
+assert sys.modules.get("numpy") is None  # the pool, not the caller, loads it
+pool = WorkerPool(2).acquire()
+pool.ensure_started()
+report = pool.submit(probe, ()).get(30)  # the workers' first task
+graph = CompactGraph.from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)])
+with ExecutionRuntime(2, pool=pool) as runtime:
+    runtime.execute(graph)
+    report["kernel_chunks"] = runtime.stats().kernel_chunks
+pool.release()
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.parallel
+@pytest.mark.parametrize("numpy_state", ["importable", "blocked"])
+def test_pool_forks_after_loading_what_every_worker_loads(numpy_state):
+    """Workers inherit numpy, its OpenBLAS lookup and ``shared_memory``."""
+    import json
+
+    result = _run_script(PRELOAD_PROBE, numpy_state)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    assert report["shared_memory"]
+    if numpy_state == "blocked" or not numpy_available():
+        assert not report["numpy"]
+        assert report["kernel_chunks"]["numpy"] == 0
+        assert report["kernel_chunks"]["python"] > 0
+    else:
+        assert report["numpy"] and report["openblas_looked_up"]
+        assert report["kernel_chunks"]["numpy"] > 0
+
+
 TRACKER_PROBE = """
 import os, signal, time
 from multiprocessing import shared_memory
