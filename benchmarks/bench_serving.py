@@ -67,9 +67,11 @@ def test_serving_gateway_chaos_acceptance(livejournal_graph, dblp_graph, results
     from repro.parallel import runtime as runtime_module
 
     graphs = {"livejournal": livejournal_graph, "dblp": dblp_graph}
+    # 512 timed requests (~0.1 s), so one respawn or the torn ship is a
+    # small share of the timed phase the retention ratio compares.
     workload = dict(
         clients=16,
-        requests_per_client=2,
+        requests_per_client=32,
         subset_every=1,
         parallel=2,
         executor="process",

@@ -6,15 +6,22 @@ state) latency, while a cold call pays the conversion and every cache
 build.  The ``test_session_warm_speedup`` check asserts the PR acceptance
 criterion: at the default bench scale, the session-owned caches make a
 repeated ``top_k`` at least 3x faster than the cold path.
+
+``test_apply_replay_p50`` gates the dynamic hot path: after ``scores()``,
+two-event ``apply`` batches on dblp@0.5 patch the connector-count
+histograms the promotion seeded, at a p50 of at most 120 µs per batch.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
 
 from benchmarks.conftest import default_k
+from repro.datasets.registry import load_dataset
+from repro.dynamic.stream import generate_update_stream
 from repro.graph.csr import CompactGraph
 from repro.session import EgoSession
 
@@ -63,6 +70,20 @@ def test_session_warm_speedup(livejournal_graph):
         f"warm session top_k not >=3x faster: cold={cold * 1e3:.2f}ms "
         f"warm={warm * 1e3:.2f}ms ({cold / max(warm, 1e-12):.1f}x)"
     )
+
+
+def test_apply_replay_p50():
+    """Acceptance: 100 two-event batches after scores() at p50 <= 120 µs."""
+    graph = load_dataset("dblp", scale=0.5)
+    stream = generate_update_stream(graph, 200, seed=1)
+    session = EgoSession(graph)
+    session.scores()
+    timings = []
+    for start in range(0, len(stream), 2):
+        timings.append(_timed(lambda: session.apply(stream[start : start + 2])))
+    assert session.scores() == EgoSession(session.to_graph()).scores()
+    p50 = statistics.median(timings)
+    assert p50 <= 120e-6, f"apply p50 {p50 * 1e6:.0f} µs > 120 µs per two-event batch"
 
 
 def _timed(fn) -> float:

@@ -11,7 +11,8 @@ These are the compact-backend twins of the hash-set hot paths:
 * :func:`bound_decomposition_csr` — the Lemma 1 decomposition,
 * :func:`dynamic_ego_score` — the dynamic maintainers' exact score of a
   vertex of the mutable overlay, re-summed from the connector-count
-  histogram the overlay holds and patches for it.
+  histogram the overlay holds for it (seeded at construction from one
+  :meth:`CSRChunkKernel.histogram_chunk` sweep, then patched per update).
 
 Why this is fast in pure Python
 -------------------------------
@@ -50,7 +51,6 @@ import heapq
 import os
 import time
 from collections import Counter, OrderedDict
-from itertools import chain, combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro._ordering import sort_key
@@ -324,6 +324,31 @@ def _ego_wedge_stats(
     return d, sum(map(len, rows)) // 2, Counter(wedges)
 
 
+def _ego_histogram(
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    pid: int,
+    nbr_sets: List[set],
+    dense: Optional[bytearray] = None,
+) -> Dict[int, int]:
+    """The connector-count histogram of ``pid``'s ego network.
+
+    ``{count: non-adjacent neighbour pairs with that many connectors in
+    N(pid)}``, count 0 being the lonely pairs (only ``pid`` joins them);
+    ``_sum_from_histogram(0, hist)`` is the exact ``CB(pid)``.
+    """
+    d, edges_in_ego, linker_counts = _ego_wedge_stats(
+        indptr, indices, pid, nbr_sets, dense
+    )
+    if d < 2:
+        return {}
+    histogram = Counter(linker_counts.values())
+    lonely_pairs = d * (d - 1) // 2 - edges_in_ego - len(linker_counts)
+    if lonely_pairs:
+        histogram[0] = lonely_pairs
+    return histogram
+
+
 def _ego_score_id(
     indptr: Sequence[int],
     indices: Sequence[int],
@@ -332,14 +357,7 @@ def _ego_score_id(
     dense: Optional[bytearray] = None,
 ) -> float:
     """Exact ``CB(pid)`` from CSR arrays (no identified-info harvesting)."""
-    d, edges_in_ego, linker_counts = _ego_wedge_stats(
-        indptr, indices, pid, nbr_sets, dense
-    )
-    if d < 2:
-        return 0.0
-    total_pairs = d * (d - 1) // 2
-    lonely_pairs = total_pairs - edges_in_ego - len(linker_counts)
-    return _sum_from_histogram(lonely_pairs, Counter(linker_counts.values()))
+    return _sum_from_histogram(0, _ego_histogram(indptr, indices, pid, nbr_sets, dense))
 
 
 # ----------------------------------------------------------------------
@@ -611,21 +629,32 @@ class CSRChunkKernel:
 
     def score_chunk(self, ids: Iterable[int]) -> Dict[int, float]:
         """Return ``{id: CB(id)}`` for every dense vertex id in ``ids``."""
+        return {
+            pid: _sum_from_histogram(0, histogram)
+            for pid, histogram in self.histogram_chunk(ids).items()
+        }
+
+    def histogram_chunk(self, ids: Iterable[int]) -> Dict[int, Dict[int, int]]:
+        """Return ``{id: connector-count histogram}`` for every id in ``ids``.
+
+        Key 0 holds the lonely pairs; both tiers return equal histograms,
+        the state a :class:`DynamicCompactGraph` is seeded with.
+        """
         if self.kernel == "numpy":
             id_list = list(ids)
             try:
-                scores = self._vectorized().score_ids(id_list)
+                histograms = self._vectorized().histograms(id_list)
             except Exception:
                 ids = id_list
                 self._demote()
             else:
                 self.chunks_by_tier["numpy"] += 1
-                return scores
+                return histograms
         self.chunks_by_tier["python"] += 1
         indptr, indices = self.indptr, self.indices
         nbr_sets, dense = self.nbr_sets, self.dense
         return {
-            pid: _ego_score_id(indptr, indices, pid, nbr_sets, dense) for pid in ids
+            pid: _ego_histogram(indptr, indices, pid, nbr_sets, dense) for pid in ids
         }
 
     def top_chunk(self, ids: Iterable[int], k: int) -> List[Tuple[int, float]]:
@@ -955,68 +984,14 @@ def opt_b_search_csr(source: GraphLike, k: int, theta: float = 1.05) -> TopKResu
 # ----------------------------------------------------------------------
 # Exact scores on the mutable CSR overlay (dynamic maintenance)
 # ----------------------------------------------------------------------
-# The overlay holds one connector-count histogram per scored vertex and
-# patches it with the Lemma 4–7 closed form on every update; a score is a
-# canonical re-sum of that integer state, so it stays exact.
-
 def dynamic_ego_score(dyn: DynamicCompactGraph, pid: int) -> float:
-    """Exact ``CB(pid)`` on the mutable overlay, from its held histogram.
+    """Exact ``CB(pid)`` on the mutable overlay, re-summed from its histogram.
 
-    A vertex that holds a connector-count histogram (see
-    :meth:`DynamicCompactGraph._patch_histograms`) is re-summed from it.
-    Otherwise its ego is enumerated once, entirely on the overlay's live int
-    neighbour sets and at C speed: each neighbour's ego-restricted adjacency
-    is one set intersection, every *pair* inside those rows (adjacent or
-    not) is streamed through ``itertools.combinations`` into one
-    ``Counter``, and the few adjacent pairs — the ego's edges — are deleted
-    from the counter afterwards instead of being filtered by a per-pair
-    Python membership probe inside the hot loop; the histogram is stored.
-
-    The histogram's key 0 holds the lonely pairs, so a sum started from
-    ``0.0`` equals ``float(lonely)`` plus the rest: the score is
-    bit-identical to the static kernels and to
-    :func:`repro.core.ego_betweenness.ego_betweenness`, which sum the same
-    canonical sorted histogram.
+    The overlay holds a connector-count histogram for every id, seeded by
+    one kernel sweep and patched by the Lemma 4–7 closed form on every
+    update (:meth:`DynamicCompactGraph._patch_histograms`).  Its key 0
+    holds the lonely pairs, so the sum is bit-identical to the static
+    kernels and to :func:`repro.core.ego_betweenness.ego_betweenness`,
+    which sum the same canonical sorted histogram.
     """
-    hist = dyn._hists.get(pid)
-    if hist is None:
-        hist = dyn._hists[pid] = _overlay_histogram(dyn.neighbor_sets(), pid)
-    return _sum_from_histogram(0, hist)
-
-
-def _overlay_histogram(nbr_sets: List[set], pid: int) -> Dict[int, int]:
-    """Enumerate the connector-count histogram of ``pid``'s ego network."""
-    nbrs = nbr_sets[pid]
-    d = len(nbrs)
-    if d < 2:
-        return {}
-    # Sorted rows make combinations() emit every pair as an ordered (x, y)
-    # tuple, so both orientations of a pair aggregate under one key.
-    nbrs_list = list(nbrs)
-    rows = [sorted(nbrs & nbr_sets[w]) for w in nbrs_list]
-    edge_endpoints = sum(map(len, rows))
-    pair_counts: Counter = Counter(
-        chain.from_iterable(combinations(row, 2) for row in rows)
-    )
-    # Remove the adjacent pairs (the ego's edges): each edge (x, y) was
-    # counted once per common neighbour inside the ego, but contributes 0.
-    if pair_counts:
-        pop = pair_counts.pop
-        for x, row in zip(nbrs_list, rows):
-            for y in row:
-                if x < y:
-                    pop((x, y), None)
-    hist = Counter(pair_counts.values())
-    lonely_pairs = d * (d - 1) // 2 - edge_endpoints // 2 - len(pair_counts)
-    if lonely_pairs:
-        hist[0] = lonely_pairs
-    return hist
-
-
-def all_dynamic_ego_scores(dyn: DynamicCompactGraph) -> Dict[Vertex, float]:
-    """Exact ego-betweenness of every vertex, storing every histogram.
-
-    Returns a label-keyed dict (the shape the dynamic maintainers store).
-    """
-    labels = dyn.labels
-    return {labels[pid]: dynamic_ego_score(dyn, pid) for pid in range(dyn.num_vertices)}
+    return _sum_from_histogram(0, dyn._hists[pid])

@@ -9,10 +9,11 @@ stay the oracle, serve them.
 Bit-identity by construction
 ----------------------------
 The vectorized kernel never produces a float of its own.  For every vertex
-it computes three **exact integers** with numpy — the ego's internal edge
-count, the number of lonely (unlinked, non-adjacent) neighbour pairs, and
-the histogram ``{connector count: #pairs}`` of the linked pairs — and then
-feeds them through the same canonical sorted-histogram summation
+it computes, with numpy, the **exact integer** histogram ``{connector
+count: #pairs}`` of the ego's non-adjacent neighbour pairs, key 0 holding
+the lonely pairs (:meth:`VectorizedChunkScorer.histograms`, the state a
+dynamic overlay is seeded with); a score feeds it through the same
+canonical sorted-histogram summation
 (:func:`repro.core.ego_betweenness._sum_from_histogram`) as every Python
 kernel.  Identical integers through an identical float accumulation order
 means every score is **bit-identical** to the Python tier and therefore to
@@ -74,8 +75,6 @@ import sys
 import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-from repro.core.ego_betweenness import _sum_from_histogram
 
 __all__ = [
     "numpy_available",
@@ -298,26 +297,30 @@ class VectorizedChunkScorer:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def score_ids(self, ids: Iterable[int]) -> Dict[int, float]:
-        """Return ``{id: CB(id)}`` — bit-identical to the Python kernels."""
+    def histograms(self, ids: Iterable[int]) -> Dict[int, Dict[int, int]]:
+        """Return ``{id: {connector count: non-adjacent pairs}}`` for ``ids``.
+
+        Key 0 holds the lonely pairs, so ``_sum_from_histogram(0, hist)``
+        is the score; equal to the python tier's histogram key for key.
+        """
         np = self.np
         order: List[int] = [int(pid) for pid in ids]
-        scores: Dict[int, float] = {}
+        hists: Dict[int, Dict[int, int]] = {}
         if not order:
-            return scores
+            return hists
         order_arr = np.asarray(order, dtype=np.int64)
         degs = (self.indptr[order_arr + 1] - self.indptr[order_arr]).tolist()
         work: List = []
         for pid, d in zip(order, degs):
             if d < 2:
-                scores[pid] = 0.0
+                hists[pid] = {}
             else:
                 work.append((pid, d))
         work.sort(key=lambda t: t[1])
         with one_blas_thread():
             for batch in self._batches(work):
-                self._score_batch(batch, scores)
-        return {pid: scores[pid] for pid in order}
+                self._score_batch(batch, hists)
+        return {pid: hists[pid] for pid in order}
 
     # ------------------------------------------------------------------
     # Batching
@@ -408,12 +411,12 @@ class VectorizedChunkScorer:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _score_batch(self, batch, scores: Dict[int, float]) -> None:
+    def _score_batch(self, batch, hists: Dict[int, Dict[int, int]]) -> None:
         np = self.np
         D = batch[-1][1]
         if len(batch) == 1 and D * D > _SINGLETON_CELLS:
             pid, d = batch[0]
-            scores[pid] = self._score_hub(pid, d)
+            hists[pid] = self._score_hub(pid, d)
             return
         pid_arr = np.asarray([pid for pid, _ in batch], dtype=np.int64)
         deg_arr = np.asarray([d for _, d in batch], dtype=np.int64)
@@ -452,10 +455,12 @@ class VectorizedChunkScorer:
             histograms[b][count] = doubled // 2
         for b, (pid, d) in enumerate(batch):
             lonely = d * (d - 1) // 2 - edges2[b] // 2 - linked2[b] // 2
-            scores[pid] = _sum_from_histogram(lonely, histograms[b])
+            if lonely:
+                histograms[b][0] = lonely
+            hists[pid] = histograms[b]
 
-    def _score_hub(self, pid: int, d: int) -> float:
-        """Scoring of one ego too large for the batched tensor.
+    def _score_hub(self, pid: int, d: int) -> Dict[int, int]:
+        """The histogram of one ego too large for the batched tensor.
 
         Builds the ``d × d`` membership matrix in row blocks of at most
         :data:`_BATCH_CELL_BUDGET` cells.  A sparse ego (a star hub — few
@@ -518,7 +523,9 @@ class VectorizedChunkScorer:
                 linked_pairs += int(np.count_nonzero(link))
                 self._add_counts(histogram, counts[link].astype(np.int64))
         lonely = total_pairs - edges - linked_pairs
-        return _sum_from_histogram(lonely, histogram)
+        if lonely:
+            histogram[0] = lonely
+        return histogram
 
     def _add_counts(self, histogram: Dict[int, int], vals) -> None:
         """Add an int array's ``{value: multiplicity}`` into ``histogram``."""

@@ -24,12 +24,12 @@ get the static bound; endpoints shrink their bound).
 Like :class:`~repro.dynamic.local_update.EgoBetweennessIndex`, the
 maintainer runs on one of two backends (``backend={"auto", "compact",
 "hash"}``, auto = compact).  The compact backend keeps the graph in a
-:class:`~repro.graph.dynamic_csr.DynamicCompactGraph` overlay, which patches
-the connector-count histogram of every vertex it has scored once, so an
-exact recomputation the laziness cannot avoid is a re-sum of that
-histogram.  The hash backend recomputes by definition.  The decision
-sequence (which vertices are recomputed, skipped, swapped) is deterministic
-and identical across backends, so the ``exact_recomputations`` /
+:class:`~repro.graph.dynamic_csr.DynamicCompactGraph` overlay, whose
+connector-count histograms one kernel sweep seeds at construction and every
+update patches, so an exact recomputation the laziness cannot avoid is a
+re-sum of a histogram.  The hash backend recomputes by definition.  The
+decision sequence (which vertices are recomputed, skipped, swapped) is
+deterministic and identical across backends, so the ``exact_recomputations`` /
 ``skipped_recomputations`` counters and the maintained values agree
 exactly.
 
@@ -63,14 +63,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro._ordering import sort_key
 from repro.core.bounds import static_upper_bound
-from repro.core.csr_kernels import (
-    all_dynamic_ego_scores,
-    as_dynamic,
-    dynamic_ego_score,
-    normalize_backend,
-)
-from repro.core.ego_betweenness import all_ego_betweenness, ego_betweenness
+from repro.core.csr_kernels import as_dynamic, dynamic_ego_score, normalize_backend
+from repro.core.ego_betweenness import ego_betweenness
 from repro.core.topk import SearchStats, TopKResult, rank_entries
+from repro.dynamic.local_update import initial_values
 from repro.errors import EdgeExistsError, EdgeNotFoundError, InvalidParameterError, SelfLoopError
 from repro.graph.graph import Graph, Vertex
 
@@ -92,8 +88,9 @@ class LazyTopKMaintainer:
         recomputes by definition.  Values, result sets and
         counters are identical either way.
     values:
-        Optional precomputed exact ego-betweenness map for ``graph``; skips
-        the initial all-vertex computation.
+        Optional precomputed exact ego-betweenness map for ``graph``.
+        Without it the compact backend re-sums the overlay's seeded
+        histograms and the hash backend computes every vertex.
 
     Attributes
     ----------
@@ -121,14 +118,12 @@ class LazyTopKMaintainer:
             self._dyn = as_dynamic(graph)
             self._graph: Optional[Graph] = None
             self._graph_version = -1
-            if values is None:
-                self._values: Dict[Vertex, float] = all_dynamic_ego_scores(self._dyn)
-            else:
-                self._values = dict(values)
         else:
             self._dyn = None
             self._graph = graph.copy()
-            self._values = dict(values) if values is not None else all_ego_betweenness(self._graph)
+        self._values: Dict[Vertex, float] = (
+            dict(values) if values is not None else initial_values(self._dyn, self._graph)
+        )
         self._k = k
         self._exact: Set[Vertex] = set(self._values)
         self._result: Set[Vertex] = set()

@@ -18,8 +18,9 @@ Two backends implement the index (``backend={"auto", "compact",
 
 * **compact** — the served path: a
   :class:`~repro.graph.dynamic_csr.DynamicCompactGraph` overlay holds a
-  connector-count histogram per touched vertex and moves exactly those
-  pairs between buckets (the integer state of
+  connector-count histogram per vertex, seeded at construction from one
+  kernel sweep, and moves exactly those pairs between buckets (the integer
+  state of
   :meth:`~repro.graph.dynamic_csr.DynamicCompactGraph._patch_histograms`);
   each affected score is re-summed from its histogram
   (:func:`repro.core.csr_kernels.dynamic_ego_score`), so it is
@@ -31,7 +32,8 @@ Two backends implement the index (``backend={"auto", "compact",
 
 The canonical owner of this index is :class:`repro.session.EgoSession`,
 which builds one at its static→dynamic promotion (seeded with the values
-the session already computed) and serves ``scores()`` and naive
+the session already computed, else re-summed from the overlay's
+histograms) and serves ``scores()`` and naive
 ``top_k`` from it; direct construction remains supported for standalone
 use.
 """
@@ -41,18 +43,22 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.csr_kernels import (
-    all_dynamic_ego_scores,
-    as_dynamic,
-    dynamic_ego_score,
-    normalize_backend,
-)
+from repro.core.csr_kernels import as_dynamic, dynamic_ego_score, normalize_backend
 from repro.core.ego_betweenness import all_ego_betweenness, ego_betweenness
 from repro.core.topk import top_entries
 from repro.errors import EdgeNotFoundError, SelfLoopError
 from repro.graph.graph import Graph, Vertex
 
 __all__ = ["EgoBetweennessIndex", "affected_vertices"]
+
+
+def initial_values(dyn, graph: Optional[Graph]) -> Dict[Vertex, float]:
+    """Every vertex's exact value: re-summed from the overlay ``dyn``'s
+    seeded histograms, or computed on the hash ``graph`` when ``dyn`` is
+    ``None``."""
+    if dyn is None:
+        return all_ego_betweenness(graph)
+    return {label: dynamic_ego_score(dyn, pid) for pid, label in enumerate(dyn.labels)}
 
 
 def affected_vertices(graph: Graph, u: Vertex, v: Vertex) -> Set[Vertex]:
@@ -82,9 +88,10 @@ class EgoBetweennessIndex:
         produce values bit-identical to a fresh recomputation.
     values:
         Optional precomputed exact ego-betweenness map for ``graph`` (as
-        returned by :func:`~repro.core.ego_betweenness.all_ego_betweenness`).
-        Skips the initial all-vertex computation; the caller guarantees the
-        values match the supplied graph.
+        returned by :func:`~repro.core.ego_betweenness.all_ego_betweenness`);
+        the caller guarantees the values match the supplied graph.  Without
+        it the compact backend re-sums the overlay's seeded histograms and
+        the hash backend computes every vertex.
     copy:
         When ``False`` the index *adopts* the supplied graph instead of
         copying it: a :class:`DynamicCompactGraph` (compact backend) or a
@@ -121,14 +128,12 @@ class EgoBetweennessIndex:
                 self._dyn = as_dynamic(graph)
             self._graph: Optional[Graph] = None
             self._graph_version = -1
-            if values is None:
-                self._scores: Dict[Vertex, float] = all_dynamic_ego_scores(self._dyn)
-            else:
-                self._scores = dict(values)
         else:
             self._dyn = None
             self._graph = graph if not copy else graph.copy()
-            self._scores = dict(values) if values is not None else all_ego_betweenness(self._graph)
+        self._scores: Dict[Vertex, float] = (
+            dict(values) if values is not None else initial_values(self._dyn, self._graph)
+        )
         self.last_update_seconds: float = 0.0
 
     # ------------------------------------------------------------------

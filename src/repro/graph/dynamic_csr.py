@@ -8,8 +8,7 @@ sets* of inserted and deleted edges on top, so that
 * adjacency and intersection queries run on live per-vertex **int sets**
   (C-level ``set`` operations over dense ids — no hashing of arbitrary
   vertex labels),
-* rows that no update has touched are still served as contiguous array
-  slices straight from the base snapshot,
+* an overlay without deltas snapshots to its base for free,
 * once the accumulated deltas grow past a size/ratio gate the overlay
   :meth:`rebuild`\\ s itself into a fresh CSR snapshot, which re-compacts
   every row back to array form and resets the delta tracking.
@@ -20,18 +19,21 @@ ids never move, so memoised per-vertex results survive a rebuild (a rebuild
 changes the storage layout, never the graph).
 
 The overlay also holds the dynamic maintainers' exact state: one
-connector-count histogram per scored vertex (``{count: non-adjacent pairs}``,
-count 0 being the lonely pairs), filled by
-:func:`repro.core.csr_kernels.dynamic_ego_score`.  An edge update ``(u, v)``
-changes only the histograms of ``{u, v} ∪ N(u) ∩ N(v)`` (Observation 1 of
-the paper), and :meth:`DynamicCompactGraph._patch_histograms` moves exactly
-the pairs Lemmas 4–7 name between buckets, so every held histogram stays
-equal to a fresh enumeration of its ego network.
+connector-count histogram per vertex (``{count: non-adjacent pairs}``,
+count 0 being the lonely pairs).  Every histogram is seeded at
+construction from one kernel sweep of the base snapshot
+(:meth:`repro.core.csr_kernels.CSRChunkKernel.histogram_chunk`), and a
+vertex added later starts empty.  An edge update ``(u, v)`` changes only
+the histograms of ``{u, v} ∪ N(u) ∩ N(v)`` (Observation 1 of the paper),
+and :meth:`DynamicCompactGraph._patch_histograms` moves exactly the pairs
+Lemmas 4–7 name between buckets, so every histogram stays equal to a
+fresh enumeration of its ego network; a score is a re-sum of it
+(:func:`repro.core.csr_kernels.dynamic_ego_score`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro._ordering import sort_key
 from repro.errors import (
@@ -68,6 +70,11 @@ class DynamicCompactGraph:
         The immutable CSR snapshot the overlay starts from.  The snapshot is
         never mutated; its per-row neighbour sets are copied once so the
         overlay owns its working adjacency.
+    histograms:
+        The connector-count histogram of every id of ``base``, as
+        :meth:`~repro.core.csr_kernels.CSRChunkKernel.histogram_chunk`
+        returns them; the overlay adopts them.  Swept from ``base`` when
+        omitted.
 
     The overlay re-compacts itself once the delta count reaches
     :data:`DEFAULT_REBUILD_RATIO` of the base edge count, and never before
@@ -105,7 +112,9 @@ class DynamicCompactGraph:
         "rebuilds",
     )
 
-    def __init__(self, base: CompactGraph) -> None:
+    def __init__(
+        self, base: CompactGraph, histograms: Optional[Dict[int, Dict[int, int]]] = None
+    ) -> None:
         self._base = base
         self._base_n = base.num_vertices
         self._labels: List[Vertex] = list(base.labels)
@@ -121,9 +130,15 @@ class DynamicCompactGraph:
         self._removed: Dict[int, Set[int]] = {}
         self._delta_records = 0
         self._num_edges = base.num_edges
-        # Connector-count histogram per scored id (see _patch_histograms);
-        # a rebuild keeps them (the graph is unchanged, only its storage is).
-        self._hists: Dict[int, Dict[int, int]] = {}
+        # Connector-count histogram per id (see _patch_histograms); a
+        # rebuild keeps them (the graph is unchanged, only its storage is).
+        if histograms is None:
+            from repro.core.csr_kernels import CSRChunkKernel
+
+            histograms = CSRChunkKernel.for_compact(base).histogram_chunk(
+                range(self._base_n)
+            )
+        self._hists: List[Dict[int, int]] = [histograms[i] for i in range(self._base_n)]
         self._version = 0
         self.rebuilds = 0
 
@@ -253,39 +268,6 @@ class DynamicCompactGraph:
         """Return ``d(vertex_id)``."""
         return self._degrees[vertex_id]
 
-    def degrees_by_label(self) -> Dict[Vertex, int]:
-        """Return the ``label -> degree`` mapping."""
-        degrees = self._degrees
-        return {label: degrees[i] for i, label in enumerate(self._labels)}
-
-    def neighbor_set(self, vertex_id: int) -> Set[int]:
-        """Return the live neighbour-id set of ``vertex_id`` (do not mutate)."""
-        return self._nbr_sets[vertex_id]
-
-    def neighbor_sets(self) -> List[Set[int]]:
-        """Return the per-vertex neighbour-id sets (live — do not mutate)."""
-        return self._nbr_sets
-
-    def neighbor_ids(self, vertex_id: int) -> List[int]:
-        """Return the sorted neighbour ids of ``vertex_id``.
-
-        Rows untouched since the last rebuild come straight from the base
-        CSR arrays (an array slice); dirty rows are sorted from the live
-        set.
-        """
-        if (
-            vertex_id < self._base_n
-            and not self._added.get(vertex_id)
-            and not self._removed.get(vertex_id)
-        ):
-            start, end = self._base.neighbor_range(vertex_id)
-            return self._base.indices[start:end]
-        return sorted(self._nbr_sets[vertex_id])
-
-    def has_edge_ids(self, u: int, v: int) -> bool:
-        """Return ``True`` when the edge ``(u, v)`` currently exists."""
-        return v in self._nbr_sets[u]
-
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Label-level edge query (``False`` when either label is absent)."""
         iu = self._ids.get(u)
@@ -308,6 +290,7 @@ class DynamicCompactGraph:
         self._label_keys[label] = sort_key(label)
         self._degrees.append(0)
         self._nbr_sets.append(set())
+        self._hists.append({})
         self._version += 1
         return vid
 
@@ -325,8 +308,7 @@ class DynamicCompactGraph:
         if v in nbr_u:
             raise EdgeExistsError(self._labels[u], self._labels[v])
         common = nbr_u & nbr_v
-        if self._hists:
-            self._patch_histograms(u, v, common, inserting=True)
+        self._patch_histograms(u, v, common, inserting=True)
         nbr_u.add(v)
         nbr_v.add(u)
         self._degrees[u] += 1
@@ -344,8 +326,7 @@ class DynamicCompactGraph:
         if v not in nbr_u:
             raise EdgeNotFoundError(self._labels[u], self._labels[v])
         common = nbr_u & nbr_v
-        if self._hists:
-            self._patch_histograms(u, v, common, inserting=False)
+        self._patch_histograms(u, v, common, inserting=False)
         nbr_u.discard(v)
         nbr_v.discard(u)
         self._degrees[u] -= 1
@@ -388,9 +369,8 @@ class DynamicCompactGraph:
         """Move the affected pairs of the held histograms to their new counts.
 
         Called *before* the adjacency sets change, with ``common`` the
-        pre-update ``L = N(u) ∩ N(v)``; only affected vertices that hold a
-        histogram are patched.  The Lemma 4–7 closed form, with every set
-        read from the current state:
+        pre-update ``L = N(u) ∩ N(v)``.  The Lemma 4–7 closed form, with
+        every set read from the current state:
 
         * endpoint ``e`` (other endpoint ``o``), non-adjacent pairs among
           ``L``: ``o`` joins/leaves their connectors, so each count moves
@@ -415,9 +395,7 @@ class DynamicCompactGraph:
 
         # Endpoints (Lemmas 4 and 6).
         for e, o in ((u, v), (v, u)):
-            hist = hists.get(e)
-            if hist is None:
-                continue
+            hist = hists[e]
             ne = nbr_sets[e]
             for i, x in enumerate(common_list):
                 sx = nbr_sets[x]
@@ -435,9 +413,7 @@ class DynamicCompactGraph:
 
         # Common neighbours (Lemmas 5 and 7).
         for w in common_list:
-            hist = hists.get(w)
-            if hist is None:
-                continue
+            hist = hists[w]
             nw = nbr_sets[w]
             _bump(hist, len(common & nw), -shift)
             cw_u = nw & nu

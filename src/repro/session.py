@@ -23,8 +23,10 @@ hash-set oracle; queries (:meth:`EgoSession.top_k`,
 
 The moment the first update arrives (:meth:`~EgoSession.apply`), the
 session **promotes itself** static → dynamic and from then on owns a
-mutable topology.  Exact all-vertex values are maintained *on demand*: if
-the session already holds a memoised values map at promotion (a
+mutable topology: on the CSR backend an overlay holding every vertex's
+connector-count histogram, seeded by one kernel sweep at promotion and
+patched by every update.  Exact all-vertex values are maintained *on
+demand*: if the session already holds a memoised values map at promotion (a
 ``scores()`` call happened), an
 :class:`~repro.dynamic.local_update.EgoBetweennessIndex` (LocalInsert /
 LocalDelete) is built immediately, **reusing the already-computed values
@@ -32,9 +34,9 @@ map** instead of recomputing every vertex, and each update patches it
 incrementally.  If values were never demanded — e.g. a session that
 only feeds lazy top-k maintainers — no index exists and updates cost only
 the topology bookkeeping plus the attached maintainers; the index is
-built by the first read of any kind (``score``, ``scores``,
-``scores_batch``, or a naive or parallel ``top_k``).  The promotion happens
-exactly once, on every backend.
+built, by re-summing the histograms, on the first read of any kind
+(``score``, ``scores``, ``scores_batch``, or a naive or parallel
+``top_k``).  The promotion happens exactly once, on every backend.
 
 Backends
 --------
@@ -819,12 +821,12 @@ class EgoSession:
         calling this pays the cost eagerly — e.g. before timing a stream of
         :meth:`apply` calls.  The session takes ownership of a mutable
         topology — a :class:`DynamicCompactGraph` overlay sharing the
-        pinned snapshot's arrays (or a private copy of the hash graph).  If
-        the session holds a fresh all-vertex values memo, the exact
-        :class:`EgoBetweennessIndex` is built immediately, seeded with
-        those values (skipping its initial all-vertex computation
-        entirely); otherwise the index is deferred until full values are
-        demanded, so lazy-only workloads never pay for it.
+        pinned snapshot's arrays, whose connector-count histograms one
+        sweep of the session's serial chunk kernel seeds (or a private copy
+        of the hash graph).  If the session holds a fresh all-vertex values
+        memo, the exact :class:`EgoBetweennessIndex` is built immediately,
+        seeded with those values; otherwise the index is deferred until
+        full values are demanded, so lazy-only workloads never pay for it.
         """
         if self._state == "dynamic":
             return
@@ -832,7 +834,11 @@ class EgoSession:
         if self.backend == "hash":
             self._hash = self._hash.copy()  # take ownership; source stays intact
         else:
-            self._dyn = DynamicCompactGraph(self._compact)
+            compact = self._compact
+            histograms = self._serial_chunk_kernel(compact).histogram_chunk(
+                range(compact.num_vertices)
+            )
+            self._dyn = DynamicCompactGraph(compact, histograms)
         self._state = "dynamic"
         self._promotions += 1
         self._values = None
@@ -911,9 +917,8 @@ class EgoSession:
 
         1. a held map (:meth:`_fresh_values`) answers — ``parallel`` never
            forces a recomputation;
-        2. a dynamic session with no index builds one, seeded from
-           :meth:`_compute` when ``parallel`` is set (else it computes
-           itself);
+        2. a dynamic session with no index builds one (re-summed from the
+           overlay's histograms; the hash oracle recomputes);
         3. a cold static full read computes and memoises;
         4. a cold static subset computes only the targets, memoising
            nothing.
@@ -927,8 +932,7 @@ class EgoSession:
         held = self._fresh_values()
         if held is None:
             if self._state == "dynamic":
-                seed = None if parallel is None else self._compute(None, parallel, executor)
-                self._build_index(seed)
+                self._build_index(None)
                 held = self._index.values
             elif targets is None:
                 held = self._values = self._compute(None, parallel, executor)
@@ -1284,8 +1288,9 @@ class EgoSession:
         """The incrementally-maintained top-k result (promotes if static).
 
         Attaches (once per ``k``) a :class:`LazyTopKMaintainer` seeded from
-        the session's exact values; it then receives every subsequent
-        update and answers from its lazily maintained result set — without
+        the session's exact values when it holds them (the maintainer's own
+        overlay sweep computes them otherwise); it then receives every
+        subsequent update and answers from its lazily maintained result set — without
         forcing the session to build or drive the exact all-vertex index.
         It returns the true top-k after every update, as a naive
         ``top_k`` over the index's values does; the two differ in the
@@ -1298,20 +1303,16 @@ class EgoSession:
         self.promote()
         maintainer = self._lazy.get(k)
         if maintainer is None:
-            # Seed from the index when it exists (free); otherwise compute
-            # the values fresh — exactly what a standalone maintainer's
-            # initialisation would do — without building the index.
-            values = self._fresh_values()
-            if values is None:
-                values = self._compute(None, None, "serial")
-            if self.backend == "hash":
-                maintainer = LazyTopKMaintainer(
-                    self._current_hash_graph(), k, backend="hash", values=values
-                )
-            else:
-                maintainer = LazyTopKMaintainer(
-                    self._current_compact(), k, backend="compact", values=values
-                )
+            # Seed from the held values when there are any; otherwise the
+            # maintainer computes its own, without building the index.
+            graph = (
+                self._current_hash_graph()
+                if self.backend == "hash"
+                else self._current_compact()
+            )
+            maintainer = LazyTopKMaintainer(
+                graph, k, backend=self.backend, values=self._fresh_values()
+            )
             self._lazy[k] = maintainer
             self._lazy_update_seconds.setdefault(k, 0.0)
         result = maintainer.top_k()

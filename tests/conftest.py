@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Dict
+
 import pytest
 
 from repro.datasets.paper_example import paper_example_graph, paper_figure1_like_graph
@@ -67,3 +69,23 @@ def graph_families():
         "ba": barabasi_albert_graph(40, 2, seed=5),
         "cliques": overlapping_cliques_graph(15, clique_size_range=(3, 5), overlap=1, seed=2),
     }
+
+
+def ego_histogram(graph: Graph, p) -> Dict[int, int]:
+    """The connector-count histogram of ``p``'s ego network, by definition.
+
+    For every non-adjacent pair of ``p``'s neighbours, the number of other
+    neighbours of ``p`` adjacent to both (0 for a lonely pair), counted
+    into ``{count: pairs}``.  The oracle that the kernels' and the
+    dynamic overlay's histograms are compared with.
+    """
+    nbrs = graph.neighbors(p)
+    ordered = list(nbrs)
+    histogram: Dict[int, int] = {}
+    for i, x in enumerate(ordered):
+        nx = graph.neighbors(x)
+        for y in ordered[i + 1 :]:
+            if y not in nx:
+                count = len(nx & graph.neighbors(y) & nbrs)
+                histogram[count] = histogram.get(count, 0) + 1
+    return histogram

@@ -15,7 +15,8 @@ event for event.  The suite drives both backends in lock-step over
 
 plus hypothesis round-trips (apply a stream, apply its inversion, recover
 the original graph and values), a key-for-key check of the overlay's
-patched connector-count histograms against fresh enumerations, and an
+connector-count histograms against a by-definition enumeration on every
+route that seeds them (construction, promotion, recovery, rebuild), and an
 exactness check on a dataset stand-in: the maintained values equal a fresh
 recomputation after every batch.
 """
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.csr_kernels import as_dynamic, dynamic_ego_score
+from repro.core.csr_kernels import as_dynamic
 from repro.core.ego_betweenness import all_ego_betweenness
 from repro.datasets.registry import load_dataset
 from repro.dynamic.lazy_topk import LazyTopKMaintainer
@@ -47,6 +48,8 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import Graph
+
+from tests.conftest import ego_histogram
 
 
 def _labelled_graph():
@@ -259,19 +262,87 @@ class TestRebuildGating:
 # ----------------------------------------------------------------------
 # Exact integer state
 # ----------------------------------------------------------------------
-class TestCorrectionKernels:
-    def test_patched_summaries_equal_fresh_enumeration(self):
-        """Histograms patched across many updates match fresh ones key for key."""
+def assert_histograms_are_the_oracle(dyn: DynamicCompactGraph) -> None:
+    """Every id of ``dyn`` holds its ego's connector-count histogram."""
+    graph = dyn.to_graph()
+    assert len(dyn._hists) == dyn.num_vertices
+    for pid, label in enumerate(dyn.labels):
+        assert dyn._hists[pid] == ego_histogram(graph, label), label
+
+
+def _mixed_stream(graph, count, seed):
+    """A stream that also inserts edges to vertices it creates."""
+    stream = generate_update_stream(graph, count, seed=seed)
+    anchor = next(iter(graph.vertices()))
+    return stream + [
+        UpdateEvent("insert", "new-1", "new-2"),
+        UpdateEvent("insert", "new-1", anchor),
+        UpdateEvent("insert", "new-2", anchor),
+    ]
+
+
+class TestHistogramState:
+    """The overlay's exact state against the test-side oracle, on every
+    route that seeds it."""
+
+    def test_patched_histograms_equal_the_oracle(self):
         graph = overlapping_cliques_graph(18, (3, 6), overlap=2, seed=7)
         dyn = as_dynamic(graph)
-        for pid in range(dyn.num_vertices):
-            dynamic_ego_score(dyn, pid)  # hold every histogram
-        apply_stream(dyn, generate_update_stream(graph, 80, seed=19))
-        reference = as_dynamic(dyn.to_graph())
-        for pid in range(dyn.num_vertices):
-            rid = reference.id_of(dyn.label_of(pid))
-            dynamic_ego_score(reference, rid)
-            assert dict(dyn._hists[pid]) == dict(reference._hists[rid])
+        assert_histograms_are_the_oracle(dyn)
+        apply_stream(dyn, _mixed_stream(graph, 80, seed=19))
+        assert_histograms_are_the_oracle(dyn)
+
+    def test_a_created_vertex_starts_empty(self):
+        dyn = as_dynamic(erdos_renyi_graph(20, 0.3, seed=2))
+        vid = dyn.add_vertex("fresh")
+        assert dyn._hists[vid] == {}
+        dyn.insert_edge("new-a", "new-b")
+        assert dyn._hists[dyn.id_of("new-a")] == dyn._hists[dyn.id_of("new-b")] == {}
+        assert_histograms_are_the_oracle(dyn)
+
+    @pytest.mark.parametrize("read", ["memo", "none", "parallel"])
+    def test_promotion_seeds_every_histogram(self, read):
+        from repro.session import EgoSession
+
+        graph = barabasi_albert_graph(50, 3, seed=4)
+        with EgoSession(graph) as session:
+            if read == "memo":
+                session.scores()
+            elif read == "parallel":
+                session.scores(parallel=2)
+            session.promote()
+            assert_histograms_are_the_oracle(session._dyn)
+            session.apply(_mixed_stream(graph, 30, seed=5))
+            assert_histograms_are_the_oracle(session._dyn)
+            assert session.scores() == all_ego_betweenness(session.to_graph())
+            session.maintained_top_k(3)
+            assert_histograms_are_the_oracle(session._lazy[3]._dyn)
+
+    def test_recovery_replays_the_tail_onto_seeded_histograms(self, tmp_path):
+        from repro.session import EgoSession
+
+        graph = barabasi_albert_graph(40, 3, seed=6)
+        stream = _mixed_stream(graph, 25, seed=7)
+        with EgoSession(graph, durability=tmp_path / "wal") as session:
+            session.scores()
+            session.apply(stream)
+        recovered = EgoSession.recover(tmp_path / "wal", resume=False)
+        assert recovered.recovery_report.replayed_events == len(stream)
+        assert recovered.state == "dynamic"
+        assert_histograms_are_the_oracle(recovered._dyn)
+        assert recovered.scores() == all_ego_betweenness(recovered.to_graph())
+
+    def test_rebuild_keeps_every_histogram(self):
+        from repro.session import EgoSession
+
+        graph = barabasi_albert_graph(40, 3, seed=8)
+        with EgoSession(graph) as session:
+            session.apply(_mixed_stream(graph, 20, seed=9))
+            session.rebuild()
+            assert session._dyn.delta_records == 0
+            assert_histograms_are_the_oracle(session._dyn)
+            session.apply(generate_update_stream(session.to_graph(), 20, seed=10))
+            assert_histograms_are_the_oracle(session._dyn)
 
 
 class TestExactMaintenance:

@@ -304,10 +304,12 @@ class TestWorkerSideTopKReduction:
 
         synthetic = {0: 2.0, 3: 3.0, 12: 2.0, 13: 2.0, 14: 2.0, 15: 3.0}
 
-        def fake_score(indptr, indices, pid, nbr_sets=None, dense=None):
-            return synthetic.get(pid, 0.0)
+        def fake_histogram(indptr, indices, pid, nbr_sets=None, dense=None):
+            # ``score`` lonely pairs sum to exactly ``score``.
+            score = int(synthetic.get(pid, 0))
+            return {0: score} if score else {}
 
-        monkeypatch.setattr(csr_kernels, "_ego_score_id", fake_score)
+        monkeypatch.setattr(csr_kernels, "_ego_histogram", fake_histogram)
         # The fake replaces the python tier's kernel: run on that tier.
         monkeypatch.setitem(sys.modules, "numpy", None)
         compact = Graph(edges=[(i, i + 1) for i in range(47)]).to_compact()

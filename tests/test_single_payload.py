@@ -126,6 +126,10 @@ def test_apply_reships_once_and_evicts_the_old_version(executor):
         for _ in range(2):
             answer = session.scores_batch([subset], parallel=2, executor=executor)[0]
             assert answer == oracle.scores(vertices=subset)
+            # The dynamic index answers reads from the overlay's histograms;
+            # an engine run is the batch that ships the new version.
+            run = session.parallel_scores(2, executor=executor)
+            assert run.scores == oracle.scores()
         stats = session.runtime_stats()[executor]
         assert stats.payload_ships == 2
         assert stats.payload_evictions == 1

@@ -29,7 +29,7 @@ from repro.graph.generators import star_graph
 from repro.graph.graph import Graph
 from repro.session import EgoSession
 
-from tests.conftest import graph_families
+from tests.conftest import ego_histogram, graph_families
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable"
@@ -89,6 +89,13 @@ def _assert_parity(graph: Graph, build_dense: bool = True, ks=(1, 5)) -> CSRChun
     # numpy tier is transitively oracle-identical.
     labels = compact.labels
     assert {labels[i]: s for i, s in py_scores.items()} == all_ego_betweenness(graph)
+    # Both tiers produce the same exact state: the histograms, key for
+    # key, equal to the by-definition enumeration.
+    py_hists = python.histogram_chunk(range(n))
+    assert numpy_.histogram_chunk(range(n)) == py_hists
+    assert {labels[i]: h for i, h in py_hists.items()} == {
+        v: ego_histogram(graph, v) for v in graph.vertices()
+    }
     for k in ks:
         assert sorted(numpy_.top_chunk(range(n), k)) == sorted(
             python.top_chunk(range(n), k)
@@ -347,7 +354,7 @@ def test_hub_routes_past_the_bitmap_budget(monkeypatch, leaf_edge_p):
 
 
 @requires_numpy
-def test_score_ids_runs_one_blas_thread_and_restores_the_callers(
+def test_histograms_run_one_blas_thread_and_restore_the_callers(
     monkeypatch, social_graph
 ):
     calls = vec_kernels._openblas_thread_calls()
@@ -358,9 +365,9 @@ def test_score_ids_runs_one_blas_thread_and_restores_the_callers(
     inside = []
     score_batch = vec_kernels.VectorizedChunkScorer._score_batch
 
-    def spy(self, batch, scores):
+    def spy(self, batch, hists):
         inside.append(get_threads())
-        return score_batch(self, batch, scores)
+        return score_batch(self, batch, hists)
 
     monkeypatch.setattr(vec_kernels.VectorizedChunkScorer, "_score_batch", spy)
     compact = social_graph.to_compact()
@@ -368,7 +375,7 @@ def test_score_ids_runs_one_blas_thread_and_restores_the_callers(
     try:
         set_threads(2)  # OpenBLAS clamps this to the threads it has
         caller = get_threads()
-        scorer.score_ids(range(compact.num_vertices))
+        scorer.histograms(range(compact.num_vertices))
         after = get_threads()
         with vec_kernels.one_blas_thread():  # scopes nest
             with vec_kernels.one_blas_thread():
@@ -452,7 +459,7 @@ def test_kernel_demotes_on_vectorized_failure(social_graph):
     expected = python.score_chunk(range(n))
 
     class _Boom:
-        def score_ids(self, ids):
+        def histograms(self, ids):
             raise RuntimeError("injected vectorized failure")
 
     numpy_._vec = _Boom()
@@ -473,7 +480,7 @@ def test_top_chunk_demotes_on_vectorized_failure(social_graph):
     python, numpy_ = _tier_pair(compact)
 
     class _Boom:
-        def score_ids(self, ids):
+        def histograms(self, ids):
             raise RuntimeError("injected vectorized failure")
 
     numpy_._vec = _Boom()
