@@ -60,7 +60,7 @@ def main() -> None:
                 "rank": rank,
                 "user": vertex,
                 "ego_betweenness": round(score, 3),
-                "index_agrees": abs(exact[vertex] - score) < 1e-9,
+                "index_agrees": exact[vertex] == score,
             }
         )
     print(format_table(rows, title="Top-10 bridge users after all updates"))
@@ -73,7 +73,7 @@ def main() -> None:
         f"and skipped {counters['skipped_recomputations']};\n"
         f"  the full index patched every affected vertex on every update.\n"
         f"session stats: {stats.update_events} updates, state={stats.state}, "
-        f"overlay rebuilds={stats.overlay_rebuilds}"
+        f"one shared overlay, snapshots compacted={stats.overlay_rebuilds}"
     )
 
 

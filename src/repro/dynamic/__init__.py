@@ -14,9 +14,11 @@
 Both maintainers take ``backend={"auto", "compact", "hash"}``: the default
 compact backend runs on the mutable CSR overlay
 (:class:`~repro.graph.dynamic_csr.DynamicCompactGraph`), which patches a
-connector-count histogram per scored vertex with the Lemma 4–7 closed form;
+connector-count histogram per vertex with the Lemma 4–7 closed form;
 the hash backend recomputes the Observation-1 affected vertices by
-definition.  Both keep values bit-identical to a fresh recomputation.
+definition.  Both keep values bit-identical to a fresh recomputation.  A
+session's index and lazy maintainers share the session's one graph state:
+it is mutated once per update and each maintainer reacts.
 """
 
 from repro.dynamic.local_update import EgoBetweennessIndex, affected_vertices

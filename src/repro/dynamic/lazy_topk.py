@@ -23,15 +23,16 @@ get the static bound; endpoints shrink their bound).
 
 Like :class:`~repro.dynamic.local_update.EgoBetweennessIndex`, the
 maintainer runs on one of two backends (``backend={"auto", "compact",
-"hash"}``, auto = compact).  The compact backend keeps the graph in a
-:class:`~repro.graph.dynamic_csr.DynamicCompactGraph` overlay, whose
-connector-count histograms one kernel sweep seeds at construction and every
-update patches, so an exact recomputation the laziness cannot avoid is a
-re-sum of a histogram.  The hash backend recomputes by definition.  The
-decision sequence (which vertices are recomputed, skipped, swapped) is
-deterministic and identical across backends, so the ``exact_recomputations`` /
-``skipped_recomputations`` counters and the maintained values agree
-exactly.
+"hash"}``, auto = compact), and shares its update path: validate, mutate
+the graph state once, then react (here: phases A–C below).  The compact
+backend reads a :class:`~repro.graph.dynamic_csr.DynamicCompactGraph`
+overlay, whose connector-count histograms one kernel sweep seeds at
+construction and every update patches, so an exact recomputation the
+laziness cannot avoid is a re-sum of a histogram.  The hash backend
+recomputes by definition.  The decision sequence (which vertices are
+recomputed, skipped, swapped) is deterministic and identical across
+backends, so the ``exact_recomputations`` / ``skipped_recomputations``
+counters and the maintained values agree exactly.
 
 Ties follow the one top-k order (score descending, then
 :func:`~repro._ordering.sort_key` ascending): the outsider heap is keyed on
@@ -50,30 +51,31 @@ skip-when-bounded behaviour that Exp-3 measures.
 
 The canonical owner of these maintainers is
 :class:`repro.session.EgoSession`, which attaches one per requested ``k``
-(``maintained_top_k(k)``, seeded from the session's exact
-values) and forwards every applied update to it; direct construction
-remains supported for standalone use.
+(``maintained_top_k(k)``, seeded from the session's exact values) over the
+session's own graph state: the session patches that one state per update
+and each maintainer reacts, so attaching one sweeps nothing and an update
+patches no second copy.  Direct construction keeps a private copy of the
+graph for standalone use.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro._ordering import sort_key
 from repro.core.bounds import static_upper_bound
-from repro.core.csr_kernels import as_dynamic, dynamic_ego_score, normalize_backend
+from repro.core.csr_kernels import dynamic_ego_score
 from repro.core.ego_betweenness import ego_betweenness
 from repro.core.topk import SearchStats, TopKResult, rank_entries
-from repro.dynamic.local_update import initial_values
-from repro.errors import EdgeExistsError, EdgeNotFoundError, InvalidParameterError, SelfLoopError
+from repro.dynamic.local_update import GraphState, _Maintainer
+from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph, Vertex
 
 __all__ = ["LazyTopKMaintainer"]
 
 
-class LazyTopKMaintainer:
+class LazyTopKMaintainer(_Maintainer):
     """Maintains the exact top-k ego-betweenness set across edge updates.
 
     Parameters
@@ -113,43 +115,24 @@ class LazyTopKMaintainer:
     ) -> None:
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
-        self.backend = normalize_backend(backend)
-        if self.backend == "compact":
-            self._dyn = as_dynamic(graph)
-            self._graph: Optional[Graph] = None
-            self._graph_version = -1
-        else:
-            self._dyn = None
-            self._graph = graph.copy()
-        self._values: Dict[Vertex, float] = (
-            dict(values) if values is not None else initial_values(self._dyn, self._graph)
-        )
+        self._setup(self._private_state(graph, backend), k, values=values)
+
+    def _setup(
+        self, state: GraphState, k: int, values: Optional[Dict[Vertex, float]]
+    ) -> None:
+        self._hold(state)
+        self._values: Dict[Vertex, float] = self._initial_values(values)
         self._k = k
         self._exact: Set[Vertex] = set(self._values)
         self._result: Set[Vertex] = set()
         self._heap: List[Tuple[float, tuple, Vertex]] = []
         self.exact_recomputations = 0
         self.skipped_recomputations = 0
-        self.last_update_seconds = 0.0
         self._initialise_result()
 
     # ------------------------------------------------------------------
     # Public read API
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> Graph:
-        """The graph the maintainer currently reflects (treat as read-only).
-
-        On the compact backend a hash-set view is materialised lazily and
-        cached until the next update.
-        """
-        if self._dyn is None:
-            return self._graph
-        if self._graph is None or self._graph_version != self._dyn.version:
-            self._graph = self._dyn.to_graph()
-            self._graph_version = self._dyn.version
-        return self._graph
-
     @property
     def k(self) -> int:
         """The maintained result size."""
@@ -173,92 +156,36 @@ class LazyTopKMaintainer:
         an upper bound for stale outsiders)."""
         return self._values[vertex]
 
-    def rebuild(self) -> None:
-        """Re-compact the CSR overlay's storage (no-op on the hash backend).
-
-        Maintained values, result set and counters are unchanged — only the
-        overlay's delta sets are folded back into contiguous CSR arrays.
-        """
-        if self._dyn is not None:
-            self._dyn.rebuild()
-
-    @property
-    def overlay_rebuilds(self) -> int:
-        """Number of overlay re-compactions so far (0 on the hash backend)."""
-        if self._dyn is not None:
-            return self._dyn.rebuilds
-        return 0
-
-    # ------------------------------------------------------------------
-    # Backend adapters
-    # ------------------------------------------------------------------
-    def _has_vertex(self, vertex: Vertex) -> bool:
-        if self._dyn is not None:
-            return self._dyn.has_vertex(vertex)
-        return self._graph.has_vertex(vertex)
-
-    def _has_edge(self, u: Vertex, v: Vertex) -> bool:
-        if self._dyn is not None:
-            return self._dyn.has_edge(u, v)
-        return self._graph.has_edge(u, v)
-
     def _degree(self, vertex: Vertex) -> int:
-        if self._dyn is not None:
-            return self._dyn.degree(self._dyn.id_of(vertex))
-        return self._graph.degree(vertex)
-
-    def _add_vertex(self, vertex: Vertex) -> None:
-        if self._dyn is not None:
-            self._dyn.add_vertex(vertex)
-        else:
-            self._graph.add_vertex(vertex)
-
-    def _mutate(self, u: Vertex, v: Vertex, inserting: bool) -> Set[Vertex]:
-        """Apply the edge update; return the common neighbours (labels)."""
-        if self._dyn is not None:
-            dyn = self._dyn
-            uid, vid = dyn.id_of(u), dyn.id_of(v)
-            common_ids = (
-                dyn.insert_edge_ids(uid, vid) if inserting else dyn.delete_edge_ids(uid, vid)
-            )
-            label_of = dyn.label_of
-            return {label_of(w) for w in common_ids}
-        graph = self._graph
-        common = graph.common_neighbors(u, v)
-        if inserting:
-            graph.add_edge(u, v)
-        else:
-            graph.remove_edge(u, v)
-        return common
+        dyn = self._dyn
+        if dyn is not None:
+            return dyn.degree(dyn.id_of(vertex))
+        return self._state.degree(vertex)
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def insert_edge(self, u: Vertex, v: Vertex) -> None:
         """LazyInsert: apply the edge insertion and restore the top-k invariant."""
-        start = time.perf_counter()
-        if u == v:
-            raise SelfLoopError(u)
-        if self._has_vertex(u) and self._has_vertex(v) and self._has_edge(u, v):
-            raise EdgeExistsError(u, v)
-        for endpoint in (u, v):
-            if not self._has_vertex(endpoint):
-                self._add_vertex(endpoint)
-                self._values[endpoint] = 0.0
-                self._exact.add(endpoint)
-                self._push(endpoint, 0.0)
-        common = self._mutate(u, v, inserting=True)
-        self._apply_update(uncertain=(u, v), monotone=common, decreasing=True)
-        self.last_update_seconds = time.perf_counter() - start
+        self._update(u, v, inserting=True)
 
     def delete_edge(self, u: Vertex, v: Vertex) -> None:
         """LazyDelete: apply the edge deletion and restore the top-k invariant."""
-        start = time.perf_counter()
-        if not (self._has_vertex(u) and self._has_vertex(v) and self._has_edge(u, v)):
-            raise EdgeNotFoundError(u, v)
-        common = self._mutate(u, v, inserting=False)
-        self._apply_update(uncertain=(u, v), monotone=common, decreasing=False)
-        self.last_update_seconds = time.perf_counter() - start
+        self._update(u, v, inserting=False)
+
+    def _react(self, u: Vertex, v: Vertex, common: Set[Vertex], inserting: bool) -> None:
+        """Restore the top-k invariant after the graph state took the update.
+
+        An endpoint the insert created enters as an exact outsider of
+        value 0; then :meth:`_apply_update` runs the lazy phases.
+        """
+        if inserting:
+            for endpoint in (u, v):
+                if endpoint not in self._values:
+                    self._values[endpoint] = 0.0
+                    self._exact.add(endpoint)
+                    self._push(endpoint, 0.0)
+        self._apply_update(uncertain=(u, v), monotone=common, decreasing=inserting)
 
     # ------------------------------------------------------------------
     # Update machinery
@@ -358,10 +285,11 @@ class LazyTopKMaintainer:
         return max(self._result, key=lambda p: (-values[p], sort_key(p)))
 
     def _recompute(self, vertex: Vertex) -> float:
-        if self._dyn is not None:
-            score = dynamic_ego_score(self._dyn, self._dyn.id_of(vertex))
+        dyn = self._dyn
+        if dyn is not None:
+            score = dynamic_ego_score(dyn, dyn.id_of(vertex))
         else:
-            score = ego_betweenness(self._graph, vertex)
+            score = ego_betweenness(self._state, vertex)
         self._values[vertex] = score
         self._exact.add(vertex)
         self.exact_recomputations += 1
@@ -406,7 +334,7 @@ class LazyTopKMaintainer:
         while self._heap:
             neg_priority, _, vertex = heapq.heappop(self._heap)
             priority = -neg_priority
-            if vertex in self._result or not self._has_vertex(vertex):
+            if vertex in self._result:
                 continue
             if priority != self._values.get(vertex):
                 continue

@@ -30,35 +30,36 @@ Two backends implement the index (``backend={"auto", "compact",
   :func:`~repro.core.ego_betweenness.ego_betweenness`, so compact-vs-hash
   parity checks the Lemma 4–7 patcher against the definition itself.
 
-The canonical owner of this index is :class:`repro.session.EgoSession`,
-which builds one at its static→dynamic promotion (seeded with the values
-the session already computed, else re-summed from the overlay's
-histograms) and serves ``scores()`` and naive
-``top_k`` from it; direct construction remains supported for standalone
-use.
+Both maintainers share one update path (:class:`_Maintainer`): validate,
+mutate the graph state once (:func:`mutate_edge`), then *react* to
+``(u, v, N(u) ∩ N(v))``.  The canonical owner of this index is
+:class:`repro.session.EgoSession`, which holds one graph state (the overlay,
+or the hash graph on the oracle backend) for itself, this index and every
+lazy top-k maintainer it attaches: each adopts that state instead of a copy
+(:meth:`_Maintainer._adopt`), the session mutates it once per update, and
+each consumer reacts.  The index is built at the static→dynamic promotion
+(seeded with the values the session already computed, else re-summed from
+the overlay's histograms) and serves ``scores()`` and naive ``top_k``.
+Direct construction keeps a private copy of the graph for standalone use.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.csr_kernels import as_dynamic, dynamic_ego_score, normalize_backend
 from repro.core.ego_betweenness import all_ego_betweenness, ego_betweenness
 from repro.core.topk import top_entries
-from repro.errors import EdgeNotFoundError, SelfLoopError
+from repro.errors import SelfLoopError
+from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.graph import Graph, Vertex
 
-__all__ = ["EgoBetweennessIndex", "affected_vertices"]
+__all__ = ["EgoBetweennessIndex", "affected_vertices", "mutate_edge"]
 
-
-def initial_values(dyn, graph: Optional[Graph]) -> Dict[Vertex, float]:
-    """Every vertex's exact value: re-summed from the overlay ``dyn``'s
-    seeded histograms, or computed on the hash ``graph`` when ``dyn`` is
-    ``None``."""
-    if dyn is None:
-        return all_ego_betweenness(graph)
-    return {label: dynamic_ego_score(dyn, pid) for pid, label in enumerate(dyn.labels)}
+#: The mutable graph state of the dynamic maintainers: the CSR overlay
+#: (compact backend) or a hash-set graph (the oracle).
+GraphState = Union[DynamicCompactGraph, Graph]
 
 
 def affected_vertices(graph: Graph, u: Vertex, v: Vertex) -> Set[Vertex]:
@@ -73,7 +74,109 @@ def affected_vertices(graph: Graph, u: Vertex, v: Vertex) -> Set[Vertex]:
     return affected
 
 
-class EgoBetweennessIndex:
+def mutate_edge(state: GraphState, u: Vertex, v: Vertex, inserting: bool) -> Set[Vertex]:
+    """Insert or delete the edge ``(u, v)`` of ``state``; return ``N(u) ∩ N(v)``.
+
+    The one mutation of an update, validated before anything changes: a
+    self-loop raises :class:`SelfLoopError`, inserting an existing edge
+    :class:`EdgeExistsError` and deleting an absent one
+    :class:`EdgeNotFoundError`.  An insert adds missing endpoints.  On the
+    overlay the mutation also patches the connector-count histograms of
+    the affected vertices.
+    """
+    if inserting and u == v:
+        raise SelfLoopError(u)
+    if isinstance(state, Graph):
+        if inserting:
+            state.add_edge(u, v)
+        else:
+            state.remove_edge(u, v)
+        return state.common_neighbors(u, v)
+    common = state.insert_edge(u, v) if inserting else state.delete_edge(u, v)
+    common.discard(u)
+    common.discard(v)
+    return common
+
+
+class _Maintainer:
+    """The update path and graph state both dynamic maintainers share.
+
+    A maintainer reads one :data:`GraphState`.  Direct construction gives
+    it a private copy of the caller's graph; :meth:`_adopt` builds it over
+    a state its owner already holds, so one state (and on the overlay one
+    set of histograms) serves every consumer.  An update is validate +
+    mutate (:func:`mutate_edge`) + :meth:`_react`; an adopted maintainer
+    is driven by its owner, which mutates the shared state once and then
+    calls each consumer's :meth:`_react`.
+    """
+
+    def _hold(self, state: GraphState) -> None:
+        self._state = state
+        self._dyn: Optional[DynamicCompactGraph] = (
+            state if isinstance(state, DynamicCompactGraph) else None
+        )
+        self.backend = "hash" if self._dyn is None else "compact"
+        self._view: Optional[Tuple[int, Graph]] = None
+        self.last_update_seconds = 0.0
+        self.last_mutation_seconds = 0.0
+
+    @staticmethod
+    def _private_state(graph, backend: str) -> GraphState:
+        """A copy of ``graph`` on ``backend`` that the caller never sees mutate."""
+        if normalize_backend(backend) == "compact":
+            return as_dynamic(graph)
+        return graph.copy()
+
+    @classmethod
+    def _adopt(cls, state: GraphState, *args, values=None):
+        """Build the maintainer over ``state`` itself instead of a copy.
+
+        The owner keeps the only write path: it applies every update to
+        ``state`` with :func:`mutate_edge` and then calls :meth:`_react`.
+        """
+        maintainer = cls.__new__(cls)
+        maintainer._setup(state, *args, values=values)
+        return maintainer
+
+    def _initial_values(self, values: Optional[Dict[Vertex, float]]) -> Dict[Vertex, float]:
+        """A copy of ``values``, else every vertex's exact value: re-summed
+        from the overlay's histograms, or computed on the hash graph."""
+        if values is not None:
+            return dict(values)
+        dyn = self._dyn
+        if dyn is None:
+            return all_ego_betweenness(self._state)
+        return {label: dynamic_ego_score(dyn, pid) for pid, label in enumerate(dyn.labels)}
+
+    @property
+    def graph(self) -> Graph:
+        """The graph the maintainer currently reflects (treat as read-only).
+
+        On the compact backend a hash-set view is materialised lazily and
+        cached until the next update.
+        """
+        dyn = self._dyn
+        if dyn is None:
+            return self._state
+        if self._view is None or self._view[0] != dyn.version:
+            self._view = (dyn.version, dyn.to_graph())
+        return self._view[1]
+
+    def _update(self, u: Vertex, v: Vertex, inserting: bool):
+        """Validate + mutate + react, timed into ``last_update_seconds``
+        (the mutation's share into ``last_mutation_seconds``)."""
+        start = time.perf_counter()
+        common = mutate_edge(self._state, u, v, inserting)
+        self.last_mutation_seconds = time.perf_counter() - start
+        result = self._react(u, v, common, inserting)
+        self.last_update_seconds = time.perf_counter() - start
+        return result
+
+    def _react(self, u: Vertex, v: Vertex, common: Set[Vertex], inserting: bool):
+        raise NotImplementedError
+
+
+class EgoBetweennessIndex(_Maintainer):
     """Exact ego-betweenness of every vertex, maintained under edge updates.
 
     Parameters
@@ -92,13 +195,6 @@ class EgoBetweennessIndex:
         the caller guarantees the values match the supplied graph.  Without
         it the compact backend re-sums the overlay's seeded histograms and
         the hash backend computes every vertex.
-    copy:
-        When ``False`` the index *adopts* the supplied graph instead of
-        copying it: a :class:`DynamicCompactGraph` (compact backend) or a
-        :class:`Graph` (hash backend) is used as the index's own mutable
-        state.  The caller hands over ownership — every update must go
-        through this index (the :class:`~repro.session.EgoSession` uses
-        this to share one topology between the session and its index).
 
     Examples
     --------
@@ -115,101 +211,42 @@ class EgoBetweennessIndex:
         graph: Graph,
         backend: str = "auto",
         values: Optional[Dict[Vertex, float]] = None,
-        copy: bool = True,
     ) -> None:
-        from repro.graph.dynamic_csr import DynamicCompactGraph
+        self._setup(self._private_state(graph, backend), values=values)
 
-        self.backend = normalize_backend(backend)
-        self._snapshot_cache: Optional[Tuple[int, "CompactGraph"]] = None
-        if self.backend == "compact":
-            if not copy and isinstance(graph, DynamicCompactGraph):
-                self._dyn = graph
-            else:
-                self._dyn = as_dynamic(graph)
-            self._graph: Optional[Graph] = None
-            self._graph_version = -1
-        else:
-            self._dyn = None
-            self._graph = graph if not copy else graph.copy()
-        self._scores: Dict[Vertex, float] = (
-            dict(values) if values is not None else initial_values(self._dyn, self._graph)
-        )
-        self.last_update_seconds: float = 0.0
+    def _setup(self, state: GraphState, values: Optional[Dict[Vertex, float]]) -> None:
+        self._hold(state)
+        self._scores: Dict[Vertex, float] = self._initial_values(values)
 
     # ------------------------------------------------------------------
     # Read access
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> Graph:
-        """The graph the index currently reflects (treat as read-only).
-
-        On the compact backend a hash-set view is materialised lazily and
-        cached until the next update.
-        """
-        if self._dyn is None:
-            return self._graph
-        if self._graph is None or self._graph_version != self._dyn.version:
-            self._graph = self._dyn.to_graph()
-            self._graph_version = self._dyn.version
-        return self._graph
-
-    @property
     def version(self) -> int:
         """Monotone counter bumped by every applied update (cache keying)."""
-        if self._dyn is not None:
-            return self._dyn.version
-        return self._graph.version
+        return self._state.version
 
     @property
     def num_vertices(self) -> int:
         """Number of vertices of the maintained graph."""
-        if self._dyn is not None:
-            return self._dyn.num_vertices
-        return self._graph.num_vertices
+        return self._state.num_vertices
 
     @property
     def num_edges(self) -> int:
         """Number of undirected edges of the maintained graph."""
-        if self._dyn is not None:
-            return self._dyn.num_edges
-        return self._graph.num_edges
+        return self._state.num_edges
 
     def compact_snapshot(self) -> "CompactGraph":
         """Return an immutable CSR snapshot of the current graph state.
 
-        Memoised per :attr:`version`: between updates, every caller
-        receives the *same* ``CompactGraph`` object, so its cached search
-        orders and memoised ego summaries stay warm across repeated
-        queries — the cheap way to run a top-k search against a live
-        standalone index (an :class:`~repro.session.EgoSession` keeps its
-        own equivalent memo over the shared topology).
+        Memoised per :attr:`version` (by the overlay, or by the hash
+        graph's conversion memo): between updates every caller receives
+        the *same* ``CompactGraph`` object, so its cached search orders and
+        memoised ego summaries stay warm across repeated queries.
         """
         if self._dyn is not None:
-            version = self._dyn.version
-            cached = self._snapshot_cache
-            if cached is not None and cached[0] == version:
-                return cached[1]
-            snapshot = self._dyn.snapshot()
-            self._snapshot_cache = (version, snapshot)
-            return snapshot
-        return self._graph.to_compact()
-
-    def rebuild(self) -> None:
-        """Re-compact the CSR overlay's storage (no-op on the hash backend).
-
-        The graph and the maintained values are unchanged — only the
-        overlay's delta sets are folded back into contiguous CSR arrays
-        (see :meth:`DynamicCompactGraph.rebuild`).
-        """
-        if self._dyn is not None:
-            self._dyn.rebuild()
-
-    @property
-    def overlay_rebuilds(self) -> int:
-        """Number of overlay re-compactions so far (0 on the hash backend)."""
-        if self._dyn is not None:
-            return self._dyn.rebuilds
-        return 0
+            return self._dyn.snapshot()
+        return self._state.to_compact()
 
     def score(self, vertex: Vertex) -> float:
         """Return the maintained ego-betweenness of ``vertex``."""
@@ -238,15 +275,7 @@ class EgoBetweennessIndex:
         :class:`EdgeExistsError` when the edge is already present and
         :class:`SelfLoopError` for ``u == v``.
         """
-        start = time.perf_counter()
-        if u == v:
-            raise SelfLoopError(u)
-        if self._dyn is not None:
-            affected = self._update_compact(u, v, inserting=True)
-        else:
-            affected = self._update_hash(u, v, inserting=True)
-        self.last_update_seconds = time.perf_counter() - start
-        return affected
+        return self._update(u, v, inserting=True)
 
     def delete_edge(self, u: Vertex, v: Vertex) -> Set[Vertex]:
         """LocalDelete: remove edge ``(u, v)`` and refresh the affected scores.
@@ -254,47 +283,24 @@ class EgoBetweennessIndex:
         Returns the set of vertices whose score was updated.  Raises
         :class:`EdgeNotFoundError` when the edge is absent.
         """
-        start = time.perf_counter()
-        if self._dyn is not None:
-            affected = self._update_compact(u, v, inserting=False)
-        else:
-            affected = self._update_hash(u, v, inserting=False)
-        self.last_update_seconds = time.perf_counter() - start
-        return affected
+        return self._update(u, v, inserting=False)
 
-    # ------------------------------------------------------------------
-    # Compact backend: patched histograms on the CSR overlay
-    # ------------------------------------------------------------------
-    def _update_compact(self, u: Vertex, v: Vertex, inserting: bool) -> Set[Vertex]:
-        dyn = self._dyn
-        if inserting:
-            uid, vid = dyn.add_vertex(u), dyn.add_vertex(v)
-            common = dyn.insert_edge_ids(uid, vid)  # raises EdgeExistsError
-        else:
-            if not (dyn.has_vertex(u) and dyn.has_vertex(v)):
-                raise EdgeNotFoundError(u, v)
-            uid, vid = dyn.id_of(u), dyn.id_of(v)
-            common = dyn.delete_edge_ids(uid, vid)  # raises EdgeNotFoundError
-        scores = self._scores
-        label_of = dyn.label_of
+    def _react(self, u: Vertex, v: Vertex, common: Set[Vertex], inserting: bool) -> Set[Vertex]:
+        """Refresh the Observation-1 affected scores of a mutated state.
+
+        The overlay re-sums each patched histogram; the hash oracle
+        recomputes each ego network by definition.
+        """
         affected = {u, v}
-        for pid in (uid, vid, *common):
-            label = label_of(pid)
-            scores[label] = dynamic_ego_score(dyn, pid)
-            affected.add(label)
-        return affected
-
-    # ------------------------------------------------------------------
-    # Hash backend (definition oracle)
-    # ------------------------------------------------------------------
-    def _update_hash(self, u: Vertex, v: Vertex, inserting: bool) -> Set[Vertex]:
-        graph = self._graph
-        if inserting:
-            graph.add_edge(u, v)  # raises EdgeExistsError
-        else:
-            graph.remove_edge(u, v)  # raises EdgeNotFoundError
-        affected = {u, v} | graph.common_neighbors(u, v)
+        affected |= common
         scores = self._scores
-        for p in affected:
-            scores[p] = ego_betweenness(graph, p)
+        dyn = self._dyn
+        if dyn is None:
+            graph = self._state
+            for p in affected:
+                scores[p] = ego_betweenness(graph, p)
+        else:
+            id_of = dyn.id_of
+            for p in affected:
+                scores[p] = dynamic_ego_score(dyn, id_of(p))
         return affected

@@ -9,8 +9,8 @@ It provides
   dense int ids and sorted adjacency arrays, the fast backend for the
   top-k hot paths,
 * :class:`~repro.graph.dynamic_csr.DynamicCompactGraph` — the mutable CSR
-  overlay (base snapshot + per-vertex edge delta sets with a gated
-  rebuild), the fast backend for the dynamic-maintenance hot path,
+  overlay (live per-vertex neighbour sets, compacted to a snapshot once
+  per version), the fast backend for the dynamic-maintenance hot path,
 * :class:`~repro.graph.orientation.OrientedGraph` — the degree-ordered DAG
   ``G+`` used for once-per-triangle enumeration,
 * triangle and wedge enumeration (:mod:`repro.graph.triangles`),

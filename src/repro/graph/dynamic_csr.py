@@ -1,22 +1,17 @@
-"""Delta-capable CSR overlay for the dynamic-maintenance hot path.
+"""The mutable CSR overlay: one dynamic graph state per owner.
 
 :class:`DynamicCompactGraph` is the mutable twin of the immutable
-:class:`~repro.graph.csr.CompactGraph`: it keeps the base CSR snapshot
-(``indptr`` / ``indices``) untouched and layers small per-vertex *delta
-sets* of inserted and deleted edges on top, so that
+:class:`~repro.graph.csr.CompactGraph`.  It copies each row of a CSR
+snapshot into a live per-vertex **int set** once, at construction, so
+adjacency and intersection queries run as C-level ``set`` operations over
+dense ids (no hashing of arbitrary vertex labels), and an update changes
+two sets.  :meth:`~DynamicCompactGraph.snapshot` compacts the sets back
+into CSR arrays once per :attr:`~DynamicCompactGraph.version`: until the
+first mutation it returns the construction snapshot itself, for free.
 
-* adjacency and intersection queries run on live per-vertex **int sets**
-  (C-level ``set`` operations over dense ids — no hashing of arbitrary
-  vertex labels),
-* an overlay without deltas snapshots to its base for free,
-* once the accumulated deltas grow past a size/ratio gate the overlay
-  :meth:`rebuild`\\ s itself into a fresh CSR snapshot, which re-compacts
-  every row back to array form and resets the delta tracking.
-
-Vertex ids are dense ``0..n-1`` ints and — crucially for the incremental
-kernels — **stable across rebuilds**: new vertices are appended, existing
-ids never move, so memoised per-vertex results survive a rebuild (a rebuild
-changes the storage layout, never the graph).
+Vertex ids are dense ``0..n-1`` ints and stable: new vertices are
+appended, existing ids never move, so a snapshot's ids map 1:1 onto the
+overlay.
 
 The overlay also holds the dynamic maintainers' exact state: one
 connector-count histogram per vertex (``{count: non-adjacent pairs}``,
@@ -28,12 +23,14 @@ the histograms of ``{u, v} ∪ N(u) ∩ N(v)`` (Observation 1 of the paper),
 and :meth:`DynamicCompactGraph._patch_histograms` moves exactly the pairs
 Lemmas 4–7 name between buckets, so every histogram stays equal to a
 fresh enumeration of its ego network; a score is a re-sum of it
-(:func:`repro.core.csr_kernels.dynamic_ego_score`).
+(:func:`repro.core.csr_kernels.dynamic_ego_score`).  One overlay serves
+every maintainer of a session: it is patched once per update, and the
+exact index and each lazy top-k maintainer then re-sum what they need.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro._ordering import sort_key
 from repro.errors import (
@@ -45,78 +42,62 @@ from repro.errors import (
 from repro.graph.csr import CompactGraph
 from repro.graph.graph import Graph, Vertex
 
-__all__ = [
-    "DynamicCompactGraph",
-    "DEFAULT_REBUILD_RATIO",
-    "DEFAULT_MIN_REBUILD_DELTAS",
-]
-
-#: Fraction of the base edge count the accumulated deltas may reach before
-#: the overlay re-compacts itself into a fresh CSR snapshot.
-DEFAULT_REBUILD_RATIO = 0.25
-
-#: Floor on the delta count before a rebuild is considered at all — on
-#: small graphs the ratio gate alone would trigger a rebuild every few
-#: updates, which costs more than it saves.
-DEFAULT_MIN_REBUILD_DELTAS = 256
+__all__ = ["DynamicCompactGraph"]
 
 
 class DynamicCompactGraph:
-    """A mutable CSR overlay: base snapshot + per-vertex edge delta sets.
+    """A mutable CSR overlay: live per-vertex neighbour sets over dense ids.
 
     Parameters
     ----------
     base:
         The immutable CSR snapshot the overlay starts from.  The snapshot is
-        never mutated; its per-row neighbour sets are copied once so the
-        overlay owns its working adjacency.
+        never mutated; its rows are copied once into the overlay's own
+        neighbour sets, and it is what :meth:`snapshot` returns until the
+        first mutation.
     histograms:
         The connector-count histogram of every id of ``base``, as
         :meth:`~repro.core.csr_kernels.CSRChunkKernel.histogram_chunk`
         returns them; the overlay adopts them.  Swept from ``base`` when
         omitted.
 
-    The overlay re-compacts itself once the delta count reaches
-    :data:`DEFAULT_REBUILD_RATIO` of the base edge count, and never before
-    :data:`DEFAULT_MIN_REBUILD_DELTAS` deltas.
+    Attributes
+    ----------
+    compactions:
+        Snapshots compacted from the live sets so far (at most one per
+        :attr:`version`).
 
     Examples
     --------
     >>> g = Graph(edges=[("a", "b"), ("b", "c"), ("a", "c")])
     >>> dyn = DynamicCompactGraph.from_graph(g)
+    >>> base = dyn.snapshot()
     >>> sorted(dyn.insert_edge("c", "d"))
     ['c', 'd']
-    >>> dyn.num_edges, dyn.delta_records
-    (4, 1)
     >>> dyn.to_graph() == Graph(edges=[("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
     True
-    >>> dyn.rebuild()
-    >>> dyn.delta_records
-    0
+    >>> snap = dyn.snapshot()
+    >>> snap is base, snap is dyn.snapshot(), snap.num_edges, dyn.compactions
+    (False, True, 4, 1)
     """
 
     __slots__ = (
-        "_base",
-        "_base_n",
         "_labels",
         "_ids",
         "_label_keys",
         "_degrees",
         "_nbr_sets",
-        "_added",
-        "_removed",
-        "_delta_records",
         "_num_edges",
         "_hists",
         "_version",
-        "rebuilds",
+        "_snapshot",
+        "compactions",
     )
 
     def __init__(
         self, base: CompactGraph, histograms: Optional[Dict[int, Dict[int, int]]] = None
     ) -> None:
-        self._base = base
-        self._base_n = base.num_vertices
+        n = base.num_vertices
         self._labels: List[Vertex] = list(base.labels)
         self._ids: Dict[Vertex, int] = {label: i for i, label in enumerate(self._labels)}
         self._label_keys: Dict[Vertex, tuple] = dict(base.label_keys())
@@ -124,23 +105,19 @@ class DynamicCompactGraph:
         indptr, indices = base.indptr, base.indices
         # Fresh mutable copies — never alias the snapshot's cached sets.
         self._nbr_sets: List[Set[int]] = [
-            set(indices[indptr[i] : indptr[i + 1]]) for i in range(self._base_n)
+            set(indices[indptr[i] : indptr[i + 1]]) for i in range(n)
         ]
-        self._added: Dict[int, Set[int]] = {}
-        self._removed: Dict[int, Set[int]] = {}
-        self._delta_records = 0
         self._num_edges = base.num_edges
-        # Connector-count histogram per id (see _patch_histograms); a
-        # rebuild keeps them (the graph is unchanged, only its storage is).
+        # Connector-count histogram per id (see _patch_histograms).
         if histograms is None:
             from repro.core.csr_kernels import CSRChunkKernel
 
-            histograms = CSRChunkKernel.for_compact(base).histogram_chunk(
-                range(self._base_n)
-            )
-        self._hists: List[Dict[int, int]] = [histograms[i] for i in range(self._base_n)]
+            histograms = CSRChunkKernel.for_compact(base).histogram_chunk(range(n))
+        self._hists: List[Dict[int, int]] = [histograms[i] for i in range(n)]
         self._version = 0
-        self.rebuilds = 0
+        # (version, snapshot): the construction snapshot serves version 0.
+        self._snapshot: Tuple[int, CompactGraph] = (0, base)
+        self.compactions = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -151,7 +128,7 @@ class DynamicCompactGraph:
         return cls(CompactGraph.from_graph(graph))
 
     def to_graph(self) -> Graph:
-        """Materialise the *current* state as a hash-set :class:`Graph`."""
+        """Materialise the *current* state as an independent :class:`Graph`."""
         labels = self._labels
         graph = Graph(vertices=labels)
         for u, nbrs in enumerate(self._nbr_sets):
@@ -164,41 +141,24 @@ class DynamicCompactGraph:
     def snapshot(self) -> CompactGraph:
         """Return an immutable CSR snapshot of the current state.
 
-        When no deltas have accumulated this is the base snapshot itself
-        (free); otherwise fresh CSR arrays are compacted from the live
-        neighbour sets.  Ids and labels are preserved either way, so results
-        computed against the snapshot map 1:1 onto the overlay.
+        Memoised per :attr:`version`: every caller between two mutations
+        receives the same object, and before the first mutation that is
+        the construction snapshot (free).  Otherwise fresh CSR arrays are
+        compacted from the live neighbour sets.  Ids and labels are
+        preserved, so results computed against the snapshot map 1:1 onto
+        the overlay.
         """
-        if self._delta_records == 0 and len(self._labels) == self._base_n:
-            return self._base
-        indptr = [0]
-        indices: List[int] = []
-        for nbrs in self._nbr_sets:
-            indices.extend(sorted(nbrs))
-            indptr.append(len(indices))
-        return CompactGraph(self._labels, indptr, indices)
-
-    def rebuild(self) -> None:
-        """Re-compact the overlay into a fresh base CSR snapshot.
-
-        The graph itself is unchanged — only the storage layout: every row
-        becomes a contiguous sorted array slice again, the delta sets are
-        cleared and the held histograms survive.
-        """
-        self._base = self.snapshot()
-        self._base_n = len(self._labels)
-        self._added = {}
-        self._removed = {}
-        self._delta_records = 0
-        self.rebuilds += 1
-
-    def _maybe_rebuild(self) -> None:
-        threshold = max(
-            DEFAULT_MIN_REBUILD_DELTAS,
-            int(DEFAULT_REBUILD_RATIO * max(self._base.num_edges, 1)),
-        )
-        if self._delta_records >= threshold:
-            self.rebuild()
+        version, snapshot = self._snapshot
+        if version != self._version:
+            indptr = [0]
+            indices: List[int] = []
+            for nbrs in self._nbr_sets:
+                indices.extend(sorted(nbrs))
+                indptr.append(len(indices))
+            snapshot = CompactGraph(self._labels, indptr, indices)
+            self._snapshot = (self._version, snapshot)
+            self.compactions += 1
+        return snapshot
 
     # ------------------------------------------------------------------
     # Size / label queries
@@ -210,23 +170,13 @@ class DynamicCompactGraph:
 
     @property
     def num_edges(self) -> int:
-        """Number of undirected edges ``m`` (base ± deltas)."""
+        """Number of undirected edges ``m``."""
         return self._num_edges
-
-    @property
-    def delta_records(self) -> int:
-        """Number of edges on which the overlay diverges from its base."""
-        return self._delta_records
 
     @property
     def version(self) -> int:
         """Monotone counter bumped by every mutation (cache-keying aid)."""
         return self._version
-
-    @property
-    def base(self) -> CompactGraph:
-        """The current immutable base snapshot (pre-delta state)."""
-        return self._base
 
     @property
     def labels(self) -> List[Vertex]:
@@ -239,7 +189,7 @@ class DynamicCompactGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DynamicCompactGraph(n={self.num_vertices}, m={self.num_edges}, "
-            f"deltas={self._delta_records})"
+            f"version={self._version})"
         )
 
     def id_of(self, vertex: Vertex) -> int:
@@ -314,9 +264,7 @@ class DynamicCompactGraph:
         self._degrees[u] += 1
         self._degrees[v] += 1
         self._num_edges += 1
-        self._record_delta(u, v, inserting=True)
         self._version += 1
-        self._maybe_rebuild()
         return common
 
     def delete_edge_ids(self, u: int, v: int) -> Set[int]:
@@ -332,9 +280,7 @@ class DynamicCompactGraph:
         self._degrees[u] -= 1
         self._degrees[v] -= 1
         self._num_edges -= 1
-        self._record_delta(u, v, inserting=False)
         self._version += 1
-        self._maybe_rebuild()
         return common
 
     def insert_edge(self, u: Vertex, v: Vertex) -> Set[Vertex]:
@@ -425,28 +371,6 @@ class DynamicCompactGraph:
                     count = len(other_side & nbr_sets[x])
                     _bump(hist, count, -1)
                     _bump(hist, count + shift, 1)
-
-    # ------------------------------------------------------------------
-    # Delta bookkeeping
-    # ------------------------------------------------------------------
-    def _record_delta(self, u: int, v: int, inserting: bool) -> None:
-        """Track the divergence of the edge ``(u, v)`` from the base snapshot.
-
-        Re-inserting a delta-deleted edge (or deleting a delta-inserted one)
-        cancels the record instead of stacking a second one, so
-        ``delta_records`` always counts the edges on which the overlay and
-        its base actually differ.
-        """
-        cancel, record = (self._removed, self._added) if inserting else (self._added, self._removed)
-        pending = cancel.get(u)
-        if pending is not None and v in pending:
-            pending.discard(v)
-            cancel[v].discard(u)
-            self._delta_records -= 1
-            return
-        record.setdefault(u, set()).add(v)
-        record.setdefault(v, set()).add(u)
-        self._delta_records += 1
 
 
 def _intersection_size(a: Set[int], b: Set[int], c: Set[int]) -> int:

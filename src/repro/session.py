@@ -25,9 +25,10 @@ The moment the first update arrives (:meth:`~EgoSession.apply`), the
 session **promotes itself** static → dynamic and from then on owns a
 mutable topology: on the CSR backend an overlay holding every vertex's
 connector-count histogram, seeded by one kernel sweep at promotion and
-patched by every update.  Exact all-vertex values are maintained *on
-demand*: if the session already holds a memoised values map at promotion (a
-``scores()`` call happened), an
+patched once by every update — the exact index and every lazy top-k
+maintainer read that one topology and react to each update.  Exact
+all-vertex values are maintained *on demand*: if the session already
+holds a memoised values map at promotion (a ``scores()`` call happened), an
 :class:`~repro.dynamic.local_update.EgoBetweennessIndex` (LocalInsert /
 LocalDelete) is built immediately, **reusing the already-computed values
 map** instead of recomputing every vertex, and each update patches it
@@ -90,7 +91,7 @@ from repro.core.ego_betweenness import all_ego_betweenness, ego_betweenness
 from repro.core.opt_search import _opt_b_search_hash
 from repro.core.topk import SearchStats, TopKResult, top_entries
 from repro.dynamic.lazy_topk import LazyTopKMaintainer
-from repro.dynamic.local_update import EgoBetweennessIndex
+from repro.dynamic.local_update import EgoBetweennessIndex, mutate_edge
 from repro.dynamic.stream import UpdateEvent
 from repro.errors import (
     BackendCapabilityError,
@@ -190,7 +191,8 @@ class SessionStats:
     lazy_maintainer_ks:
         The ``k`` values for which lazy top-k maintainers are attached.
     overlay_rebuilds:
-        CSR overlay re-compactions of the session's dynamic topology.
+        CSR snapshots compacted from the session's dynamic overlay (at
+        most one per topology version; 0 on the hash backend).
     runtimes:
         Per-executor :class:`~repro.parallel.runtime.RuntimeStats` of the
         session's persistent execution runtimes (empty until a parallel
@@ -372,7 +374,7 @@ class EgoSession:
         self.kernel = platform_tier()
         # Tier-aware serial chunk kernel, memoized per compact snapshot;
         # counters of replaced kernels fold into the retired totals so
-        # stats() survives promotions and snapshot rebuilds.
+        # stats() survives promotions and snapshot changes.
         self._chunk_kernel: Optional[tuple] = None
         self._kernel_chunks_retired: Dict[str, int] = {"python": 0, "numpy": 0}
         self._state = "static"
@@ -388,15 +390,14 @@ class EgoSession:
         else:
             self._compact = source.to_compact()
 
-        # Dynamic state (populated at promotion): the session-owned mutable
-        # topology, the optional demand-built exact index adopting it, and
-        # any attached lazy maintainers (each owns its own copy, exactly as
-        # the standalone class does).
+        # Dynamic state (populated at promotion): the one session-owned
+        # mutable topology (the overlay, or self._hash on the oracle
+        # backend), the optional demand-built exact index and any attached
+        # lazy maintainers.  The index and the maintainers all adopt that
+        # one topology; apply() mutates it once per event and each reacts.
         self._dyn: Optional[DynamicCompactGraph] = None
         self._index: Optional[EgoBetweennessIndex] = None
         self._lazy: Dict[int, LazyTopKMaintainer] = {}
-        self._snapshot_cache: Optional[tuple] = None
-        self._graph_view_cache: Optional[tuple] = None
         self._values: Optional[Dict[Vertex, float]] = None
         self._values_version: Optional[int] = None
         self._query_counts: Dict[str, int] = {}
@@ -568,25 +569,11 @@ class EgoSession:
             return self._compact
         if self._dyn is None:  # hash engine
             return self._hash.to_compact()
-        version = self._dyn.version
-        cached = self._snapshot_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        snapshot = self._dyn.snapshot()
-        self._snapshot_cache = (version, snapshot)
-        return snapshot
+        return self._dyn.snapshot()
 
-    def _current_hash_graph(self) -> Graph:
-        """The hash-set view of the current state (memoised per version)."""
-        if self._state != "dynamic" or self._dyn is None:
-            return self._hash
-        version = self._dyn.version
-        cached = self._graph_view_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        view = self._dyn.to_graph()
-        self._graph_view_cache = (version, view)
-        return view
+    def _topology(self):
+        """The one mutable topology of a promoted session."""
+        return self._hash if self._dyn is None else self._dyn
 
     def _sort_key(self) -> Callable[[Vertex], tuple]:
         """Vertex → :func:`~repro._ordering.sort_key`, precomputed if held.
@@ -820,10 +807,11 @@ class EgoSession:
         :meth:`apply` and :meth:`maintained_top_k` promote on their own;
         calling this pays the cost eagerly — e.g. before timing a stream of
         :meth:`apply` calls.  The session takes ownership of a mutable
-        topology — a :class:`DynamicCompactGraph` overlay sharing the
-        pinned snapshot's arrays, whose connector-count histograms one
-        sweep of the session's serial chunk kernel seeds (or a private copy
-        of the hash graph).  If the session holds a fresh all-vertex values
+        topology — a :class:`DynamicCompactGraph` overlay built from the
+        pinned snapshot, whose connector-count histograms one sweep of the
+        session's serial chunk kernel seeds (or a private copy of the hash
+        graph).  The index and every lazy maintainer adopt that one
+        topology.  If the session holds a fresh all-vertex values
         memo, the exact :class:`EgoBetweennessIndex` is built immediately,
         seeded with those values; otherwise the index is deferred until
         full values are demanded, so lazy-only workloads never pay for it.
@@ -850,14 +838,7 @@ class EgoSession:
 
     def _build_index(self, values: Optional[Dict[Vertex, float]]) -> None:
         """Create the exact index over the session-owned topology."""
-        if self.backend == "hash":
-            self._index = EgoBetweennessIndex(
-                self._hash, backend="hash", values=values, copy=False
-            )
-        else:
-            self._index = EgoBetweennessIndex(
-                self._dyn, backend="compact", values=values, copy=False
-            )
+        self._index = EgoBetweennessIndex._adopt(self._topology(), values=values)
 
     # ------------------------------------------------------------------
     # Read planning
@@ -887,7 +868,7 @@ class EgoSession:
         vertex, ``all_ego_betweenness_csr`` for other subsets.
         """
         if self.backend == "hash":
-            graph = self._current_hash_graph()
+            graph = self._hash
             if targets is None:
                 return all_ego_betweenness(graph)
             return {v: ego_betweenness(graph, v) for v in targets}
@@ -988,7 +969,7 @@ class EgoSession:
                 f"unknown method {algorithm!r}; use 'opt', 'base' or 'naive'"
             )
         elif self.backend == "hash":
-            graph = self._current_hash_graph()
+            graph = self._hash
             if algorithm == "opt":
                 result = _opt_b_search_hash(graph, k, theta=theta)
             else:
@@ -1148,7 +1129,7 @@ class EgoSession:
         )
         if self.backend == "hash":
             return run_engine(
-                self._current_hash_graph(), num_workers, backend=executor, graph_backend="hash"
+                self._hash, num_workers, backend=executor, graph_backend="hash"
             )
         try:
             return run_engine(
@@ -1193,9 +1174,10 @@ class EgoSession:
         Accepts an :class:`UpdateEvent`, an ``("insert" | "delete", u, v)``
         triple, or any iterable of either.  The first call promotes a static
         session to the dynamic state (see :meth:`promote`).  Each update
-        mutates the session's topology, incrementally patches the exact
-        index *if it exists* (it is only built when full values are
-        demanded), and is forwarded to every attached lazy maintainer.
+        mutates the session's one topology once — through the exact index
+        *if it exists* (it is only built when full values are demanded),
+        which then re-sums the affected scores — and every attached lazy
+        maintainer reacts to the same mutation.
 
         On a durable session each event follows the **write-ahead
         discipline**: it is appended to the WAL *before* any in-memory
@@ -1210,37 +1192,36 @@ class EgoSession:
         self.promote()
         durability = self._durability
         index = self._index
+        topology = self._topology()
         maintainers = list(self._lazy.items())
+        lazy_seconds = self._lazy_update_seconds
         count = 0
         for event in coerced:
             if durability is not None:
                 # Write-ahead: durable before visible.
                 durability.log_event(event)
+            u, v = event.u, event.v
             inserting = event.operation == "insert"
             if index is not None:
                 # The index adopts the session topology, so its update IS
-                # the topology mutation.
+                # the one mutation (plus its own re-sums).
                 if inserting:
-                    index.insert_edge(event.u, event.v)
+                    affected = index.insert_edge(u, v)
                 else:
-                    index.delete_edge(event.u, event.v)
+                    affected = index.delete_edge(u, v)
                 self._index_update_seconds += index.last_update_seconds
-            elif self._dyn is not None:
-                if inserting:
-                    self._dyn.insert_edge(event.u, event.v)
-                else:
-                    self._dyn.delete_edge(event.u, event.v)
-            else:  # hash engine, no index yet
-                if inserting:
-                    self._hash.add_edge(event.u, event.v)
-                else:
-                    self._hash.remove_edge(event.u, event.v)
+                mutation_seconds = index.last_mutation_seconds
+                common = affected - {u, v}
+            else:
+                start_mutation = time.perf_counter()
+                common = mutate_edge(topology, u, v, inserting)
+                mutation_seconds = time.perf_counter() - start_mutation
+            # Each maintainer is charged the shared mutation plus its own
+            # reaction: what a standalone maintainer's update would cost.
             for k, maintainer in maintainers:
-                if inserting:
-                    maintainer.insert_edge(event.u, event.v)
-                else:
-                    maintainer.delete_edge(event.u, event.v)
-                self._lazy_update_seconds[k] += maintainer.last_update_seconds
+                start_react = time.perf_counter()
+                maintainer._react(u, v, common, inserting)
+                lazy_seconds[k] += mutation_seconds + time.perf_counter() - start_react
             count += 1
         self._update_events += count
         self._record("apply", start, events=count)
@@ -1287,11 +1268,14 @@ class EgoSession:
     def maintained_top_k(self, k: int) -> TopKResult:
         """The incrementally-maintained top-k result (promotes if static).
 
-        Attaches (once per ``k``) a :class:`LazyTopKMaintainer` seeded from
-        the session's exact values when it holds them (the maintainer's own
-        overlay sweep computes them otherwise); it then receives every
-        subsequent update and answers from its lazily maintained result set — without
-        forcing the session to build or drive the exact all-vertex index.
+        Attaches (once per ``k``) a :class:`LazyTopKMaintainer` over the
+        session's own topology, seeded from the session's exact values when
+        it holds them (re-summed from the overlay's held histograms
+        otherwise; the hash oracle computes them), so attaching sweeps
+        nothing.  It then reacts to every subsequent update of that one
+        topology and answers from its lazily maintained result set —
+        without forcing the session to build or drive the exact all-vertex
+        index.
         It returns the true top-k after every update, as a naive
         ``top_k`` over the index's values does; the two differ in the
         per-update work they do, which :meth:`lazy_counters` and
@@ -1305,13 +1289,8 @@ class EgoSession:
         if maintainer is None:
             # Seed from the held values when there are any; otherwise the
             # maintainer computes its own, without building the index.
-            graph = (
-                self._current_hash_graph()
-                if self.backend == "hash"
-                else self._current_compact()
-            )
-            maintainer = LazyTopKMaintainer(
-                graph, k, backend=self.backend, values=self._fresh_values()
+            maintainer = LazyTopKMaintainer._adopt(
+                self._topology(), k, values=self._fresh_values()
             )
             self._lazy[k] = maintainer
             self._lazy_update_seconds.setdefault(k, 0.0)
@@ -1322,10 +1301,12 @@ class EgoSession:
     def maintenance_seconds(self) -> Dict[str, Any]:
         """Cumulative per-component maintenance time spent inside ``apply``.
 
-        Returns ``{"index": seconds, "lazy": {k: seconds, ...}}`` measured by
-        each maintainer's own update timer — the honest per-algorithm cost.
-        A session that never demanded full values reports ``"index": 0.0``
-        (no index exists to drive).
+        Returns ``{"index": seconds, "lazy": {k: seconds, ...}}``.  Every
+        entry is one algorithm's own per-update cost: the one timed
+        mutation of the shared topology plus that consumer's reaction to
+        it, as a standalone maintainer's update would measure.  A session
+        that never demanded full values reports ``"index": 0.0`` (no index
+        exists to drive).
         """
         return {
             "index": self._index_update_seconds,
@@ -1344,18 +1325,6 @@ class EgoSession:
             "exact_recomputations": maintainer.exact_recomputations,
             "skipped_recomputations": maintainer.skipped_recomputations,
         }
-
-    def rebuild(self) -> None:
-        """Re-compact the dynamic CSR overlays (values/results unchanged).
-
-        No-op in the static state (the snapshot is already contiguous) and
-        on the hash backend.
-        """
-        if self._state == "dynamic":
-            if self._dyn is not None:
-                self._dyn.rebuild()
-            for maintainer in self._lazy.values():
-                maintainer.rebuild()
 
     # ------------------------------------------------------------------
     # Durability
@@ -1464,7 +1433,7 @@ class EgoSession:
                 return self._hash.copy()
             return self._hash
         if self._state == "dynamic":
-            return self._current_hash_graph()
+            return self._dyn.to_graph()
         return self._compact.to_graph()
 
     @property
@@ -1512,7 +1481,7 @@ class EgoSession:
             values_cached=self._fresh_values() is not None,
             values_reused_on_promotion=self._values_reused_on_promotion,
             lazy_maintainer_ks=sorted(self._lazy),
-            overlay_rebuilds=self._dyn.rebuilds if self._dyn is not None else 0,
+            overlay_rebuilds=self._dyn.compactions if self._dyn is not None else 0,
             # Copies, like every other SessionStats field — the snapshot
             # must not mutate as later queries tick the live counters.
             runtimes=runtimes,

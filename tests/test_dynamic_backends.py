@@ -11,14 +11,15 @@ event for event.  The suite drives both backends in lock-step over
   of the same edge, updates touching isolated and brand-new vertices, and
   string/tuple vertex labels),
 * a ≥1,000-event stream (the Exp-3 protocol scale),
-* overlay configurations that force frequent ``rebuild()``\\ s mid-stream,
 
 plus hypothesis round-trips (apply a stream, apply its inversion, recover
-the original graph and values), a key-for-key check of the overlay's
-connector-count histograms against a by-definition enumeration on every
-route that seeds them (construction, promotion, recovery, rebuild), and an
-exactness check on a dataset stand-in: the maintained values equal a fresh
-recomputation after every batch.
+the original graph and values), the overlay's per-version snapshot memo, a
+key-for-key check of the overlay's connector-count histograms against a
+by-definition enumeration on every route that seeds them (construction,
+promotion, recovery), the session's one shared overlay (one patch per
+event, no sweep when a maintainer attaches), and an exactness check on a
+dataset stand-in: the maintained values equal a fresh recomputation after
+every batch.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from repro.dynamic.stream import (
     generate_update_stream,
     invert_stream,
 )
+from repro.core.csr_kernels import CSRChunkKernel
+from repro.core.topk import top_entries
 from repro.errors import EdgeExistsError, EdgeNotFoundError, SelfLoopError
-from repro.graph import dynamic_csr
 from repro.graph.dynamic_csr import DynamicCompactGraph
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -217,46 +219,49 @@ class TestEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# Rebuild gating
+# Snapshot memo
 # ----------------------------------------------------------------------
-class TestRebuildGating:
-    def test_forced_rebuilds_keep_parity(self, monkeypatch):
-        # The gate reads its constants at call time: a tiny gate forces
-        # many rebuilds mid-stream.
-        monkeypatch.setattr(dynamic_csr, "DEFAULT_MIN_REBUILD_DELTAS", 4)
-        monkeypatch.setattr(dynamic_csr, "DEFAULT_REBUILD_RATIO", 0.01)
-        graph = erdos_renyi_graph(40, 0.12, seed=4)
-        stream = generate_update_stream(graph, 120, seed=11)
-        hash_index = EgoBetweennessIndex(graph, backend="hash")
-        compact_index = EgoBetweennessIndex(graph, backend="compact")
-        compact_lazy = LazyTopKMaintainer(graph, 5, backend="compact")
-        hash_lazy = LazyTopKMaintainer(graph, 5, backend="hash")
-        for event in stream:
-            drive(event, hash_index, compact_index, hash_lazy, compact_lazy)
-            assert_index_parity(hash_index, compact_index)
-            assert_lazy_parity(hash_lazy, compact_lazy)
-        assert compact_index._dyn.rebuilds > 0
-        assert compact_lazy._dyn.rebuilds > 0
-        # After a rebuild the overlay has re-compacted: deltas reset.
-        compact_index._dyn.rebuild()
-        assert compact_index._dyn.delta_records == 0
-
-    def test_rebuild_preserves_graph_and_ids(self, monkeypatch):
-        # A gate no stream reaches: only the explicit rebuild below runs.
-        monkeypatch.setattr(dynamic_csr, "DEFAULT_MIN_REBUILD_DELTAS", 10**9)
+class TestSnapshotMemo:
+    def test_snapshot_is_memoised_per_version(self):
         graph = barabasi_albert_graph(30, 2, seed=6)
-        dyn = as_dynamic(graph)
-        stream = generate_update_stream(graph, 50, seed=8)
-        apply_stream(dyn, stream)
+        base = graph.to_compact()
+        dyn = DynamicCompactGraph(base)
+        # Version 0: the construction snapshot, for free.
+        assert dyn.version == 0
+        assert dyn.snapshot() is base
+        assert dyn.compactions == 0
         ids_before = {label: dyn.id_of(label) for label in dyn.labels}
-        before = dyn.to_graph()
-        dyn.rebuild()
-        assert dyn.to_graph() == before
-        assert dyn.delta_records == 0
-        assert dyn.rebuilds == 1
+        u, v = next(
+            (a, b) for a in graph.vertices() for b in graph.vertices()
+            if a != b and not graph.has_edge(a, b)
+        )
+        dyn.insert_edge(u, v)
+        expected = graph.copy()
+        expected.add_edge(u, v)
+        # A mutation: one fresh compaction, then the same object until the
+        # next one.
+        fresh = dyn.snapshot()
+        assert fresh is not base
+        assert dyn.snapshot() is fresh
+        assert dyn.compactions == 1
+        assert fresh.num_edges == base.num_edges + 1
+        assert fresh.to_graph() == expected
+        # Compacting changes neither the ids nor the graph.
         assert {label: dyn.id_of(label) for label in dyn.labels} == ids_before
-        # Clean overlay: the snapshot is the base itself (free).
-        assert dyn.snapshot() is dyn.base
+        assert {label: fresh.id_of(label) for label in fresh.labels} == ids_before
+        assert dyn.to_graph() == expected
+
+    def test_session_counts_its_overlay_compactions(self):
+        from repro.session import EgoSession
+
+        with EgoSession(Graph(edges=[(0, 1), (1, 2)])) as session:
+            session.apply(("insert", 0, 2))
+            snapshot = session.snapshot()
+            assert session.snapshot() is snapshot is session._dyn.snapshot()
+            assert session.stats().overlay_rebuilds == 1
+            session.apply(("delete", 0, 1))
+            assert session.snapshot().num_edges == 2
+            assert session.stats().overlay_rebuilds == 2
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +321,7 @@ class TestHistogramState:
             assert_histograms_are_the_oracle(session._dyn)
             assert session.scores() == all_ego_betweenness(session.to_graph())
             session.maintained_top_k(3)
-            assert_histograms_are_the_oracle(session._lazy[3]._dyn)
+            assert session._lazy[3]._dyn is session._dyn
 
     def test_recovery_replays_the_tail_onto_seeded_histograms(self, tmp_path):
         from repro.session import EgoSession
@@ -332,14 +337,12 @@ class TestHistogramState:
         assert_histograms_are_the_oracle(recovered._dyn)
         assert recovered.scores() == all_ego_betweenness(recovered.to_graph())
 
-    def test_rebuild_keeps_every_histogram(self):
+    def test_histograms_stay_exact_across_batches(self):
         from repro.session import EgoSession
 
         graph = barabasi_albert_graph(40, 3, seed=8)
         with EgoSession(graph) as session:
             session.apply(_mixed_stream(graph, 20, seed=9))
-            session.rebuild()
-            assert session._dyn.delta_records == 0
             assert_histograms_are_the_oracle(session._dyn)
             session.apply(generate_update_stream(session.to_graph(), 20, seed=10))
             assert_histograms_are_the_oracle(session._dyn)
@@ -358,6 +361,74 @@ class TestExactMaintenance:
         for start in range(0, len(stream), 20):
             session.apply(stream[start : start + 20])
             assert session.scores() == all_ego_betweenness(session.to_graph())
+
+
+class TestSingleOverlay:
+    """A session holds one dynamic state whatever maintainers are attached:
+    the index and every lazy maintainer adopt it, one patch serves each
+    event, and attaching a maintainer sweeps nothing."""
+
+    KS = (1, 5, 12)
+
+    @pytest.mark.parametrize("with_index", [True, False])
+    @pytest.mark.parametrize("backend", ["compact", "hash"])
+    def test_index_and_maintainers_share_one_state(self, backend, with_index, monkeypatch):
+        from repro.session import EgoSession
+
+        patched, swept = [], []
+        raw_patch = DynamicCompactGraph._patch_histograms
+        raw_sweep = CSRChunkKernel.histogram_chunk
+
+        def counted_patch(self, *args, **kwargs):
+            patched.append(self)
+            return raw_patch(self, *args, **kwargs)
+
+        def counted_sweep(self, ids):
+            swept.append(ids)
+            return raw_sweep(self, ids)
+
+        monkeypatch.setattr(DynamicCompactGraph, "_patch_histograms", counted_patch)
+        monkeypatch.setattr(CSRChunkKernel, "histogram_chunk", counted_sweep)
+
+        graph = barabasi_albert_graph(80, 3, seed=12)
+        stream = _mixed_stream(graph, 120, seed=13)
+        values = all_ego_betweenness(graph)
+        standalone = {
+            k: LazyTopKMaintainer(graph, k, backend=backend, values=values) for k in self.KS
+        }
+        with EgoSession(graph, backend=backend) as session:
+            if with_index:
+                session.scores()
+            session.promote()
+            swept.clear()
+            for k in self.KS:
+                session.maintained_top_k(k)
+            assert swept == []
+            state = session._dyn if backend == "compact" else session._hash
+            assert (session._index is not None) is with_index
+            if with_index:
+                assert session._index._state is state
+            for k in self.KS:
+                assert session._lazy[k]._state is state
+            for start in range(0, len(stream), 10):
+                batch = stream[start : start + 10]
+                for event in batch:
+                    drive(event, *standalone.values())
+                before = len(patched)
+                session.apply(batch)
+                if backend == "compact":
+                    assert patched[before:] == [state] * len(batch)
+                truth = all_ego_betweenness(session.to_graph())
+                if with_index:
+                    assert session._index.values == truth
+                for k, alone in standalone.items():
+                    assert session.maintained_top_k(k).entries == top_entries(truth, k)
+                    assert session.lazy_counters(k) == {
+                        "exact_recomputations": alone.exact_recomputations,
+                        "skipped_recomputations": alone.skipped_recomputations,
+                    }
+            assert (session._index is not None) is with_index
+            assert session.scores() == truth
 
 
 # ----------------------------------------------------------------------

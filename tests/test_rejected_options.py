@@ -62,6 +62,8 @@ def _execute_with_schedule():
         (lambda: edge_parallel_ego_betweenness(COMPACT, 2, schedule="dynamic"), "schedule"),
         (lambda: EgoBetweennessIndex(COMPACT, rebuild_ratio=0.5), "rebuild_ratio"),
         (lambda: LazyTopKMaintainer(COMPACT, 2, auto_rebuild=False), "auto_rebuild"),
+        # A session's consumers adopt its one topology without an option.
+        (lambda: EgoBetweennessIndex(COMPACT, copy=False), "copy"),
         # Every scored overlay vertex holds its histogram: no summary mode.
         (lambda: DynamicCompactGraph(COMPACT, maintain_summaries=True), "maintain_summaries"),
     ],

@@ -228,13 +228,12 @@ class TestSessionBatchedQueries:
 
 class TestRuntimeReuseAcrossMutation:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_reuse_after_apply_and_rebuild(self, workers):
+    def test_reuse_after_apply(self, workers):
         graph = barabasi_albert_graph(80, 3, seed=11)
         with EgoSession(graph) as session:
             before = session.parallel_scores(workers).scores
             assert before == all_ego_betweenness(graph)
             session.apply([("insert", 0, 79), ("delete", 0, 1)])
-            session.rebuild()
             after = session.parallel_scores(workers).scores
             oracle = all_ego_betweenness(session.to_graph())
             assert after == oracle
@@ -421,7 +420,6 @@ class TestProcessRuntime:
         with EgoSession(graph) as session:
             session.parallel_scores(2, executor="process")
             session.apply(("insert", 0, 59))
-            session.rebuild()
             after = session.parallel_scores(2, executor="process").scores
             assert after == all_ego_betweenness(session.to_graph())
             stats = session.runtime_stats()["process"]
