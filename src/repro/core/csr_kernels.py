@@ -67,10 +67,7 @@ __all__ = [
     "as_compact",
     "as_dynamic",
     "ego_betweenness_csr",
-    "ego_betweenness_csr_cached",
     "all_ego_betweenness_csr",
-    "ego_betweenness_from_arrays",
-    "top_k_entries_from_arrays",
     "build_dense_adjacency",
     "set_neighbor_sets_cache_limit",
     "CSRChunkKernel",
@@ -105,10 +102,11 @@ def as_dynamic(source) -> DynamicCompactGraph:
 
     The result never aliases mutable state of ``source`` — mutating it
     leaves the original graph untouched (the contract of the dynamic
-    maintainers).
+    maintainers).  An overlay source's histograms are exact, so they are
+    copied, not swept again.
     """
     if isinstance(source, DynamicCompactGraph):
-        return DynamicCompactGraph(source.snapshot())
+        return DynamicCompactGraph(source.snapshot(), [dict(h) for h in source._hists])
     if isinstance(source, CompactGraph):
         return DynamicCompactGraph(source)
     if isinstance(source, Graph):
@@ -207,8 +205,7 @@ def _neighbor_sets_cached(
 ) -> List[set]:
     """Return (possibly memoized) neighbour sets for the exact buffer pair.
 
-    Per-chunk entry points (:func:`ego_betweenness_from_arrays`,
-    :func:`top_k_entries_from_arrays`) are called many times against the
+    A worker's :class:`CSRChunkKernel` scores many chunks against the
     same resident CSR arrays — one shared-memory payload serves every chunk
     of a graph version — so the derived sets are built once per buffer pair
     instead of once per call.  CSR buffers are immutable by contract
@@ -384,19 +381,6 @@ def ego_betweenness_csr(source: GraphLike, vertex: Vertex) -> float:
     )
 
 
-def ego_betweenness_csr_cached(compact: CompactGraph, vertex: Vertex) -> float:
-    """Exact ``CB(vertex)`` served from the snapshot's memoised ego summary.
-
-    Bit-identical to :func:`ego_betweenness_csr` (both accumulate through
-    the canonical sorted histogram), but repeated probes of the same vertex
-    on the same snapshot cost one dict lookup — the per-vertex twin of the
-    warm-search steady state.  Used by the :class:`~repro.session.EgoSession`
-    ``score()`` fast path.
-    """
-    pid = compact.id_of(vertex)
-    return _ego_summary(compact, pid, compact.neighbor_sets())[0]
-
-
 def all_ego_betweenness_csr(
     source: GraphLike, vertices: Optional[Iterable[Vertex]] = None
 ) -> Dict[Vertex, float]:
@@ -417,52 +401,6 @@ def all_ego_betweenness_csr(
     return {
         labels[pid]: _ego_score_id(indptr, indices, pid, nbr_sets, dense) for pid in ids
     }
-
-
-def ego_betweenness_from_arrays(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    ids: Sequence[int],
-    nbr_sets: Optional[List[set]] = None,
-    dense: Optional[bytearray] = None,
-) -> Dict[int, float]:
-    """Return ``{id: CB(id)}`` straight from raw CSR arrays.
-
-    This is the parallel-worker entry point: workers receive the two flat
-    arrays (cheap to pickle) instead of a rebuilt adjacency dictionary and
-    never need labels at all.  When not supplied, the neighbour sets come
-    from the buffer-identity memo, so repeated chunk calls against the
-    same resident arrays reuse one build.
-    """
-    if nbr_sets is None:
-        nbr_sets = _neighbor_sets_cached(indptr, indices)
-    return {pid: _ego_score_id(indptr, indices, pid, nbr_sets, dense) for pid in ids}
-
-
-def top_k_entries_from_arrays(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    ids: Iterable[int],
-    k: int,
-    nbr_sets: Optional[List[set]] = None,
-    dense: Optional[bytearray] = None,
-) -> List[Tuple[int, float]]:
-    """Score ``ids``; return every candidate that can reach a global top-k.
-
-    Returns the chunk's ``(id, score)`` entries whose score is **>= the
-    chunk's k-th largest score — all threshold ties included** (everything,
-    when the chunk has at most ``k`` entries); see :func:`threshold_cut`.
-
-    The tie cohort ships whole because a worker holds bare ids, not labels:
-    ties are broken by the label sort key, so only the parent can decide
-    which tied entries survive.  Entries strictly below the chunk threshold
-    are strictly below the global threshold too (a subset's k-th best never
-    exceeds the full set's), so omitting them cannot change the top-k.
-    """
-    if k < 1:
-        raise InvalidParameterError("k must be a positive integer")
-    scores = ego_betweenness_from_arrays(indptr, indices, ids, nbr_sets, dense)
-    return threshold_cut(list(scores.items()), k)
 
 
 def build_dense_adjacency(
@@ -660,10 +598,16 @@ class CSRChunkKernel:
     def top_chunk(self, ids: Iterable[int], k: int) -> List[Tuple[int, float]]:
         """Return the chunk's top-k candidates (threshold ties included).
 
-        The worker-side reduction of ``top_k(parallel=)``: ``k`` entries
-        plus any ties at the chunk threshold leave the worker instead of
-        one score per chunk id.  See :func:`top_k_entries_from_arrays` for
-        why the tie cohort ships whole.
+        The worker-side reduction of a cold ranking's waves: the chunk's
+        ``(id, score)`` entries whose score is **>= the chunk's k-th largest
+        score — all threshold ties included** (everything, when the chunk
+        has at most ``k`` entries; see :func:`threshold_cut`) leave the
+        worker instead of one score per chunk id.  The tie cohort ships
+        whole because a worker holds bare ids, not labels: ties are broken
+        by the label sort key, so only the parent can decide which tied
+        entries survive.  Entries strictly below the chunk threshold are
+        strictly below the global threshold too (a subset's k-th best never
+        exceeds the full set's), so omitting them cannot change the top-k.
         """
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")

@@ -243,8 +243,9 @@ def top_k_ego_betweenness(
         Number of results to return (values larger than ``n`` are clamped).
     method:
         ``"opt"`` (OptBSearch, the default), ``"base"`` (BaseBSearch) or
-        ``"naive"`` (compute every vertex then select — the straightforward
-        algorithm the paper uses as a strawman).
+        ``"naive"`` (rank the values map: the paper's strawman computes
+        every vertex then selects, as the ``hash`` oracle does; a cold CSR
+        ranking scores only the bound-ordered waves that can rank).
     theta:
         Gradient ratio for OptBSearch (ignored by the other methods).
     backend:
@@ -252,8 +253,9 @@ def top_k_ego_betweenness(
         converting a hash ``Graph`` once up front and mapping results back
         to the original vertex labels; ``"compact"`` forces that explicitly
         and ``"hash"`` forces the hash-set oracle implementation.  Both
-        backends return identical entries and work counters, so the default
-        output is unchanged for existing callers — only faster.
+        backends return identical entries, and ``"opt"``/``"base"``
+        identical work counters, so the default output is unchanged for
+        existing callers — only faster.
 
     Returns
     -------

@@ -121,6 +121,9 @@ class LazyTopKMaintainer(_Maintainer):
         self, state: GraphState, k: int, values: Optional[Dict[Vertex, float]]
     ) -> None:
         self._hold(state)
+        # Tie-break keys: the overlay keeps every label's key (new labels
+        # included), so the compact backend looks them up.
+        self._key = sort_key if self._dyn is None else self._dyn.label_keys().__getitem__
         self._values: Dict[Vertex, float] = self._initial_values(values)
         self._k = k
         self._exact: Set[Vertex] = set(self._values)
@@ -215,7 +218,7 @@ class LazyTopKMaintainer(_Maintainer):
                 affected_in_result.append(vertex)
             else:
                 self._stale(vertex, static_upper_bound(self._degree(vertex)))
-        for vertex in sorted(monotone, key=sort_key):
+        for vertex in sorted(monotone, key=self._key):
             if vertex in self._result:
                 affected_in_result.append(vertex)
             elif decreasing:
@@ -254,7 +257,8 @@ class LazyTopKMaintainer(_Maintainer):
                 continue
             threshold_vertex = self._threshold_vertex()
             threshold = self._values[threshold_vertex]
-            if (-priority, sort_key(vertex)) >= (-threshold, sort_key(threshold_vertex)):
+            key = self._key
+            if (-priority, key(vertex)) >= (-threshold, key(threshold_vertex)):
                 # No outsider ranks above the k-th entry: done.  Put the
                 # candidate back so future updates still see it.
                 self._push(vertex, priority)
@@ -273,7 +277,8 @@ class LazyTopKMaintainer(_Maintainer):
     # Primitive operations
     # ------------------------------------------------------------------
     def _initialise_result(self) -> None:
-        ordered = rank_entries(self._values.items())
+        key = self._key
+        ordered = sorted(self._values.items(), key=lambda item: (-item[1], key(item[0])))
         for vertex, _ in ordered[: self._k]:
             self._result.add(vertex)
         for vertex, value in ordered[self._k :]:
@@ -281,8 +286,8 @@ class LazyTopKMaintainer(_Maintainer):
 
     def _threshold_vertex(self) -> Vertex:
         """Return the result member ranked last in the top-k order."""
-        values = self._values
-        return max(self._result, key=lambda p: (-values[p], sort_key(p)))
+        values, key = self._values, self._key
+        return max(self._result, key=lambda p: (-values[p], key(p)))
 
     def _recompute(self, vertex: Vertex) -> float:
         dyn = self._dyn
@@ -315,12 +320,11 @@ class LazyTopKMaintainer(_Maintainer):
         heap pops the same valid entries in the same order, without the
         superseded ones.
         """
-        heapq.heappush(self._heap, (-priority, sort_key(vertex), vertex))
+        key = self._key
+        heapq.heappush(self._heap, (-priority, key(vertex), vertex))
         if len(self._heap) > 2 * len(self._values):
             values, result = self._values, self._result
-            self._heap = [
-                (-values[v], sort_key(v), v) for v in values if v not in result
-            ]
+            self._heap = [(-values[v], key(v), v) for v in values if v not in result]
             heapq.heapify(self._heap)
 
     def _pop_best_candidate(self) -> Optional[Tuple[Vertex, float, bool]]:

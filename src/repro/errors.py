@@ -88,7 +88,7 @@ class WorkerFaultError(ReproError, RuntimeError):
     shared-memory transport, task scheduling) failed — not the query.  The
     computation itself is pure and idempotent, so callers holding a serial
     code path can always re-answer bit-identically: ``EgoSession`` catches
-    this base class and falls back to its serial kernels.
+    this base class and falls back to its serial runtime.
     """
 
 

@@ -35,11 +35,13 @@ passes them, otherwise one weight-balanced id range per worker; all
 chunks run through one serial loop or one supervised
 submission loop against the snapshot's one payload.  Chunks are scored at
 the platform's kernel tier (:func:`~repro.core.vec_kernels.platform_tier`).
-Execution offers two reductions:
+Execution offers three reductions:
 
 * :meth:`ExecutionRuntime.execute` — score chunks, merge the full
   ``{id: score}`` map (scores bit-identical to the serial kernels for
   every executor, chunking and worker count).
+* :meth:`ExecutionRuntime.execute_histograms` — the same, merging each
+  id's connector-count histogram (what a dynamic overlay is seeded with).
 * :meth:`ExecutionRuntime.execute_top_k` — worker-side result reduction:
   every chunk task returns only its entries at or above its k-th score
   instead of every score, and the parent keeps the union's entries that
@@ -84,12 +86,7 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults as _faults
-from repro.core.csr_kernels import (
-    CSRChunkKernel,
-    _env_limit,
-    ego_betweenness_from_arrays,
-    top_k_entries_from_arrays,
-)
+from repro.core.csr_kernels import CSRChunkKernel, _env_limit
 from repro.core.topk import threshold_cut
 from repro.core.vec_kernels import _openblas_thread_calls, numpy_available, platform_tier
 from repro.errors import (
@@ -150,6 +147,9 @@ _ITEMSIZE = array(_TYPECODE).itemsize
 #: their stable graph id and their topology version counter; anonymous
 #: snapshots get a store-assigned id.
 PayloadKey = Tuple[str, int]
+
+#: The chunk-kernel method each batch kind runs on every chunk.
+_METHODS = {"scores": "score_chunk", "histograms": "histogram_chunk", "top_k": "top_chunk"}
 
 
 class ParallelBackend(str, Enum):
@@ -613,13 +613,13 @@ def _chunk_task(
 ):
     """Pool task: run one chunk against the worker's attached graph.
 
-    ``method`` is the chunk kernel's ``score_chunk`` (every score) or
-    ``top_chunk`` (the worker-side top-k reduction: ``k`` candidates plus
-    any ties at the chunk threshold); ``args`` are its arguments after the
-    ids.  ``fault`` is the
-    action drawn parent-side by the fault-injection harness (``None``
-    outside chaos runs) and is performed before the kernel touches the
-    payload.
+    ``method`` is the chunk kernel's ``score_chunk`` (every score),
+    ``histogram_chunk`` (every connector-count histogram) or ``top_chunk``
+    (the worker-side top-k reduction: ``k`` candidates plus any ties at the
+    chunk threshold); ``args`` are its arguments after the ids.  ``fault``
+    is the action drawn parent-side by the fault-injection harness
+    (``None`` outside chaos runs) and is performed before the kernel
+    touches the payload.
     """
     _faults.perform(fault)
     kernel = _attached(meta).kernel
@@ -1389,9 +1389,10 @@ class ExecutionRuntime:
     def _serial_kernel(self, held: _Held):
         """The parent-side chunk kernel on a held snapshot's cached structures.
 
-        Used by the serial executor; memoized per held snapshot so repeated
-        batches reuse one neighbour-set/dense build (and, on the numpy
-        tier, one attached scorer).
+        Used by the serial executor (a session's one in-process kernel)
+        and by quarantined process chunks; memoized per held snapshot so
+        repeated batches reuse one neighbour-set/dense build (and, on the
+        numpy tier, one attached scorer).
         """
         if held.kernel is None:
             held.kernel = CSRChunkKernel.for_compact(held.compact)
@@ -1426,7 +1427,7 @@ class ExecutionRuntime:
         args: Tuple,
         tasks: Sequence[Tuple[int, Sequence[int]]],
         entry: _StoreEntry,
-        serial_chunk: Callable[[Sequence[int]], Any],
+        serial_chunk: Callable[[Sequence[int]], Tuple[Any, float, Tuple[str, int]]],
     ) -> Dict[int, Tuple[Any, float, Tuple[str, int]]]:
         """Submit chunk tasks and collect results under supervision.
 
@@ -1440,7 +1441,7 @@ class ExecutionRuntime:
 
         Each task is ``(index, chunk)``, executed against the payload of
         the store ``entry``.  ``serial_chunk(chunk)`` is the in-parent
-        fallback for quarantined chunks.
+        fallback for quarantined chunks; it returns what a task returns.
 
         Returns ``{chunk index: (result payload, kernel seconds,
         (tier served, fallback delta))}`` for every submitted task.
@@ -1459,12 +1460,8 @@ class ExecutionRuntime:
         respawn_budget = _MAX_RESPAWNS_PER_BATCH
 
         def run_quarantined(index: int) -> None:
-            # Quarantined chunks run the parent's serial python oracle —
-            # bit-identical by the tier contract, so no tier bookkeeping
-            # beyond attributing the chunk to the python tier.
-            start = time.perf_counter()
-            payload = serial_chunk(chunk_of[index])
-            outputs[index] = (payload, time.perf_counter() - start, ("python", 0))
+            # Bit-identical to the worker's answer by the tier contract.
+            outputs[index] = serial_chunk(chunk_of[index])
 
         def charge_retry(index: int) -> None:
             retries[index] += 1
@@ -1623,7 +1620,7 @@ class ExecutionRuntime:
 
         ``ids`` / ``payload_key`` as in :meth:`execute`.  Each chunk task
         returns only the entries at or above the chunk's k-th largest score
-        (see :func:`~repro.core.csr_kernels.top_k_entries_from_arrays`), so
+        (see :meth:`~repro.core.csr_kernels.CSRChunkKernel.top_chunk`), so
         only ``O(tasks × k + ties)`` entries cross the process boundary
         instead of every score.
 
@@ -1637,6 +1634,24 @@ class ExecutionRuntime:
         if k < 1:
             raise InvalidParameterError("k must be a positive integer")
         return self._batch("top_k", compact, ids, payload_key, num_workers, k=k)
+
+    def execute_histograms(
+        self,
+        compact: CompactGraph,
+        *,
+        ids: Optional[Iterable[int]] = None,
+        num_workers: Optional[int] = None,
+        payload_key: Optional[PayloadKey] = None,
+    ) -> Tuple[Dict[int, Dict[int, int]], BatchStats]:
+        """Connector-count histograms of ``compact``'s ids; return
+        ``(histograms by id, batch)``.
+
+        Arguments as in :meth:`execute`; each histogram is what
+        :meth:`~repro.core.csr_kernels.CSRChunkKernel.histogram_chunk`
+        returns, the state a :class:`~repro.graph.dynamic_csr.DynamicCompactGraph`
+        is seeded with.
+        """
+        return self._batch("histograms", compact, ids, payload_key, num_workers)
 
     def _batch(
         self,
@@ -1662,41 +1677,20 @@ class ExecutionRuntime:
 
         workers = num_workers or self.max_workers
         cap = min(k, len(ids))
-        plan = (
-            self._chunk(held, ids, chunks, workers)
-            if kind == "scores" or cap
-            else []
-        )
-        if kind == "scores":
-            method, args = "score_chunk", ()
-        else:
-            method, args = "top_chunk", (cap,)
+        ranking = kind == "top_k"
+        plan = self._chunk(held, ids, chunks, workers) if cap or not ranking else []
+        method, args = _METHODS[kind], (cap,) if ranking else ()
+
+        def serial_chunk(chunk):
+            # The parent's chunk kernel: the serial executor's, and where a
+            # process batch runs its quarantined chunks.
+            return _serve_chunk(self._serial_kernel(held), method, chunk, *args)
 
         compute_start = time.perf_counter()
         tasks = [(i, chunk) for i, chunk in enumerate(plan) if chunk]
         if self.executor is ParallelBackend.SERIAL:
-            kernel = self._serial_kernel(held)
-            outputs = {
-                i: _serve_chunk(kernel, method, chunk, *args) for i, chunk in tasks
-            }
+            outputs = {i: serial_chunk(chunk) for i, chunk in tasks}
         else:
-            # Quarantined chunks run the in-parent python oracle.
-            oracle = (
-                ego_betweenness_from_arrays
-                if kind == "scores"
-                else top_k_entries_from_arrays
-            )
-
-            def serial_chunk(chunk):
-                return oracle(
-                    compact.indptr,
-                    compact.indices,
-                    chunk,
-                    *args,
-                    compact.neighbor_sets(),
-                    compact.dense_adjacency(),
-                )
-
             outputs = self._run_supervised(
                 method, args, tasks, held.entry, serial_chunk
             )
@@ -1705,12 +1699,12 @@ class ExecutionRuntime:
         for i, _ in tasks:
             payload, chunk_seconds[i], kinfo = outputs[i]
             self._tally_kernel(kinfo)
-            pairs.extend(payload.items() if kind == "scores" else payload)
-        if kind == "scores":
-            result: Any = dict(pairs)
-        else:
-            result = threshold_cut(pairs, cap)
+            pairs.extend(payload if ranking else payload.items())
+        if ranking:
+            result: Any = threshold_cut(pairs, cap)
             result.sort(key=itemgetter(1), reverse=True)
+        else:
+            result = dict(pairs)
         compute_seconds = time.perf_counter() - compute_start
 
         batch = BatchStats(
@@ -1737,19 +1731,21 @@ class ExecutionRuntime:
         The runtime's own unit of work: ascending id order (cache
         friendly, range-encodable) cut into chunks of approximately equal
         estimated work, one task per worker.  The work estimates are
-        computed only for the ids being chunked and memoised on the held
-        payload.
+        computed only when there is more than one chunk, only for the ids
+        being chunked, and memoised on the held payload.
         """
         if chunks is not None:
             return [list(chunk) for chunk in chunks]
         ids = sorted(ids)
+        target_chunks = max(1, min(len(ids), workers))
+        if target_chunks == 1:
+            return [ids]
         estimates = held.estimates
         missing = [i for i in ids if i not in estimates]
         if missing:
             estimates.update(
                 zip(missing, vertex_work_estimates_csr(held.compact, missing))
             )
-        target_chunks = max(1, min(len(ids), workers))
         target = sum(estimates[i] for i in ids) / target_chunks
         plan: List[List[int]] = []
         current: List[int] = []

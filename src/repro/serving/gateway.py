@@ -236,11 +236,11 @@ class ServingGateway:
         Forwarded to :meth:`EgoSession.scores_batch` and to the naive
         :meth:`EgoSession.top_k`, so they only decide how a tenant computes
         values it does not hold yet: ``parallel=None`` (default) on the
-        session's serial kernels, ``parallel=N`` as one batch on the
+        session's serial runtime, ``parallel=N`` as one batch on the
         tenant's runtime over the gateway's shared pool.  A held memo or
         index answers either way.  When the shared pool fails beyond the
-        runtime's repair, each tenant's session answers from its serial
-        kernels (counted in the tenant's ``fallbacks``); no request fails.
+        runtime's repair, each tenant's session answers on its serial
+        runtime (counted in the tenant's ``fallbacks``); no request fails.
     max_workers:
         Size of a privately created shared :class:`WorkerPool` (ignored
         when ``pool`` is given).
@@ -380,23 +380,14 @@ class ServingGateway:
         if self.parallel is not None:
             # Install the session's runtime for the gateway's executor now,
             # bound to the shared infrastructure, so the first batch does
-            # not silently create a private pool instead.
-            runtime = session.runtime(
+            # not silently create a private pool instead.  An adopted
+            # session's runtime for that executor moves onto it.
+            session.runtime(
                 self.executor,
                 max_workers=self._pool.max_workers,
                 pool=self._pool,
                 store=self._store,
             )
-            if runtime.pool is not self._pool or runtime.store is not self._store:
-                # An adopted session already held a runtime for this
-                # executor: it would fork its own pool and ship into a
-                # private store, silently breaking the one-pool invariant.
-                raise InvalidParameterError(
-                    f"session for tenant {tenant_id!r} already owns a "
-                    f"{self.executor!r} runtime not attached to the "
-                    "gateway's shared pool/store; close() the session's "
-                    "runtimes first or register a fresh session"
-                )
             if self.executor == "process":
                 # Fork the shared pool now, on the event-loop thread,
                 # before any batch runs inside a ThreadPoolExecutor worker

@@ -46,8 +46,10 @@ Backends
 default ``auto``) pins a frozen ``CompactGraph`` CSR snapshot — a
 ``DynamicCompactGraph`` source is snapshotted — and ``hash`` runs the
 hash-set ``Graph`` oracle end to end (the bit-identical reference backend;
-it promotes onto the hash maintainers).  Chunks are scored at the
-platform's kernel tier (:func:`~repro.core.vec_kernels.platform_tier`).
+it promotes onto the hash maintainers).  On the CSR backend every cold
+read is a batch of the session's serial runtime (with ``parallel=N``, of
+that executor's runtime), whose chunks are scored at the platform's
+kernel tier (:func:`~repro.core.vec_kernels.platform_tier`).
 
 Every legacy entry point (``top_k_ego_betweenness``, ``base_b_search``,
 ``opt_b_search``, the CLI) is a thin adapter that constructs a throwaway
@@ -78,11 +80,12 @@ import itertools
 
 from repro._ordering import sort_key
 from repro.core.base_search import _base_b_search_hash
-from repro.core.csr_kernels import (
+# ``all_ego_betweenness_csr`` is not called here (every CSR read is a runtime
+# batch), but ``perfbench/tracing.py`` patches it by name on this module.
+from repro.core.csr_kernels import (  # noqa: F401
     all_ego_betweenness_csr,
     as_hash_graph,
     base_b_search_csr,
-    ego_betweenness_csr_cached,
     normalize_backend,
     opt_b_search_csr,
     static_bound_order,
@@ -195,23 +198,26 @@ class SessionStats:
         most one per topology version; 0 on the hash backend).
     runtimes:
         Per-executor :class:`~repro.parallel.runtime.RuntimeStats` of the
-        session's persistent execution runtimes (empty until a parallel
-        query creates one).
+        session's persistent execution runtimes.  Empty until a query
+        needs one: every cold CSR read (a score, a subset, a sweep, a cold
+        ranking, the promotion's histograms) runs on the ``"serial"``
+        runtime unless ``parallel=N`` names another.
     fallbacks:
-        Queries this session answered from the serial kernels after the
+        Queries this session answered on its serial runtime after the
         parallel path failed (graceful degradation — answers stayed
         bit-identical, only latency degraded).
     kernel:
         The platform's kernel tier (``"numpy"`` when numpy imports, else
         ``"python"``).
     kernel_chunks:
-        Vertex chunks actually served per tier, aggregated over the
-        session's serial kernel and every runtime it created.  Answers
-        are bit-identical across tiers by construction; this shows which
-        tier did the work.
+        Vertex chunks actually served per tier, summed over the session's
+        runtimes — every kernel a CSR session runs is one of theirs, so
+        every cold CSR read shows here.  Answers are bit-identical across
+        tiers by construction; this shows which tier did the work.
     kernel_fallbacks:
         Counted kernel demotions: every worker/serial chunk kernel that
-        dropped to python after a vectorized failure.
+        dropped to python after a vectorized failure, summed over the
+        session's runtimes.
     worker_deaths / respawns / task_retries / deadline_misses /
     integrity_failures:
         Failure accounting aggregated over the session's runtimes (see
@@ -314,7 +320,7 @@ class EgoSession:
         (see :class:`~repro.parallel.runtime.ExecutionRuntime`).  A
         parallel query whose execution infrastructure fails beyond the
         runtime's repair (worker pool broken, retries exhausted) is always
-        re-answered by the serial kernels — bit-identical result, degraded
+        re-answered by the serial runtime — bit-identical result, degraded
         latency — and counted in ``SessionStats.fallbacks``.
     durability:
         ``None`` (the default) keeps the session purely in-memory.  A
@@ -370,13 +376,7 @@ class EgoSession:
         self.graph_id = graph_id or f"session-{next(_GRAPH_IDS)}"
         self._task_deadline = task_deadline
         self._fallbacks = 0
-        self._kernel_fallbacks = 0
         self.kernel = platform_tier()
-        # Tier-aware serial chunk kernel, memoized per compact snapshot;
-        # counters of replaced kernels fold into the retired totals so
-        # stats() survives promotions and snapshot changes.
-        self._chunk_kernel: Optional[tuple] = None
-        self._kernel_chunks_retired: Dict[str, int] = {"python": 0, "numpy": 0}
         self._state = "static"
 
         self._hash: Optional[Graph] = None
@@ -408,14 +408,15 @@ class EgoSession:
         self._index_update_seconds = 0.0
         self._lazy_update_seconds: Dict[int, float] = {}
         # Persistent execution runtimes, one per executor kind, created
-        # lazily by the first parallel query and reused by every later one
-        # (the shipped CSR payload follows the session's graph version).
+        # lazily by the first cold read that needs one and reused by every
+        # later one (the held CSR payload follows the session's graph
+        # version); the serial one runs every in-process kernel.
         self._runtimes: Dict[str, ExecutionRuntime] = {}
-        # Per-(version, k) cache of parallel top-k entries: the worker-side
-        # reduction returns only the ranked candidates, so repeated
-        # identical queries must not re-run the pool.
+        # Per-k cache of cold ranking entries on the pinned snapshot (whose
+        # version never moves; promotion drops it): the waves return only
+        # the ranked candidates, no values map, so repeated identical
+        # queries must not re-run them.
         self._topk_cache: Dict[int, List] = {}
-        self._topk_cache_version: Optional[int] = None
         # Version listeners: callbacks fired after every apply() with the
         # new topology version, so version-keyed caches held *outside* the
         # session (the serving gateway's hot-key result LRU, a server's
@@ -459,30 +460,6 @@ class EgoSession:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _serial_chunk_kernel(self, compact: CompactGraph):
-        """The session's tier-aware serial chunk kernel over ``compact``.
-
-        Memoized per snapshot; a replaced kernel's tier counters fold into
-        the retired totals so :meth:`stats` keeps the full history.
-        """
-        cached = self._chunk_kernel
-        if cached is not None and cached[0] is compact:
-            return cached[1]
-        from repro.core.csr_kernels import CSRChunkKernel
-
-        if cached is not None:
-            self._retire_chunk_kernel(cached[1])
-        kernel = CSRChunkKernel.for_compact(compact)
-        self._chunk_kernel = (compact, kernel)
-        return kernel
-
-    def _retire_chunk_kernel(self, kernel) -> None:
-        for tier, count in kernel.chunks_by_tier.items():
-            self._kernel_chunks_retired[tier] = (
-                self._kernel_chunks_retired.get(tier, 0) + count
-            )
-        self._kernel_fallbacks += kernel.kernel_fallbacks
-
     @staticmethod
     def _coerce_source(source: GraphSource, scale: Optional[float], backend: str):
         """The graph object behind ``source``: an edge list becomes a
@@ -595,76 +572,93 @@ class EgoSession:
         """The ``(graph_id, version)`` key this session's payloads ship under."""
         return (self.graph_id, self._current_version())
 
+    def _runtime_for(
+        self, parallel: Optional[int], executor: str
+    ) -> Tuple[ExecutionRuntime, int]:
+        """The runtime and worker count a cold read runs on.
+
+        ``parallel=None`` is the serial runtime with one worker, the
+        session's one in-process execution path.
+        """
+        if parallel is None:
+            parallel, executor = 1, "serial"
+        return self.runtime(executor, max_workers=self._pool_size(parallel)), parallel
+
     def _execute(
-        self, targets: Optional[List[Vertex]], num_workers: int, executor: str
+        self, targets: Optional[List[Vertex]], parallel: Optional[int], executor: str
     ) -> Dict[Vertex, float]:
         """Score ``targets`` (``None``: every vertex) with one runtime batch.
 
-        A worker fault degrades to the serial kernels (see :meth:`_degraded`).
+        A worker fault degrades to the serial runtime (see :meth:`_degraded`).
         """
         compact = self._current_compact()
-        runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
+        runtime, workers = self._runtime_for(parallel, executor)
         ids = None if targets is None else [compact.id_of(vertex) for vertex in targets]
         try:
             id_scores, _ = runtime.execute(
-                compact, ids=ids, num_workers=num_workers,
+                compact, ids=ids, num_workers=workers,
                 payload_key=self._payload_key(),
             )
         except WorkerFaultError:
-            return self._degraded(lambda: self._compute(targets, None, "serial"))
+            return self._degraded(lambda: self._execute(targets, None, "serial"))
         labels = compact.labels
         return {labels[i]: score for i, score in id_scores.items()}
 
     def _pruned_top_k(
-        self, k: int, num_workers: int, executor: str
+        self, k: int, parallel: Optional[int], executor: str
     ) -> Tuple[List[Tuple[Vertex, float]], int]:
         """The top-k of the current snapshot; returns ``(entries, ids scored)``.
 
         Scores only the vertices whose static bound ``d(d-1)/2`` (Lemma 1)
-        lets them rank, in at most two runtime batches.  Wave 1 is the k
-        vertices of largest bound; with τ its k-th score, wave 2 is every
-        other vertex whose bound reaches τ (ties at τ included: a tied
-        vertex may win on its sort key).  Any vertex left unscored has a
-        score at most its bound, below τ, which is at most the true k-th
-        score.  A worker fault degrades to the serial kernels (see
-        :meth:`_degraded`).
+        lets them rank, one runtime batch per wave, walking the ``(bound
+        descending, sort key)`` order.  Wave 1 is its first k vertices.
+        With ``(τ, key)`` the k-th entry found so far, each next wave is
+        the following vertices that still precede it in that order (a bound
+        above τ, or a bound of τ and an earlier key: it may tie at τ and
+        win on its key), at most k, then double the last wave.  The first
+        vertex that does not precede it ends the walk: it and every later
+        one scores at most its bound, so ranks after the k-th entry found,
+        which ranks no later than the true k-th.  A worker fault degrades to
+        the serial runtime's waves (see :meth:`_degraded`).
         """
         compact = self._current_compact()
-        runtime = self.runtime(executor, max_workers=self._pool_size(num_workers))
+        runtime, num_workers = self._runtime_for(parallel, executor)
         key = self._payload_key()
+        labels, keys = compact.labels, compact.label_keys()
         order = static_bound_order(compact)
-        wave = [v for _, _, v in itertools.islice(order, k)]
-        scored = len(wave)
-        try:
+        found: Dict[Vertex, float] = {}
+
+        def score(wave: List[int]) -> List[Tuple[Vertex, float]]:
+            # The runtime returns every id reaching the wave's k-th score;
+            # ties at the k-th are broken here, on labels.
             entries, _ = runtime.execute_top_k(
                 compact, k, ids=wave, num_workers=num_workers, payload_key=key
             )
-            if scored == k:
-                threshold = entries[k - 1][1]
+            found.update((labels[i], value) for i, value in entries)
+            return top_entries(found, k, keys.__getitem__)
+
+        wave = [v for _, _, v in itertools.islice(order, k)]
+        top: List[Tuple[Vertex, float]] = []
+        scored, size = 0, k
+        try:
+            while wave:
+                top = score(wave)
+                scored += len(wave)
+                if len(top) < k:
+                    break  # every vertex is scored
+                vertex, threshold = top[-1]
+                last = (-threshold, keys[vertex])
                 wave = [
                     v
-                    for _, _, v in itertools.takewhile(
-                        lambda entry: -entry[0] >= threshold, order
+                    for _, _, v in itertools.islice(
+                        itertools.takewhile(lambda entry: entry[:2] < last, order),
+                        size,
                     )
                 ]
-                if wave:
-                    more, _ = runtime.execute_top_k(
-                        compact, k, ids=wave, num_workers=num_workers,
-                        payload_key=key,
-                    )
-                    entries += more
-                    scored += len(wave)
+                size *= 2
         except WorkerFaultError:
-
-            def recompute():
-                scores = self._compute(None, None, "serial")
-                return top_entries(scores, k, self._sort_key()), len(scores)
-
-            return self._degraded(recompute)
-        # The runtime returns every id reaching a wave's k-th score; ties at
-        # the overall k-th are broken here, on labels.
-        labels = compact.labels
-        return top_entries({labels[i]: score for i, score in entries}, k), scored
+            return self._degraded(lambda: self._pruned_top_k(k, None, "serial"))
+        return top, scored
 
     def _require_parallel_backend(self, executor: str) -> None:
         """Reject a process executor on the serial-only ``hash`` oracle."""
@@ -726,7 +720,10 @@ class EgoSession:
         query — the worker pool stays up and the CSR payload is shipped
         once per graph version (a mutation re-ships on the next parallel
         query).  ``max_workers``, ``pool`` and ``store`` configure the
-        runtime at creation only; an existing runtime is returned as-is.
+        runtime at creation only; an existing runtime is returned as-is,
+        unless ``pool`` or ``store`` names infrastructure it is not
+        attached to: then it is closed and replaced by one that is (a
+        runtime holds nothing but the payload of its last batch).
         Passing a shared :class:`WorkerPool` / :class:`PayloadStore` (what
         the serving gateway does for every tenant) makes this session a
         tenant of that infrastructure: its payloads ship into the shared
@@ -736,6 +733,11 @@ class EgoSession:
         """
         key = ParallelBackend(executor).value
         runtime = self._runtimes.get(key)
+        if runtime is not None and (
+            (pool is not None and runtime.pool is not pool)
+            or (store is not None and runtime.store is not store)
+        ):
+            runtime.close()
         if runtime is None or runtime.closed:
             runtime = ExecutionRuntime(
                 max_workers=max_workers,
@@ -748,12 +750,13 @@ class EgoSession:
         return runtime
 
     def _degraded(self, recompute):
-        """Serve a query from the serial kernels after a worker fault.
+        """Serve a query in process after a worker fault.
 
-        The session's one fault policy: ``recompute`` re-answers with the
-        in-process serial kernels, which are bit-identical to every
-        parallel path by construction — only latency degrades.  The
-        fallback is counted in ``SessionStats.fallbacks``.
+        The session's one fault policy: ``recompute`` re-answers on the
+        serial runtime (or, for a Section-V engine run, the serial engine),
+        which is bit-identical to every parallel path by construction —
+        only latency degrades.  The fallback is counted in
+        ``SessionStats.fallbacks``.
         """
         self._fallbacks += 1
         return recompute()
@@ -808,8 +811,8 @@ class EgoSession:
         calling this pays the cost eagerly — e.g. before timing a stream of
         :meth:`apply` calls.  The session takes ownership of a mutable
         topology — a :class:`DynamicCompactGraph` overlay built from the
-        pinned snapshot, whose connector-count histograms one sweep of the
-        session's serial chunk kernel seeds (or a private copy of the hash
+        pinned snapshot, whose connector-count histograms one batch of the
+        session's serial runtime seeds (or a private copy of the hash
         graph).  The index and every lazy maintainer adopt that one
         topology.  If the session holds a fresh all-vertex values
         memo, the exact :class:`EgoBetweennessIndex` is built immediately,
@@ -823,8 +826,9 @@ class EgoSession:
             self._hash = self._hash.copy()  # take ownership; source stays intact
         else:
             compact = self._compact
-            histograms = self._serial_chunk_kernel(compact).histogram_chunk(
-                range(compact.num_vertices)
+            runtime, workers = self._runtime_for(None, "serial")
+            histograms, _ = runtime.execute_histograms(
+                compact, num_workers=workers, payload_key=self._payload_key()
             )
             self._dyn = DynamicCompactGraph(compact, histograms)
         self._state = "dynamic"
@@ -832,6 +836,7 @@ class EgoSession:
         self._values = None
         self._values_version = None
         self._compact = None
+        self._topk_cache.clear()
         if values is not None:
             self._build_index(values)
             self._values_reused_on_promotion = True
@@ -861,33 +866,17 @@ class EgoSession:
     ) -> Dict[Vertex, float]:
         """Compute exact values of ``targets`` (``None``: every vertex).
 
-        The one place a kernel is picked.  The ``hash`` oracle computes
-        serially; ``parallel=N`` makes one runtime batch (:meth:`_execute`);
-        otherwise the serial CSR kernel runs — the session's tier chunk
-        kernel for a full sweep, the memoised ego summary for a single
-        vertex, ``all_ego_betweenness_csr`` for other subsets.
+        The ``hash`` oracle computes serially; every CSR read, a full
+        sweep, a subset or one vertex, is one runtime batch
+        (:meth:`_execute`), on the serial runtime when ``parallel`` is
+        ``None``.
         """
         if self.backend == "hash":
             graph = self._hash
             if targets is None:
                 return all_ego_betweenness(graph)
             return {v: ego_betweenness(graph, v) for v in targets}
-        if parallel is not None:
-            return self._execute(targets, parallel, executor)
-        compact = self._current_compact()
-        if targets is not None:
-            if len(targets) == 1:
-                return {targets[0]: ego_betweenness_csr_cached(compact, targets[0])}
-            return all_ego_betweenness_csr(compact, targets)
-        if self.kernel == "python":
-            return all_ego_betweenness_csr(compact)
-        # The chunk kernel demotes (counted) on any vectorized failure, so
-        # this is bit-identical to all_ego_betweenness_csr.
-        id_scores = self._serial_chunk_kernel(compact).score_chunk(
-            range(compact.num_vertices)
-        )
-        labels = compact.labels
-        return {labels[i]: score for i, score in id_scores.items()}
+        return self._execute(targets, parallel, executor)
 
     def _read(
         self, targets: Optional[List[Vertex]], parallel: Optional[int], executor: str
@@ -901,12 +890,16 @@ class EgoSession:
         2. a dynamic session with no index builds one (re-summed from the
            overlay's histograms; the hash oracle recomputes);
         3. a cold static full read computes and memoises;
-        4. a cold static subset computes only the targets, memoising
-           nothing.
+        4. a cold static subset (one vertex included) computes only the
+           targets, memoising nothing.
 
+        On the CSR backend rules 3 and 4 are one runtime batch
+        (:meth:`_compute`): ``parallel=N`` picks the executor's runtime and
+        ``N`` workers, ``parallel=None`` the serial runtime and one worker.
         Unknown vertices raise :class:`VertexNotFoundError` on every route,
         and ``executor="process"`` on the ``hash`` backend raises
-        :class:`BackendCapabilityError` on every route.  A full read returns the held map itself: callers must not mutate it.
+        :class:`BackendCapabilityError` on every route.  A full read returns
+        the held map itself: callers must not mutate it.
         """
         if parallel is not None:
             self._require_parallel_backend(executor)
@@ -949,12 +942,14 @@ class EgoSession:
         match the legacy free functions bit for bit.
 
         ``naive`` and ``parallel=N`` (which ignores ``algorithm``) rank the
-        values map, read as :meth:`scores` reads it — except on a cold
-        static CSR session with ``parallel=N``, where only the vertices
-        whose static bound lets them rank are scored, in at most two
-        runtime batches (see :meth:`_pruned_top_k`).  Every route returns
-        the same entries; ``exact_computations`` counts what the call
-        scored.
+        values map the session holds (a dynamic session reads it as
+        :meth:`scores` does).  A cold static CSR session holds none: it
+        scores only the vertices whose static bound lets them rank, in
+        bound-ordered waves (see :meth:`_pruned_top_k`): one batch per
+        wave on the serial runtime with one worker, or with ``parallel=N``
+        on ``N`` workers of the runtime for ``executor``.  It memoises the
+        entries, not a values map.  Every route returns the same entries;
+        ``exact_computations`` counts what the call scored.
         """
         start = time.perf_counter()
         if k < 1:
@@ -988,28 +983,26 @@ class EgoSession:
         return result
 
     def _map_top_k(self, k: int, parallel: Optional[int], executor: str) -> TopKResult:
-        """The top k of the values map, or of the bound-pruned waves.
+        """The top k of the held values map, or of the bound-pruned waves.
 
-        The waves (:meth:`_pruned_top_k`) serve a cold static CSR session
-        with ``parallel`` set: only the vertices whose static bound lets
-        them rank are scored, and each chunk task returns only its entries
-        at or above its k-th score.  As no values map comes back, the
-        entries are cached per ``(version, k)``.  ``exact_computations``
-        counts the vertices this call scored: a held map or a cached answer
-        costs none.
+        A held map, a dynamic session and the ``hash`` oracle rank the
+        values map as :meth:`_read` reads it.  The waves
+        (:meth:`_pruned_top_k`) serve every cold static CSR session,
+        whatever ``parallel`` is: only the vertices whose static bound lets
+        them rank are scored, and each chunk returns only its entries at or
+        above its k-th score.  As no values map comes back, the entries are
+        cached per ``k`` until the promotion (a static snapshot's version
+        never moves).  ``exact_computations`` counts the vertices this call
+        scored: a held map or a cached answer costs none.
         """
         start = time.perf_counter()
         pruned = 0
         held = self._fresh_values() is not None
-        if parallel is None or self._state == "dynamic" or self.backend == "hash" or held:
+        if self._state == "dynamic" or self.backend == "hash" or held:
             values = self._read(None, parallel, executor)
             entries = top_entries(values, k, self._sort_key())
             computed = 0 if held else len(values)
         else:
-            version = self._current_version()
-            if self._topk_cache_version != version:
-                self._topk_cache.clear()
-                self._topk_cache_version = version
             cached = self._topk_cache.get(k)
             if cached is None:
                 entries, computed = self._pruned_top_k(k, parallel, executor)
@@ -1031,7 +1024,8 @@ class EgoSession:
     def score(self, vertex: Vertex) -> float:
         """Exact ego-betweenness of one vertex on the current graph state.
 
-        Read like ``scores([vertex])``; raises :class:`VertexNotFoundError`
+        Read like ``scores([vertex])``: a cold static CSR session scores it
+        in one serial-runtime batch.  Raises :class:`VertexNotFoundError`
         for an unknown vertex.
         """
         start = time.perf_counter()
@@ -1050,11 +1044,13 @@ class EgoSession:
         Planned by :meth:`_read`: a held memo or index answers; otherwise a
         dynamic session builds its index, a static full read computes and
         memoises the map, and a static subset read computes only the
-        subset.  ``parallel=N`` runs that computation as one batch with
-        ``N`` workers on the session's persistent :class:`ExecutionRuntime`
-        for ``executor`` (``"serial"`` or ``"process"``; the ``hash``
-        backend computes serially and rejects ``"process"``).  It never
-        forces a recomputation — :meth:`parallel_scores` does.
+        subset.  On the CSR backend that computation is one batch on the
+        session's persistent :class:`ExecutionRuntime`: the serial one
+        with one worker by default, or ``parallel=N`` workers of the
+        runtime for ``executor`` (``"serial"`` or ``"process"``; the
+        ``hash`` backend computes serially and rejects ``"process"``).
+        ``parallel`` never forces a recomputation — :meth:`parallel_scores`
+        does.
         """
         start = time.perf_counter()
         targets = None if vertices is None else list(vertices)
@@ -1459,16 +1455,10 @@ class EgoSession:
         runtimes = {
             name: replace(stats) for name, stats in self.runtime_stats().items()
         }
-        kernel_chunks = dict(self._kernel_chunks_retired)
-        kernel_fallbacks = self._kernel_fallbacks
-        if self._chunk_kernel is not None:
-            for tier, count in self._chunk_kernel[1].chunks_by_tier.items():
-                kernel_chunks[tier] = kernel_chunks.get(tier, 0) + count
-            kernel_fallbacks += self._chunk_kernel[1].kernel_fallbacks
+        kernel_chunks = {"python": 0, "numpy": 0}
         for runtime_stats in runtimes.values():
             for tier, count in runtime_stats.kernel_chunks.items():
                 kernel_chunks[tier] = kernel_chunks.get(tier, 0) + count
-            kernel_fallbacks += runtime_stats.kernel_fallbacks
         return SessionStats(
             backend=self.backend,
             state=self._state,
@@ -1488,7 +1478,7 @@ class EgoSession:
             fallbacks=self._fallbacks,
             kernel=self.kernel,
             kernel_chunks=kernel_chunks,
-            kernel_fallbacks=kernel_fallbacks,
+            kernel_fallbacks=sum(s.kernel_fallbacks for s in runtimes.values()),
             worker_deaths=sum(s.worker_deaths for s in runtimes.values()),
             respawns=sum(s.respawns for s in runtimes.values()),
             task_retries=sum(s.task_retries for s in runtimes.values()),

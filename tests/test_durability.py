@@ -331,7 +331,10 @@ class TestGatewayDurability:
         recovered, report = recover(tmp_path / "alpha", resume=False)
         assert 301 in recovered.scores() and 302 in recovered.scores()
 
-    def test_recover_tenant_reattaches(self, tmp_path, graph):
+    # parallel=2: the tail's replay promotes on the session's own serial
+    # runtime, which then moves onto the gateway's shared pool and store.
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_recover_tenant_reattaches(self, tmp_path, graph, parallel):
         from repro.serving import ServingGateway
 
         async def seed():
@@ -344,11 +347,11 @@ class TestGatewayDurability:
 
         async def revive():
             async with ServingGateway(
-                parallel=None, durability_root=str(tmp_path)
+                parallel=parallel, durability_root=str(tmp_path)
             ) as gateway:
                 session = gateway.recover_tenant("alpha")
                 assert session.durable
-                assert session.recovery_report is not None
+                assert session.recovery_report.replayed_events == 1
                 return await gateway.scores("alpha")
 
         before = asyncio.run(seed())

@@ -337,6 +337,32 @@ class TestHistogramState:
         assert_histograms_are_the_oracle(recovered._dyn)
         assert recovered.scores() == all_ego_betweenness(recovered.to_graph())
 
+    def test_a_maintainer_built_from_an_overlay_copies_its_histograms(
+        self, monkeypatch
+    ):
+        graph = barabasi_albert_graph(40, 3, seed=11)
+        dyn = as_dynamic(graph)
+        apply_stream(dyn, _mixed_stream(graph, 30, seed=12))
+        sweeps = []
+        histogram_chunk = CSRChunkKernel.histogram_chunk
+
+        def counting(kernel, ids):
+            sweeps.append(ids)
+            return histogram_chunk(kernel, ids)
+
+        monkeypatch.setattr(CSRChunkKernel, "histogram_chunk", counting)
+        oracle = all_ego_betweenness(dyn.to_graph())
+        index = EgoBetweennessIndex(dyn)
+        lazy = LazyTopKMaintainer(dyn, 4)
+        assert sweeps == []
+        assert index.values == oracle
+        assert lazy.top_k().entries == top_entries(oracle, 4)
+        # The copies are independent: updating one leaves the source exact.
+        index.insert_edge("fresh", graph.vertices()[0])
+        assert not dyn.has_vertex("fresh")
+        assert_histograms_are_the_oracle(dyn)
+        assert_histograms_are_the_oracle(index._dyn)
+
     def test_histograms_stay_exact_across_batches(self):
         from repro.session import EgoSession
 

@@ -160,16 +160,25 @@ class TestMultiTenantGateway:
 
         asyncio.run(run())
 
-    def test_adopted_session_with_foreign_runtime_is_rejected(self, alpha_graph):
+    def test_adopted_session_runtime_moves_onto_the_shared_pool(
+        self, alpha_graph, alpha_scores
+    ):
         async def run():
             session = EgoSession(alpha_graph)
-            session.scores(parallel=1, executor="serial")  # private runtime exists
+            session.score(0)  # a cold read: the session's own serial runtime
+            private = session.runtime("serial")
             async with ServingGateway(parallel=1, executor="serial") as gateway:
-                with pytest.raises(InvalidParameterError):
-                    gateway.add_tenant("alpha", session)
+                gateway.add_tenant("alpha", session)
+                runtime = session.runtime("serial")
+                assert private.closed and runtime is not private
+                assert runtime.pool is gateway._pool
+                assert runtime.store is gateway._store
+                answer = await gateway.scores("alpha")
+                assert runtime.stats().batches == 1
             session.close()
+            return answer
 
-        asyncio.run(run())
+        assert asyncio.run(run()) == alpha_scores
 
     def test_top_k_after_mutation_serves_the_new_version(self, alpha_graph):
         async def run():

@@ -1,8 +1,9 @@
-"""Bound-pruned top-k: the cold parallel waves and the searches' lazy order.
+"""Bound-pruned top-k: the cold ranking's waves and the searches' lazy order.
 
-A cold ``top_k(k, parallel=N)`` scores only the vertices whose static bound
-``d(d-1)/2`` can reach the k-th score, in two waves; it must still return
-the full ranking's first k, ties included.  BaseBSearch and OptBSearch
+A cold ``top_k(k, "naive")`` or ``top_k(k, parallel=N)`` scores only the
+vertices that still precede the k-th entry found in the ``(static bound
+d(d-1)/2 descending, sort key)`` order, in waves; it must still return the
+full ranking's first k, ties included.  BaseBSearch and OptBSearch
 visit vertices in an order built one bound group at a time; it must equal
 the eager ``(-bound, sort_key)`` sort.
 """
@@ -62,12 +63,12 @@ def tie_heavy_graphs(draw):
     return Graph(edges=edges, vertices=range(copies * stride))
 
 
-def _check_pruned(graph, k, executor, pool=None, store=None):
+def _check_pruned(graph, k, executor, pool=None, store=None, parallel=2):
     expected = top_entries(all_ego_betweenness_csr(graph), k)
     with EgoSession(graph) as session:
         if pool is not None:
             session.runtime(executor, pool=pool, store=store)
-        result = session.top_k(k, parallel=2, executor=executor)
+        result = session.top_k(k, "naive", parallel=parallel, executor=executor)
     assert result.entries == expected
     stats = result.stats
     assert min(k, graph.num_vertices) <= stats.exact_computations
@@ -79,7 +80,8 @@ class TestPrunedTopK:
     @given(graph=tie_heavy_graphs(), data=st.data())
     def test_serial_waves_equal_the_full_ranking(self, graph, data):
         k = data.draw(st.integers(1, graph.num_vertices + 2), label="k")
-        _check_pruned(graph, k, "serial")
+        parallel = data.draw(st.sampled_from([None, 2]), label="parallel")
+        _check_pruned(graph, k, "serial", parallel=parallel)
 
     @pytest.mark.parallel
     def test_process_waves_equal_the_full_ranking(self):
@@ -103,8 +105,8 @@ class TestPrunedTopK:
         # Hub 9 (degree 4, one triangle among its neighbours) scores 3.0 and
         # alone makes wave 1 for k=1.  Star centre 10 has degree 3: its
         # bound 3.0 equals that threshold, it scores 3.0 too, and "10"
-        # sorts before "9" — so only a wave 2 that admits bound == τ finds
-        # the right answer.
+        # sorts before "9" — so only a wave that admits bound == τ with an
+        # earlier key finds the right answer.
         edges = [(9, 1), (9, 2), (9, 3), (9, 4), (1, 2), (1, 3), (2, 3)]
         edges += [(10, 11), (10, 12), (10, 13)]
         graph = Graph(edges=edges)
@@ -112,9 +114,11 @@ class TestPrunedTopK:
         with EgoSession(graph) as session:
             result = session.top_k(1, parallel=2)
         assert result.entries == [(10, 3.0)]
-        # wave 1 is the hub; wave 2 the degree-3 vertices 1, 2, 3 and 10
-        assert result.stats.exact_computations == 5
-        assert result.stats.pruned_vertices == graph.num_vertices - 5
+        # Wave 1 is the hub; then the degree-3 vertices in key order, at
+        # most double the last wave: 1, then 10 and 2.  Once 10 leads, 3
+        # (bound 3.0, key after "10") can no longer enter.
+        assert result.stats.exact_computations == 4
+        assert result.stats.pruned_vertices == graph.num_vertices - 4
 
     def test_naive_reports_only_what_the_call_computed(self):
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
@@ -122,7 +126,8 @@ class TestPrunedTopK:
             first = session.top_k(2, algorithm="naive")
             second = session.top_k(2, algorithm="naive")
         assert first.entries == second.entries
-        assert first.stats.exact_computations == 6
+        # 2 and 0, then 1 and 3 (3 scores 1.0); 4 and 5 cannot enter.
+        assert first.stats.exact_computations == 4
         assert second.stats.exact_computations == 0
 
     def test_cached_parallel_answer_computes_nothing(self):

@@ -20,7 +20,6 @@ from repro.core import csr_kernels
 from repro.core.csr_kernels import (
     CSRChunkKernel,
     all_ego_betweenness_csr,
-    ego_betweenness_from_arrays,
     set_neighbor_sets_cache_limit,
 )
 from repro.core.ego_betweenness import all_ego_betweenness
@@ -673,9 +672,9 @@ class TestCacheLimits:
                 for seed in range(4)
             ]
             for compact in compacts:
-                ego_betweenness_from_arrays(
-                    compact.indptr, compact.indices, range(compact.num_vertices)
-                )
+                CSRChunkKernel(
+                    compact.indptr, compact.indices, kernel="python"
+                ).score_chunk(range(compact.num_vertices))
             assert len(csr_kernels._NBR_SETS_CACHE) >= 2
             set_neighbor_sets_cache_limit(1)
             assert len(csr_kernels._NBR_SETS_CACHE) <= 1

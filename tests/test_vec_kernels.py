@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core import vec_kernels
 from repro.core.csr_kernels import CSRChunkKernel, _neighbor_sets_cached
 from repro.core.ego_betweenness import all_ego_betweenness
+from repro.core.topk import rank_entries
 from repro.core.vec_kernels import numpy_available, platform_tier
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CompactGraph
@@ -528,16 +529,54 @@ def test_session_stats_report_numpy_tier(social_graph):
 def test_session_stats_report_python_tier(monkeypatch, social_graph):
     _block_numpy(monkeypatch)
     session = EgoSession(social_graph)
-    session.scores()  # serial python path: the canonical sweep, no chunking
+    session.scores()  # one serial-runtime chunk on the python tier
     stats = session.stats()
     assert stats.kernel == "python"
-    assert stats.kernel_chunks == {"python": 0, "numpy": 0}
-    # The chunked runtime path does account python-tier chunks.
+    assert stats.kernel_chunks == {"python": 1, "numpy": 0}
     session.parallel_scores(2, executor="serial")
     stats = session.stats()
-    assert stats.kernel_chunks["python"] >= 1
+    assert stats.kernel_chunks["python"] >= 2
     assert stats.kernel_chunks["numpy"] == 0
     assert stats.kernel_fallbacks == 0
+
+
+@pytest.mark.parametrize("tier", [pytest.param("numpy", marks=requires_numpy), "python"])
+def test_one_kernel_serves_every_cold_read(monkeypatch, social_graph, tier):
+    """Every cold read of a CSR session is a chunk of its serial runtime's
+    one held kernel, so each shows in ``kernel_chunks`` at the platform
+    tier, and the numpy tier builds one scorer for the whole sequence."""
+    oracle = all_ego_betweenness(social_graph)
+    if tier == "python":
+        _block_numpy(monkeypatch)
+    built = []
+    if tier == "numpy":
+        scorer_init = vec_kernels.VectorizedChunkScorer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            scorer_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(vec_kernels.VectorizedChunkScorer, "__init__", counting_init)
+    session = EgoSession(social_graph.to_compact())
+    assert session.kernel == tier
+    some = list(oracle)[:5]
+    reads = [
+        lambda: session.score(some[0]) == oracle[some[0]],
+        lambda: session.scores(some) == {v: oracle[v] for v in some},
+        lambda: list(session.top_k(10, parallel=1, executor="serial"))
+        == rank_entries(oracle.items())[:10],
+        lambda: session.scores() == oracle,
+        lambda: session.promote() is None and session.scores() == oracle,
+    ]
+    chunks = 0
+    for read in reads:
+        assert read()
+        served = session.stats().kernel_chunks
+        assert served[tier] > chunks  # this read ran at least one chunk
+        assert sum(served.values()) == served[tier]
+        chunks = served[tier]
+    assert len(built) == (1 if tier == "numpy" else 0)
+    assert set(session.runtime_stats()) == {"serial"}
 
 
 def test_gateway_metrics_carry_kernel_fields(social_graph):
@@ -556,11 +595,10 @@ def test_gateway_metrics_carry_kernel_fields(social_graph):
     assert tenant["kernel"] == platform_tier()
     assert set(tenant["kernel_chunks"]) == {"python", "numpy"}
     assert tenant["kernel_fallbacks"] == 0
-    if tenant["kernel"] == "numpy":
-        # The numpy tier serves serial sweeps through the chunk kernel;
-        # the python tier's serial path is the unchunked canonical sweep.
-        assert tenant["kernel_chunks"]["numpy"] >= 1
-        assert tenant["kernel_chunks"]["python"] == 0
+    # The tenant's cold sweep is a serial-runtime chunk on the platform tier.
+    other = "python" if tenant["kernel"] == "numpy" else "numpy"
+    assert tenant["kernel_chunks"][tenant["kernel"]] >= 1
+    assert tenant["kernel_chunks"][other] == 0
 
 
 # ----------------------------------------------------------------------
